@@ -71,7 +71,6 @@ def _build_parser() -> _Parser:
         )
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--threads", type=int, default=1, help="worker cap for trials")
         if name == "spectrum":
             p.add_argument(
                 "--angles",
@@ -153,7 +152,7 @@ def _cmd_eval_recon(args, config: ScenarioConfig) -> None:
 def _cmd_eval_doa(args, config: ScenarioConfig) -> None:
     out = args.out
     model = load_checkpoint(_require(out / "model.qdnn", "model checkpoint"))
-    points, _ = eval_doa(model, config, trials=args.trials, threads=args.threads)
+    points, _ = eval_doa(model, config, trials=args.trials)
     write_curves_csv(out / "doa_mse.csv", points, config)
     print(f"wrote {out / 'doa_mse.csv'}")
 

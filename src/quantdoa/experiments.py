@@ -228,34 +228,31 @@ def eval_doa(
     series: tuple[str, ...] = DOA_SERIES,
     snr_db: list[float] | None = None,
     trials: int | None = None,
-    threads: int = 1,
 ) -> tuple[list[CurvePoint], dict[tuple[str, float], TrialResult]]:
     """Paired MUSIC angle-error trials for every series at every SNR."""
     snrs = [float(v) for v in (config.snr_db if snr_db is None else snr_db)]
     trials = config.music.trials if trials is None else trials
     grid = scan_grid(config.music.grid_min, config.music.grid_max, config.music.grid_step)
     qspec_for = lambda bits: config.quantizer_spec(bits)
+    transforms = {tag: make_transform(tag, qspec_for, model) for tag in series}
     points: list[CurvePoint] = []
     details: dict[tuple[str, float], TrialResult] = {}
     for snr_index, snr in enumerate(snrs):
-        base_seed = derived_seed(config.seed, DOMAIN_TRIALS) ^ (snr_index << 32)
+        results = run_trials(
+            geom=config.geometry(),
+            num_sources=config.sources.count,
+            angle_range=config.angle_range(),
+            min_sep=config.eval_min_sep(),
+            snr_db=snr,
+            num_snapshots=config.music.num_snapshots,
+            grid_deg=grid,
+            transforms=transforms,
+            trials=trials,
+            base_seed=derived_seed(config.seed, DOMAIN_TRIALS) ^ (snr_index << 32),
+        )
         for tag in series:
-            transform = make_transform(tag, qspec_for, model)
-            result = run_trials(
-                geom=config.geometry(),
-                num_sources=config.sources.count,
-                angle_range=config.angle_range(),
-                min_sep=config.eval_min_sep(),
-                snr_db=snr,
-                num_snapshots=config.music.num_snapshots,
-                grid_deg=grid,
-                transform=transform,
-                trials=trials,
-                base_seed=base_seed,
-                threads=threads,
-            )
-            details[(tag, snr)] = result
-            points.append(CurvePoint(tag, snr, result.mean, result.stderr))
+            details[(tag, snr)] = results[tag]
+            points.append(CurvePoint(tag, snr, results[tag].mean, results[tag].stderr))
     return points, details
 
 

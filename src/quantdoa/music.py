@@ -10,11 +10,14 @@ where E spans the noise subspace.  Steering vectors at source angles
 are orthogonal to E, so P peaks there.  A tiny regularizer keeps the
 spectrum finite in exactly noiseless scenarios.  The per-trial quality
 metric is the mean squared angle error after rank pairing.
+
+Covariance, subspace and spectrum accept leading batch axes, so
+``run_trials`` scans a stack of trials in one call of each; every
+matrix in a stack goes through the same arithmetic as a lone one.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,6 +34,10 @@ from .signal_model import (
 )
 
 SPECTRUM_REGULARIZER = 1e-12
+
+# Working-memory budget of one stacked scan: run_trials sizes its trial
+# chunks so the (T, M-K, G) complex projection stays near this size.
+CHUNK_BYTES = 2_000_000
 
 # Transforms map the clean complex M x N matrix to whatever the
 # estimator should see (identity, quantized, denoised, ...).
@@ -61,33 +68,39 @@ def sample_covariance(
     snapshots: SnapshotMatrix | np.ndarray,
     num_snapshots: int | None = None,
 ) -> np.ndarray:
-    """R = (1/N) Y Y^H, symmetrized to kill roundoff drift."""
+    """R = (1/N) Y Y^H, symmetrized to kill roundoff drift.
+
+    Y is M x N, or a stack (..., M, N) giving a stack of covariances.
+    """
     data = snapshots.data if isinstance(snapshots, SnapshotMatrix) else np.asarray(snapshots)
     data = np.atleast_2d(data)
     if num_snapshots is not None:
-        if num_snapshots < 1 or num_snapshots > data.shape[1]:
+        if num_snapshots < 1 or num_snapshots > data.shape[-1]:
             raise ValueError(
-                f"requested {num_snapshots} snapshots, matrix has {data.shape[1]}"
+                f"requested {num_snapshots} snapshots, matrix has {data.shape[-1]}"
             )
-        data = data[:, :num_snapshots]
-    if data.shape[1] < 1:
+        data = data[..., :num_snapshots]
+    if data.shape[-1] < 1:
         raise ValueError("covariance needs at least one snapshot")
-    cov = data @ data.conj().T / data.shape[1]
-    return 0.5 * (cov + cov.conj().T)
+    cov = data @ data.conj().swapaxes(-1, -2) / data.shape[-1]
+    return 0.5 * (cov + cov.conj().swapaxes(-1, -2))
 
 
 def noise_subspace(cov: np.ndarray, num_sources: int) -> np.ndarray:
-    """Orthonormal basis of the M-K smallest eigenvalue directions."""
+    """Orthonormal basis of the M-K smallest eigenvalue directions.
+
+    ``cov`` is M x M, or a stack (..., M, M) giving a stack of bases.
+    """
     cov = np.asarray(cov)
-    m = cov.shape[0]
-    if cov.shape != (m, m):
+    m = cov.shape[-1]
+    if cov.ndim < 2 or cov.shape[-2] != m:
         raise ValueError(f"covariance must be square, got {cov.shape}")
     if not 0 < num_sources < m:
         raise ValueError(f"need 0 < num_sources < {m}, got {num_sources}")
     if not np.all(np.isfinite(cov)):
         raise ValueError("covariance has non-finite entries")
     _, vecs = np.linalg.eigh(cov)  # ascending eigenvalues
-    return vecs[:, : m - num_sources]
+    return vecs[..., : m - num_sources]
 
 
 def music_spectrum(
@@ -99,8 +112,9 @@ def music_spectrum(
 ) -> np.ndarray:
     """Pseudo-spectrum over the grid; larger means more source-like.
 
-    ``steering`` may carry a precomputed steering matrix for the grid
-    (one column per angle) to amortize repeated scans.
+    A stack of covariances (..., M, M) gives a stack of spectra
+    (..., G).  ``steering`` may carry a precomputed steering matrix for
+    the grid (one column per angle) to amortize repeated scans.
     """
     grid_deg = np.asarray(grid_deg, dtype=float)
     if grid_deg.size == 0:
@@ -108,8 +122,8 @@ def music_spectrum(
     subspace = noise_subspace(cov, num_sources)
     if steering is None:
         steering = steering_matrix(grid_deg, geom)
-    projection = subspace.conj().T @ steering
-    power = np.sum(np.abs(projection) ** 2, axis=0)
+    projection = subspace.conj().swapaxes(-1, -2) @ steering
+    power = np.sum(np.abs(projection) ** 2, axis=-2)
     return 1.0 / (power + SPECTRUM_REGULARIZER)
 
 
@@ -129,37 +143,25 @@ def pick_peaks(grid_deg: np.ndarray, spectrum: np.ndarray, num_sources: int) -> 
 
     # Compress plateaus to runs, then compare neighboring run values;
     # endpoint runs have only one neighbor and never count.
-    change = np.flatnonzero(np.diff(spectrum) != 0.0)
-    run_starts = np.concatenate([[0], change + 1])
-    run_values = spectrum[run_starts]
-    peaks = [
-        int(run_starts[r])
-        for r in range(1, run_values.size - 1)
-        if run_values[r] > run_values[r - 1] and run_values[r] > run_values[r + 1]
-    ]
+    run_starts = np.concatenate([[0], np.flatnonzero(np.diff(spectrum) != 0.0) + 1])
+    values = spectrum[run_starts]
+    inner = values[1:-1]
+    peaks = run_starts[1:-1][(inner > values[:-2]) & (inner > values[2:])]
 
-    order = sorted(peaks, key=lambda i: (-spectrum[i], i))
-    chosen = order[:num_sources]
-    if len(chosen) < num_sources:
-        taken = set(chosen)
-        rest = sorted(
-            (i for i in range(grid_deg.size) if i not in taken),
-            key=lambda i: (-spectrum[i], i),
-        )
-        chosen.extend(rest[: num_sources - len(chosen)])
-    return np.sort(grid_deg[np.array(chosen, dtype=int)])
+    # Stable sorts of negated values keep ties in ascending index order.
+    chosen = peaks[np.argsort(-spectrum[peaks], kind="stable")[:num_sources]]
+    if chosen.size < num_sources:
+        rest = np.delete(np.arange(grid_deg.size), chosen)
+        fill = rest[np.argsort(-spectrum[rest], kind="stable")[: num_sources - chosen.size]]
+        chosen = np.concatenate([chosen, fill])
+    return np.sort(grid_deg[chosen])
 
 
-def doa_mse(
-    estimated: np.ndarray,
-    truth: np.ndarray,
-    pairing: str = "sorted",
-) -> float:
-    """Mean squared angle error in degrees^2.
+def doa_mse(estimated: np.ndarray, truth: np.ndarray) -> float:
+    """Mean squared angle error in degrees^2, both lists paired by rank.
 
-    ``sorted`` pairs both lists by rank; ``optimal`` solves the
-    assignment problem on squared differences (useful when rank pairing
-    is unfair, e.g. wildly wrong estimates).
+    For 1-D angles under squared error the rank (monotone) pairing is an
+    optimal assignment, so no other pairing can give a smaller value.
     """
     est = np.sort(np.asarray(estimated, dtype=float).ravel())
     tru = np.sort(np.asarray(truth, dtype=float).ravel())
@@ -167,15 +169,7 @@ def doa_mse(
         raise ValueError(f"count mismatch: {est.size} estimates vs {tru.size} truths")
     if est.size == 0:
         raise ValueError("empty angle lists")
-    if pairing == "sorted":
-        return float(np.mean((est - tru) ** 2))
-    if pairing == "optimal":
-        from scipy.optimize import linear_sum_assignment
-
-        cost = (est[:, None] - tru[None, :]) ** 2
-        rows, cols = linear_sum_assignment(cost)
-        return float(cost[rows, cols].mean())
-    raise ValueError(f"unknown pairing {pairing!r}")
+    return float(np.mean((est - tru) ** 2))
 
 
 def estimate_doa(
@@ -231,40 +225,40 @@ def run_trials(
     snr_db: float,
     num_snapshots: int,
     grid_deg: np.ndarray,
-    transform: SignalTransform,
+    transforms: dict[str, SignalTransform],
     trials: int,
     base_seed: int,
-    pairing: str = "sorted",
-    threads: int = 1,
-) -> TrialResult:
-    """Monte-Carlo angle-error trials for one pipeline at one SNR.
+) -> dict[str, TrialResult]:
+    """Monte-Carlo angle-error trials for several pipelines at one SNR.
 
     Trial t draws its angles, source phases, and noise from a generator
-    seeded with ``base_seed XOR t``, so repeated runs (and runs with a
-    different ``transform``) see identical signals and differ only in the
-    pipeline.  Results land in trial order regardless of thread count.
+    seeded with ``base_seed XOR t``, once for all ``transforms``, so the
+    pipelines see identical signals and differ only in the transform;
+    repeated runs with the same seed repeat every trial.  Trials are
+    scanned in stacked chunks; results do not depend on the chunk size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     grid_deg = np.asarray(grid_deg, dtype=float)
     steering = steering_matrix(grid_deg, geom)
     noise = NoiseSpec(snr_db=snr_db)
-    mses = np.empty(trials, dtype=float)
-
-    def one_trial(t: int) -> None:
-        rng = np.random.default_rng(base_seed ^ t)
-        angles = draw_source_angles(num_sources, angle_range, min_sep, rng)
-        clean = synthesize(SourceSet(angles), geom, noise, num_snapshots, rng)
-        observed = transform(clean.data)
-        result = estimate_doa(
-            observed, num_sources, geom, grid_deg, truth_deg=angles, steering=steering
-        )
-        mses[t] = result.mse
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one_trial, range(trials)))
-    else:
-        for t in range(trials):
-            one_trial(t)
-    return TrialResult(mses=mses)
+    projection_bytes = (geom.num_sensors - num_sources) * grid_deg.size * steering.itemsize
+    chunk = max(1, CHUNK_BYTES // projection_bytes)
+    mses = {tag: np.empty(trials, dtype=float) for tag in transforms}
+    for lo in range(0, trials, chunk):
+        ts = range(lo, min(lo + chunk, trials))
+        truths = []
+        observed: dict[str, list[np.ndarray]] = {tag: [] for tag in transforms}
+        for t in ts:
+            rng = np.random.default_rng(base_seed ^ t)
+            angles = draw_source_angles(num_sources, angle_range, min_sep, rng)
+            clean = synthesize(SourceSet(angles), geom, noise, num_snapshots, rng)
+            truths.append(angles)
+            for tag, transform in transforms.items():
+                observed[tag].append(transform(clean.data))
+        for tag, stack in observed.items():
+            cov = sample_covariance(np.stack(stack))
+            spectra = music_spectrum(cov, num_sources, geom, grid_deg, steering=steering)
+            for t, spectrum, truth in zip(ts, spectra, truths):
+                mses[tag][t] = doa_mse(pick_peaks(grid_deg, spectrum, num_sources), truth)
+    return {tag: TrialResult(mses=m) for tag, m in mses.items()}

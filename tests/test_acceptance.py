@@ -309,10 +309,10 @@ def test_criterion_3_music_exactness_noiseless():
         snr_db=np.inf,
         num_snapshots=5,
         grid_deg=grid,
-        transform=lambda d: d,
+        transforms={"unquantized": lambda d: d},
         trials=100,
         base_seed=31337,
-    )
+    )["unquantized"]
     worst = float(np.sqrt(result.mses.max()))
     elapsed = time.perf_counter() - start
     ok = worst <= 0.01 and elapsed < 30.0
@@ -388,7 +388,7 @@ def ideal_eval(desk_setup, estimation_floor):
     Ideal-1bit feeds MUSIC the estimation floor's conditional-mean
     table: the MSE-optimal per-snapshot reconstruction for the desk
     training distribution, the one the denoiser is trained to approach.  The trial arguments mirror `eval_doa` at one
-    SNR, so trial t sees the same signal in every series.
+    SNR, so trial t sees the same signal in every series; one call runs both.
     """
     cfg, train_set, _, _ = desk_setup
     ev = doa_eval_config(cfg, train_set)
@@ -410,13 +410,14 @@ def ideal_eval(desk_setup, estimation_floor):
         trials=200,
         base_seed=derived_seed(ev.seed, DOMAIN_TRIALS),
     )
-    return {
-        "raw-2bit": run_trials(
-            transform=make_transform("raw-2bit", ev.quantizer_spec), **trial_args
-        ),
-        "ideal-1bit": run_trials(transform=ideal_1bit, **trial_args),
-        "missing": float(np.concatenate(missing).mean()),
-    }
+    results = run_trials(
+        transforms={
+            "raw-2bit": make_transform("raw-2bit", ev.quantizer_spec),
+            "ideal-1bit": ideal_1bit,
+        },
+        **trial_args,
+    )
+    return {**results, "missing": float(np.concatenate(missing).mean())}
 
 
 def doa_threshold(raw2_mean: float, ideal_mean: float) -> float:

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from quantdoa import network as net
-from quantdoa.config import desk_default
+from quantdoa.config import DOMAIN_TRIALS, derived_seed, desk_default
 from quantdoa.dataset import build_dataset
 from quantdoa.experiments import (
     CurvePoint,
     DEFAULT_SPECTRUM_ANGLES,
+    DOA_SERIES,
     ablation_points,
     ablation_suite,
     compression_report,
@@ -22,8 +23,17 @@ from quantdoa.experiments import (
     width_sweep_variants,
     write_curves_csv,
 )
+from quantdoa.music import estimate_doa, sample_covariance, scan_grid
 from quantdoa.quantizer import QuantizerSpec
-from quantdoa.signal_model import from_real_batch, to_real_batch
+from quantdoa.signal_model import (
+    NoiseSpec,
+    SourceSet,
+    draw_source_angles,
+    from_real_batch,
+    steering_matrix,
+    synthesize,
+    to_real_batch,
+)
 
 
 def tiny_config(**kwargs):
@@ -153,7 +163,46 @@ class TestTransforms:
         np.testing.assert_allclose(full[:, 2], single[:, 0], atol=1e-6)
 
 
+def per_trial_reference(model, cfg, tag, snr_index, snr, trials):
+    """One series at one SNR the slow way: each trial synthesized and scanned alone.
+
+    Returns the per-trial MSEs and how many observed covariances have
+    rank <= K (their spectra carry exact ties and flat stretches).
+    """
+    geom, k = cfg.geometry(), cfg.sources.count
+    grid = scan_grid(cfg.music.grid_min, cfg.music.grid_max, cfg.music.grid_step)
+    steering = steering_matrix(grid, geom)
+    transform = make_transform(tag, cfg.quantizer_spec, model)
+    base_seed = derived_seed(cfg.seed, DOMAIN_TRIALS) ^ (snr_index << 32)
+    mses, low_rank = [], 0
+    for t in range(trials):
+        rng = np.random.default_rng(base_seed ^ t)
+        angles = draw_source_angles(k, cfg.angle_range(), cfg.eval_min_sep(), rng)
+        clean = synthesize(SourceSet(angles), geom, NoiseSpec(snr), cfg.music.num_snapshots, rng)
+        observed = transform(clean.data)
+        low_rank += np.linalg.matrix_rank(sample_covariance(observed)) <= k
+        result = estimate_doa(observed, k, geom, grid, truth_deg=angles, steering=steering)
+        mses.append(result.mse)
+    return np.array(mses), low_rank
+
+
 class TestEvalDoa:
+    def test_matches_per_trial_reference(self, tiny_setup):
+        cfg, train_set, _, result = tiny_setup
+        ev = cfg.copy()
+        ev.music.min_sep = 4.0
+        ev.quantizer.full_scale = train_set.full_scale
+        snrs, trials = [10.0, 50.0], 30
+        _, details = eval_doa(result.model, ev, snr_db=snrs, trials=trials)
+        for snr_index, snr in enumerate(snrs):
+            for tag in DOA_SERIES:
+                mses, low_rank = per_trial_reference(
+                    result.model, ev, tag, snr_index, snr, trials
+                )
+                np.testing.assert_array_equal(details[(tag, snr)].mses, mses, err_msg=tag)
+                if tag == "raw-1bit":
+                    assert low_rank > 0, "no raw-1bit tie case among the trials"
+
     def test_all_series_present_and_finite(self, tiny_setup):
         cfg, train_set, _, result = tiny_setup
         ev = cfg.copy()

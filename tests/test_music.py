@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quantdoa import music
 from quantdoa.music import (
     doa_mse,
     estimate_doa,
@@ -19,6 +22,7 @@ from quantdoa.signal_model import (
     NoiseSpec,
     SnapshotMatrix,
     SourceSet,
+    steering_matrix,
     steering_vector,
     synthesize,
 )
@@ -31,6 +35,54 @@ def random_psd(m, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     return a @ a.conj().T / m
+
+
+def pick_peaks_loop(grid_deg, spectrum, num_sources):
+    """The former loop implementation of `pick_peaks`, kept verbatim as the reference."""
+    grid_deg = np.asarray(grid_deg, dtype=float)
+    spectrum = np.asarray(spectrum, dtype=float)
+    if grid_deg.shape != spectrum.shape or grid_deg.ndim != 1:
+        raise ValueError("grid and spectrum must be matching 1-D arrays")
+    if num_sources < 1 or num_sources > grid_deg.size:
+        raise ValueError(f"cannot pick {num_sources} peaks from {grid_deg.size} points")
+
+    # Compress plateaus to runs, then compare neighboring run values;
+    # endpoint runs have only one neighbor and never count.
+    change = np.flatnonzero(np.diff(spectrum) != 0.0)
+    run_starts = np.concatenate([[0], change + 1])
+    run_values = spectrum[run_starts]
+    peaks = [
+        int(run_starts[r])
+        for r in range(1, run_values.size - 1)
+        if run_values[r] > run_values[r - 1] and run_values[r] > run_values[r + 1]
+    ]
+
+    order = sorted(peaks, key=lambda i: (-spectrum[i], i))
+    chosen = order[:num_sources]
+    if len(chosen) < num_sources:
+        taken = set(chosen)
+        rest = sorted(
+            (i for i in range(grid_deg.size) if i not in taken),
+            key=lambda i: (-spectrum[i], i),
+        )
+        chosen.extend(rest[: num_sources - len(chosen)])
+    return np.sort(grid_deg[np.array(chosen, dtype=int)])
+
+
+def music_spectrum_2d(cov, num_sources, steering):
+    """The former one-matrix arithmetic of subspace -> spectrum, verbatim."""
+    m = cov.shape[0]
+    _, vecs = np.linalg.eigh(cov)
+    subspace = vecs[:, : m - num_sources]
+    projection = subspace.conj().T @ steering
+    power = np.sum(np.abs(projection) ** 2, axis=0)
+    return 1.0 / (power + 1e-12)
+
+
+def sample_covariance_2d(data):
+    """The former one-matrix covariance arithmetic, verbatim."""
+    cov = data @ data.conj().T / data.shape[1]
+    return 0.5 * (cov + cov.conj().T)
 
 
 class TestScanGrid:
@@ -144,6 +196,38 @@ class TestMusicSpectrum:
         np.testing.assert_array_equal(s1, s2)
 
 
+class TestStackedScan:
+    def test_stack_matches_each_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        data = rng.standard_normal((6, 8, 5)) + 1j * rng.standard_normal((6, 8, 5))
+        # 1-bit observations give rank-deficient covariances with exact ties
+        data[3:] = quantize_complex(data[3:], QuantizerSpec(1, 1.0))
+        steering = steering_matrix(GRID, GEOM8)
+        covs = sample_covariance(data)
+        subspaces = noise_subspace(covs, 3)
+        spectra = music_spectrum(covs, 3, GEOM8, GRID, steering=steering)
+        assert covs.shape == (6, 8, 8) and spectra.shape == (6, GRID.size)
+        for i in range(data.shape[0]):
+            # a denoised matrix arrives column-major; its scan must not differ
+            for single in (data[i], np.asfortranarray(data[i])):
+                cov = sample_covariance(single)
+                np.testing.assert_array_equal(covs[i], cov)
+                np.testing.assert_array_equal(covs[i], sample_covariance_2d(single))
+                np.testing.assert_array_equal(subspaces[i], noise_subspace(cov, 3))
+                np.testing.assert_array_equal(
+                    spectra[i], music_spectrum(cov, 3, GEOM8, GRID, steering=steering)
+                )
+                np.testing.assert_array_equal(spectra[i], music_spectrum_2d(cov, 3, steering))
+
+    def test_stack_validation(self):
+        with pytest.raises(ValueError, match="square"):
+            noise_subspace(np.ones((2, 4, 3), dtype=complex), 1)
+        bad = np.stack([np.eye(4, dtype=complex)] * 2)
+        bad[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            noise_subspace(bad, 1)
+
+
 class TestPickPeaks:
     def test_unimodal_argmax(self):
         grid = np.arange(5.0)
@@ -175,6 +259,32 @@ class TestPickPeaks:
         with pytest.raises(ValueError):
             pick_peaks(np.arange(3.0), np.ones(3), 4)
 
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.integers(0, 4).map(float),  # a small alphabet: plateaus and exact ties
+                st.floats(-1e6, 1e6, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+        data=st.data(),
+    )
+    @example(values=[5.0, 1.0, 1.0, 4.0], data=None)  # endpoint maxima only
+    @example(values=[2.0, 2.0, 2.0], data=None)  # one flat run
+    @example(values=[1.0, 3.0, 3.0, 1.0, 3.0, 1.0, 0.0], data=None)  # tie, plateau, too few peaks
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_reference(self, values, data):
+        spectrum = np.array(values)
+        grid = -30.0 + 0.5 * np.arange(spectrum.size)
+        ks = range(1, spectrum.size + 1) if data is None else [
+            data.draw(st.integers(1, spectrum.size), label="num_sources")
+        ]
+        for k in ks:
+            np.testing.assert_array_equal(
+                pick_peaks(grid, spectrum, k), pick_peaks_loop(grid, spectrum, k)
+            )
+
 
 class TestDoaMse:
     def test_identical_lists_zero(self):
@@ -202,12 +312,18 @@ class TestDoaMse:
         with pytest.raises(ValueError):
             doa_mse([1.0, 2.0], [1.0])
 
-    def test_optimal_pairing_never_worse(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            truth = rng.uniform(-30, 30, 3)
-            est = rng.uniform(-30, 30, 3)
-            assert doa_mse(est, truth, "optimal") <= doa_mse(est, truth) + 1e-12
+    @given(
+        est=st.lists(st.floats(-30, 30), min_size=1, max_size=5),
+        seed=st.integers(0, 100),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_rank_pairing_is_optimal(self, est, seed):
+        truth = np.random.default_rng(seed).uniform(-30, 30, len(est))
+        best = min(
+            np.mean((np.array(perm) - np.sort(truth)) ** 2)
+            for perm in itertools.permutations(est)
+        )
+        assert doa_mse(est, truth) <= best + 1e-9
 
 
 class TestEndToEnd:
@@ -246,36 +362,50 @@ class TestRunTrials:
         # two well-separated sources at high SNR: near-exact recovery
         kw = self._common()
         kw.update(num_sources=2, min_sep=10.0)
-        result = run_trials(snr_db=50.0, transform=lambda d: d, **kw)
+        result = run_trials(snr_db=50.0, transforms={"id": lambda d: d}, **kw)["id"]
         assert result.mean < 0.01**2
 
     def test_fixed_seed_reproducible(self):
-        r1 = run_trials(snr_db=30.0, transform=lambda d: d, **self._common())
-        r2 = run_trials(snr_db=30.0, transform=lambda d: d, **self._common())
+        r1 = run_trials(snr_db=30.0, transforms={"id": lambda d: d}, **self._common())["id"]
+        r2 = run_trials(snr_db=30.0, transforms={"id": lambda d: d}, **self._common())["id"]
         np.testing.assert_array_equal(r1.mses, r2.mses)
 
-    def test_threads_do_not_change_results(self):
+    @pytest.mark.parametrize("budget", [1, 10**12])
+    def test_chunk_size_does_not_change_results(self, budget, monkeypatch):
         kw = self._common()
-        serial = run_trials(snr_db=30.0, transform=lambda d: d, **kw)
-        threaded = run_trials(snr_db=30.0, transform=lambda d: d, threads=4, **kw)
-        np.testing.assert_array_equal(serial.mses, threaded.mses)
+        transforms = {
+            "id": lambda d: d,
+            "1bit": lambda d: quantize_complex(d, QuantizerSpec(1, 3.1)),
+        }
+        default = run_trials(snr_db=30.0, transforms=transforms, **kw)
+        stacks = []
+
+        def recording(data, *args):
+            stacks.append(data.shape[0])
+            return sample_covariance(data, *args)
+
+        monkeypatch.setattr(music, "CHUNK_BYTES", budget)
+        monkeypatch.setattr(music, "sample_covariance", recording)
+        chunked = run_trials(snr_db=30.0, transforms=transforms, **kw)
+        assert set(stacks) == ({1} if budget == 1 else {kw["trials"]})
+        for tag in transforms:
+            np.testing.assert_array_equal(default[tag].mses, chunked[tag].mses)
 
     def test_more_bits_no_worse(self):
         kw = self._common()
         full_scale = 3.1
-        q1 = run_trials(
+        results = run_trials(
             snr_db=30.0,
-            transform=lambda d: quantize_complex(d, QuantizerSpec(1, full_scale)),
+            transforms={
+                "q1": lambda d: quantize_complex(d, QuantizerSpec(1, full_scale)),
+                "q4": lambda d: quantize_complex(d, QuantizerSpec(4, full_scale)),
+            },
             **kw,
         )
-        q4 = run_trials(
-            snr_db=30.0,
-            transform=lambda d: quantize_complex(d, QuantizerSpec(4, full_scale)),
-            **kw,
-        )
+        q1, q4 = results["q1"], results["q4"]
         assert q4.mean <= q1.mean
 
     def test_summary_statistics(self):
-        result = run_trials(snr_db=50.0, transform=lambda d: d, **self._common())
+        result = run_trials(snr_db=50.0, transforms={"id": lambda d: d}, **self._common())["id"]
         assert result.median <= result.mean + 1e-12
         assert result.stderr >= 0.0
