@@ -6,11 +6,9 @@ from .signal_model import (
     SnapshotMatrix,
     SourceSet,
     draw_source_angles,
-    from_real_interleaved,
     steering_matrix,
     steering_vector,
     synthesize,
-    to_real_interleaved,
 )
 from .quantizer import (
     QuantizerSpec,

@@ -27,10 +27,13 @@ import numpy as np
 
 from .config import DOMAIN_TEST_DATA, DOMAIN_TRAIN_DATA, ScenarioConfig, derived_seed
 from .quantizer import QuantizerSpec, quantize_complex
-from .signal_model import ArrayGeometry, NoiseSpec, SourceSet, draw_source_angles, synthesize, to_real_interleaved
+from .signal_model import ArrayGeometry, NoiseSpec, draw_source_angles, mix, steering_matrix, to_real_batch
 
 MAGIC = b"QDST"
 FORMAT_VERSION = 1
+# Records generated per vectorized block; a fixed size keeps peak memory
+# flat in the record count.  Results do not depend on it.
+BLOCK_RECORDS = 512
 
 
 class DatasetFormatError(Exception):
@@ -85,14 +88,37 @@ def generate_record(
     qspec: QuantizerSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One (input, target, angles) triple, fully determined by its seed."""
-    rng = np.random.default_rng(record_seed)
-    angles = draw_source_angles(num_sources, angle_range, min_sep, rng)
-    clean = synthesize(SourceSet(angles), geom, NoiseSpec(snr_db), 1, rng)
-    column = clean.data[:, 0]
-    quantized = quantize_complex(column, qspec)
+    block = generate_records([record_seed], [snr_db], geom, num_sources, angle_range, min_sep, qspec)
+    return tuple(rows[0] for rows in block)
+
+
+def generate_records(
+    record_seeds: list[int], snr_db: list[float], geom: ArrayGeometry, num_sources: int,
+    angle_range: tuple[float, float], min_sep: float, qspec: QuantizerSpec,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of inputs, targets and angles for a block of records.
+
+    Each record draws from its own generator what a one-snapshot
+    ``synthesize`` call draws, in the same order: angles, source phases,
+    then the real and imaginary noise when its variance is > 0.  The
+    mixing, quantization and real-stacking then run once for the block.
+    """
+    n, k, m = len(record_seeds), num_sources, geom.num_sensors
+    variances = np.array([NoiseSpec(snr).noise_variance for snr in snr_db])
+    angles = np.empty((n, k))
+    phases = np.empty((n, k, 1))
+    draws = np.zeros((2, n, m, 1))
+    for i, seed in enumerate(record_seeds):
+        rng = np.random.default_rng(seed)
+        angles[i] = draw_source_angles(k, angle_range, min_sep, rng)
+        phases[i] = rng.uniform(0.0, 2.0 * np.pi, size=(k, 1))
+        if variances[i] > 0.0:
+            rng.standard_normal(out=draws[0, i])
+            rng.standard_normal(out=draws[1, i])
+    clean = mix(steering_matrix(angles, geom), np.exp(1j * phases), variances, draws)[..., 0].T
     return (
-        to_real_interleaved(quantized).astype(np.float32),
-        to_real_interleaved(column).astype(np.float32),
+        to_real_batch(quantize_complex(clean, qspec)).astype(np.float32),
+        to_real_batch(clean).astype(np.float32),
         angles,
     )
 
@@ -106,34 +132,19 @@ def build_dataset(config: ScenarioConfig, split: str) -> Dataset:
         base = derived_seed(config.seed, DOMAIN_TEST_DATA)
     else:
         raise ValueError(f"split must be 'train' or 'test', got {split!r}")
-    geom = config.geometry()
-    qspec = config.quantizer_spec()
-    k = config.sources.count
-    two_m = 2 * geom.num_sensors
+    geom, qspec = config.geometry(), config.quantizer_spec()
     snr_list = [float(v) for v in config.snr_db]
-
-    inputs = np.empty((count, two_m), dtype=np.float32)
-    targets = np.empty((count, two_m), dtype=np.float32)
-    snrs = np.empty(count, dtype=np.float64)
-    angles = np.empty((count, k), dtype=np.float64)
-    seeds = np.empty(count, dtype=np.uint64)
-    for i in range(count):
-        snr = snr_list[i % len(snr_list)]
-        seed = (base ^ i) & 0xFFFFFFFFFFFFFFFF
-        inp, tgt, ang = generate_record(
-            seed,
-            geom=geom,
-            num_sources=k,
-            angle_range=config.angle_range(),
-            min_sep=config.sources.min_sep,
-            snr_db=snr,
-            qspec=qspec,
+    inputs = np.empty((count, 2 * geom.num_sensors), dtype=np.float32)
+    targets = np.empty_like(inputs)
+    angles = np.empty((count, config.sources.count))
+    snrs = np.asarray(snr_list)[np.arange(count) % len(snr_list)]
+    seeds = np.uint64(base) ^ np.arange(count, dtype=np.uint64)
+    for lo in range(0, count, BLOCK_RECORDS):
+        block = slice(lo, min(lo + BLOCK_RECORDS, count))
+        inputs[block], targets[block], angles[block] = generate_records(
+            seeds[block].tolist(), snrs[block].tolist(), geom, config.sources.count,
+            config.angle_range(), config.sources.min_sep, qspec,
         )
-        inputs[i] = inp
-        targets[i] = tgt
-        snrs[i] = snr
-        angles[i] = ang
-        seeds[i] = seed
     return Dataset(
         inputs=inputs,
         targets=targets,
@@ -146,23 +157,29 @@ def build_dataset(config: ScenarioConfig, split: str) -> Dataset:
     )
 
 
+def record_dtype(num_sensors: int, num_sources: int) -> np.dtype:
+    """One packed little-endian record, fields in file order."""
+    return np.dtype([
+        ("input", "<f4", (2 * num_sensors,)),
+        ("target", "<f4", (2 * num_sensors,)),
+        ("snr", "<f8"),
+        ("angles", "<f8", (num_sources,)),
+        ("seed", "<u8"),
+    ])
+
+
 def save_dataset(ds: Dataset, path: str | Path) -> None:
-    chunks = [
+    records = np.empty(ds.count, dtype=record_dtype(ds.num_sensors, ds.num_sources))
+    records["input"], records["target"], records["snr"] = ds.inputs, ds.targets, ds.snr_db
+    records["angles"], records["seed"] = ds.angles_deg, ds.record_seeds
+    body = b"".join([
         MAGIC,
-        struct.pack(
-            "<HIIQ", FORMAT_VERSION, ds.num_sensors, ds.num_sources, ds.count
-        ),
+        struct.pack("<HIIQ", FORMAT_VERSION, ds.num_sensors, ds.num_sources, ds.count),
         struct.pack("<I", len(ds.snr_list)),
         np.asarray(ds.snr_list, dtype="<f8").tobytes(),
         struct.pack("<Bd", ds.bits, ds.full_scale),
-    ]
-    for i in range(ds.count):
-        chunks.append(ds.inputs[i].astype("<f4").tobytes())
-        chunks.append(ds.targets[i].astype("<f4").tobytes())
-        chunks.append(struct.pack("<d", ds.snr_db[i]))
-        chunks.append(ds.angles_deg[i].astype("<f8").tobytes())
-        chunks.append(struct.pack("<Q", int(ds.record_seeds[i])))
-    body = b"".join(chunks)
+        records.tobytes(),
+    ])
     blob = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
     Path(path).write_bytes(blob)
 
@@ -192,28 +209,23 @@ def load_dataset(path: str | Path) -> Dataset:
     (snr_len,) = struct.unpack("<I", take(4))
     snr_list = np.frombuffer(take(8 * snr_len), dtype="<f8").tolist()
     bits, full_scale = struct.unpack("<Bd", take(9))
-    two_m = 2 * m
-
-    inputs = np.empty((count, two_m), dtype=np.float32)
-    targets = np.empty((count, two_m), dtype=np.float32)
-    snrs = np.empty(count, dtype=np.float64)
-    angles = np.empty((count, k), dtype=np.float64)
-    seeds = np.empty(count, dtype=np.uint64)
-    for i in range(count):
-        inputs[i] = np.frombuffer(take(4 * two_m), dtype="<f4")
-        targets[i] = np.frombuffer(take(4 * two_m), dtype="<f4")
-        (snrs[i],) = struct.unpack("<d", take(8))
-        angles[i] = np.frombuffer(take(8 * k), dtype="<f8")
-        (seed,) = struct.unpack("<Q", take(8))
-        seeds[i] = seed
-    if pos != len(body):
-        raise DatasetFormatError("trailing bytes after the last record")
+    # Check the header against the body before any record is allocated:
+    # a CRC does not authenticate the record count.
+    try:
+        record = record_dtype(m, k)
+    except ValueError as exc:
+        raise DatasetFormatError(f"bad record shape M={m}, K={k}: {exc}") from None
+    if count * record.itemsize != len(body) - pos:
+        raise DatasetFormatError(
+            f"header promises {count} records of {record.itemsize} bytes; "
+            f"the body holds {len(body) - pos} bytes")
+    records = np.frombuffer(body, dtype=record, count=count, offset=pos)
     return Dataset(
-        inputs=inputs,
-        targets=targets,
-        snr_db=snrs,
-        angles_deg=angles,
-        record_seeds=seeds,
+        inputs=records["input"].astype(np.float32),
+        targets=records["target"].astype(np.float32),
+        snr_db=records["snr"].astype(np.float64),
+        angles_deg=records["angles"].astype(np.float64),
+        record_seeds=records["seed"].astype(np.uint64),
         snr_list=snr_list,
         bits=int(bits),
         full_scale=float(full_scale),

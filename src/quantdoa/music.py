@@ -64,22 +64,13 @@ def scan_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 
-def sample_covariance(
-    snapshots: SnapshotMatrix | np.ndarray,
-    num_snapshots: int | None = None,
-) -> np.ndarray:
+def sample_covariance(snapshots: SnapshotMatrix | np.ndarray) -> np.ndarray:
     """R = (1/N) Y Y^H, symmetrized to kill roundoff drift.
 
     Y is M x N, or a stack (..., M, N) giving a stack of covariances.
     """
     data = snapshots.data if isinstance(snapshots, SnapshotMatrix) else np.asarray(snapshots)
     data = np.atleast_2d(data)
-    if num_snapshots is not None:
-        if num_snapshots < 1 or num_snapshots > data.shape[-1]:
-            raise ValueError(
-                f"requested {num_snapshots} snapshots, matrix has {data.shape[-1]}"
-            )
-        data = data[..., :num_snapshots]
     if data.shape[-1] < 1:
         raise ValueError("covariance needs at least one snapshot")
     cov = data @ data.conj().swapaxes(-1, -2) / data.shape[-1]

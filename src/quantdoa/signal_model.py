@@ -103,26 +103,22 @@ class SnapshotMatrix:
 
 
 def steering_vector(theta_deg: float, geom: ArrayGeometry) -> np.ndarray:
-    """Steering vector a(theta): unit-modulus phase ramp across the array.
-
-    Element m equals exp(j 2 pi (d/lambda) m sin theta); element 0 is
-    exactly 1.  Rejects |theta| >= 90 because sin is ambiguous outside
-    the front half-space.
-    """
-    if not abs(theta_deg) < 90.0:
-        raise ValueError(f"theta must satisfy |theta| < 90 degrees, got {theta_deg}")
-    m = np.arange(geom.num_sensors)
-    phase = 2.0 * np.pi * geom.spacing * m * np.sin(np.deg2rad(theta_deg))
-    return np.exp(1j * phase)
+    """Steering vector a(theta): the one column of :func:`steering_matrix`."""
+    return steering_matrix(theta_deg, geom)[:, 0]
 
 
 def steering_matrix(thetas_deg: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
-    """Stack steering vectors column-wise: shape (M, len(thetas))."""
+    """Steering vectors column-wise: (M, K), or (..., M, K) for (..., K) angles.
+
+    Element m of a(theta) equals exp(j 2 pi (d/lambda) m sin theta), so
+    element 0 is exactly 1.  Rejects |theta| >= 90 because sin is
+    ambiguous outside the front half-space.
+    """
     thetas = np.atleast_1d(np.asarray(thetas_deg, dtype=float))
     if thetas.size and not np.all(np.abs(thetas) < 90.0):
         raise ValueError("all angles must satisfy |theta| < 90 degrees")
     m = np.arange(geom.num_sensors)[:, None]
-    phase = 2.0 * np.pi * geom.spacing * m * np.sin(np.deg2rad(thetas))[None, :]
+    phase = 2.0 * np.pi * geom.spacing * m * np.sin(np.deg2rad(thetas))[..., None, :]
     return np.exp(1j * phase)
 
 
@@ -152,7 +148,7 @@ def draw_source_angles(
         )
     for _ in range(max_tries):
         angles = np.sort(lo + (hi - lo) * rng.random(num_sources))
-        if num_sources == 1 or np.min(np.diff(angles)) >= min_sep:
+        if num_sources == 1 or (angles[1:] - angles[:-1]).min() >= min_sep:
             return angles
     raise RuntimeError(f"angle rejection sampling failed after {max_tries} tries")
 
@@ -183,33 +179,36 @@ def synthesize(
         raise ValueError(
             f"amplitudes cover {amps.shape[1]} snapshots, requested {num_snapshots}"
         )
-    data = steering_matrix(sources.angles_deg, geom) @ amps
     var = noise.noise_variance
+    draws = None
     if var > 0.0:
         if rng is None:
             raise ValueError("rng required for noisy synthesis")
-        scale = np.sqrt(var / 2.0)
-        data = data + scale * (
-            rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape)
-        )
+        shape = (geom.num_sensors, num_snapshots)
+        draws = (rng.standard_normal(shape), rng.standard_normal(shape))
+    data = mix(steering_matrix(sources.angles_deg, geom), amps, var, draws)
     return SnapshotMatrix(data=data, kind="clean")
 
 
-def to_real_interleaved(column: np.ndarray) -> np.ndarray:
-    """Map a complex M-vector to [Re(1..M), Im(1..M)] of length 2M."""
-    col = np.asarray(column)
-    if col.ndim != 1:
-        raise ValueError(f"expected a 1-D snapshot column, got shape {col.shape}")
-    return np.concatenate([col.real, col.imag])
+def mix(
+    steering: np.ndarray, amps: np.ndarray, noise_variance: np.ndarray | float,
+    draws: tuple[np.ndarray, np.ndarray] | None,
+) -> np.ndarray:
+    """Snapshots A s + sqrt(var/2) (e_re + j e_im), stacked over leading axes.
 
-
-def from_real_interleaved(vector: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`to_real_interleaved`; exact round-trip."""
-    v = np.asarray(vector, dtype=float)
-    if v.ndim != 1 or v.size % 2 != 0:
-        raise ValueError(f"expected a 1-D vector of even length, got shape {v.shape}")
-    half = v.size // 2
-    return v[:half] + 1j * v[half:]
+    ``steering`` is (..., M, K), ``amps`` (..., K, N), ``noise_variance``
+    broadcasts to the leading axes and ``draws`` holds the standard normal
+    real and imaginary parts, each (..., M, N).  Noise is added only where
+    the variance is > 0, since adding a zero term turns -0.0 into +0.0.
+    """
+    data = steering @ amps
+    var = np.broadcast_to(noise_variance, data.shape[:-2])
+    noisy = var > 0.0
+    if noisy.any():
+        re, im = draws
+        scale = np.sqrt(var[noisy] / 2.0)[:, None, None]
+        data[noisy] = data[noisy] + scale * (re[noisy] + 1j * im[noisy])
+    return data
 
 
 def to_real_batch(snapshots: SnapshotMatrix | np.ndarray) -> np.ndarray:

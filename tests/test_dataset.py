@@ -1,6 +1,13 @@
+import hashlib
+import math
+import struct
+import zlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from quantdoa import dataset
 from quantdoa.config import desk_default
 from quantdoa.dataset import (
     DatasetFormatError,
@@ -9,8 +16,82 @@ from quantdoa.dataset import (
     load_dataset,
     save_dataset,
 )
-from quantdoa.quantizer import quantization_noise
-from quantdoa.signal_model import SnapshotMatrix, from_real_interleaved
+from quantdoa.quantizer import quantization_noise, quantize_complex
+from quantdoa.signal_model import (
+    NoiseSpec,
+    SnapshotMatrix,
+    SourceSet,
+    draw_source_angles,
+    from_real_batch,
+    synthesize,
+)
+
+DATA = Path(__file__).parent / "data"
+FIELDS = ("inputs", "targets", "snr_db", "angles_deg", "record_seeds")
+
+
+def scenario(seed, bits=1, k=3, snr_db=None, train=600, test=100):
+    cfg = desk_default()
+    cfg.seed = seed
+    cfg.quantizer.bits = bits
+    cfg.sources.count = k
+    if snr_db is not None:
+        cfg.snr_db = snr_db
+    cfg.data.train_count = train
+    cfg.data.test_count = test
+    return cfg
+
+
+PINNED = {
+    "seed1-1bit": scenario(1),
+    "seed2-1bit": scenario(2),
+    "seed3-1bit": scenario(3),
+    "seed1-2bit": scenario(1, bits=2),
+    "seed2-k1": scenario(2, k=1),
+    "seed3-inf-2bit": scenario(3, bits=2, snr_db=[10.0, math.inf, 30.0]),
+}
+# SHA-256 of the saved splits as the one-record-at-a-time generator wrote
+# them; block generation and packed I/O must reproduce every byte.
+PINNED_DIGESTS = {
+    ("seed1-1bit", "train"): "36c77c6ec05019620037640364bf6b701b9e88b1e0d4c2f4ac0685d1c5772b9d",
+    ("seed1-1bit", "test"): "90805a152880ff713d832ae553b72c3de069770af44e6e09e9b9f112d270a720",
+    ("seed2-1bit", "train"): "7c59741d88c6b5afce08c32fdf300dc74e4ee9f61e2498dcc00636fb77d32947",
+    ("seed2-1bit", "test"): "daa41de1853ec0977fbcba3b0e2df785560767e7e05a712380919ebdde6b781e",
+    ("seed3-1bit", "train"): "90709d5752a912f70eb8e4487e99f5c657a45b7a6068b40acf6865233e5701ca",
+    ("seed3-1bit", "test"): "b352cc9ba8e9d5dcc14ca1121f5fae3a8ee0cc5fb2262a47fa9cde19ee347dd7",
+    ("seed1-2bit", "train"): "94ec05409423c2f14fe25f8ab9ed0a18487cdb72317cf4a914bbdbf1aaf8d710",
+    ("seed1-2bit", "test"): "96d7ce38616cf7294413ecbcee477faff807b6025e079d43427fe566bd8d7c8b",
+    ("seed2-k1", "train"): "faf8bf9a0a90b5b5b989937eb981b319f60a44e9da829e02ab280bb93ede322f",
+    ("seed2-k1", "test"): "620dce071b7257319eb287902c163cf95a121c6086c791043a3a2b6b2c3a5e56",
+    ("seed3-inf-2bit", "train"): "977f5bf7977fce071bf965e8d9c9153805c003a1e1d39fa827a374878dc560fe",
+    ("seed3-inf-2bit", "test"): "4d42346d4e1846c5f99d79701781130a3a4c47587ef221e80a640d39bd7d7b47",
+}
+
+
+def per_record_reference(seed, cfg, snr_db):
+    """The one-record-at-a-time generator that block generation replaced."""
+    rng = np.random.default_rng(seed)
+    angles = draw_source_angles(cfg.sources.count, cfg.angle_range(), cfg.sources.min_sep, rng)
+    column = synthesize(SourceSet(angles), cfg.geometry(), NoiseSpec(snr_db), 1, rng).data[:, 0]
+    quantized = quantize_complex(column, cfg.quantizer_spec())
+    return (
+        np.concatenate([quantized.real, quantized.imag]).astype(np.float32),
+        np.concatenate([column.real, column.imag]).astype(np.float32),
+        angles,
+    )
+
+
+def saved_digest(ds, path):
+    save_dataset(ds, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def reseal(path, offset, fmt, value):
+    """Overwrite one header field and recompute the CRC, so only the field is wrong."""
+    blob = bytearray(path.read_bytes())
+    struct.pack_into(fmt, blob, offset, value)
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
+    path.write_bytes(bytes(blob))
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +119,9 @@ class TestBuild:
     def test_target_is_input_minus_quantization_noise(self, small_train):
         spec = small_train.quantizer_spec
         for i in range(0, small_train.count, 7):
-            clean = from_real_interleaved(small_train.targets[i].astype(np.float64))
+            clean = from_real_batch(small_train.targets[i : i + 1]).data[:, 0]
             q = quantization_noise(SnapshotMatrix(clean[:, None]), spec).data[:, 0]
-            observed = from_real_interleaved(small_train.inputs[i].astype(np.float64))
+            observed = from_real_batch(small_train.inputs[i : i + 1]).data[:, 0]
             np.testing.assert_allclose(observed, clean + q, atol=1e-7)
 
     def test_record_reproducible_from_seed(self, small_config, small_train):
@@ -121,16 +202,9 @@ class TestFileFormat:
             load_dataset(path)
 
     def test_bad_magic_detected(self, small_train, tmp_path):
-        import struct
-        import zlib
-
         path = tmp_path / "ds.qdst"
         save_dataset(small_train, path)
-        blob = bytearray(path.read_bytes())
-        blob[:4] = b"NOPE"
-        body = bytes(blob[:-4])
-        blob[-4:] = struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-        path.write_bytes(bytes(blob))
+        reseal(path, 0, "4s", b"NOPE")
         with pytest.raises(DatasetFormatError, match="magic"):
             load_dataset(path)
 
@@ -139,3 +213,76 @@ class TestFileFormat:
         assert sum(idx.size for idx in buckets.values()) == small_train.count
         for snr, idx in buckets.items():
             assert np.all(small_train.snr_db[idx] == snr)
+
+    @pytest.mark.parametrize(
+        "offset, fmt, value",
+        [
+            (14, "<Q", 2**40),      # record count: 64 TiB of records
+            (14, "<Q", 2**64 - 1),
+            (14, "<Q", 51),         # one record more than the body holds
+            (14, "<Q", 49),         # one record less: trailing bytes
+            (6, "<I", 2**29),       # M: 8 GiB records
+            (6, "<I", 2**31),       # M: a record shape numpy cannot hold
+            (10, "<I", 2**32 - 1),  # K
+        ],
+    )
+    def test_hostile_header_rejected_before_allocation(self, small_train, tmp_path, offset, fmt, value):
+        path = tmp_path / "ds.qdst"
+        save_dataset(small_train, path)
+        reseal(path, offset, fmt, value)
+        with pytest.raises(DatasetFormatError, match="header promises|record shape"):
+            load_dataset(path)
+
+    def test_loaded_columns_are_contiguous_native_arrays(self, small_train, tmp_path):
+        path = tmp_path / "ds.qdst"
+        save_dataset(small_train, path)
+        loaded = load_dataset(path)
+        for name in FIELDS:
+            a, b = getattr(loaded, name), getattr(small_train, name)
+            assert a.flags["C_CONTIGUOUS"] and a.flags["WRITEABLE"]
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_v1_file_from_the_per_record_writer_loads(self, tmp_path):
+        # written by the one-record-at-a-time generator and struct writer
+        path = DATA / "v1_seed7_train.qdst"
+        cfg = scenario(7, bits=2, snr_db=[10.0, math.inf, 30.0], train=10, test=4)
+        loaded, built = load_dataset(path), build_dataset(cfg, "train")
+        for name in FIELDS:
+            a, b = getattr(loaded, name), getattr(built, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert (loaded.snr_list, loaded.bits, loaded.full_scale) == (built.snr_list, built.bits, built.full_scale)
+        assert saved_digest(loaded, tmp_path / "again.qdst") == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestBlockEquivalence:
+    @pytest.mark.parametrize("name, split", sorted(PINNED_DIGESTS))
+    def test_saved_split_matches_pinned_digest(self, name, split, tmp_path):
+        ds = build_dataset(PINNED[name], split)
+        assert saved_digest(ds, tmp_path / "ds.qdst") == PINNED_DIGESTS[name, split]
+
+    @pytest.mark.parametrize("name", ["seed3-inf-2bit", "seed2-k1"])
+    def test_rows_match_generate_record_bytewise(self, name):
+        cfg = PINNED[name]
+        ds = build_dataset(cfg, "train")
+        # np.array_equal cannot tell -0.0 from +0.0; bytes can
+        assert np.signbit(ds.inputs[ds.inputs == 0.0]).any()
+        for i in range(ds.count):
+            seed, snr = int(ds.record_seeds[i]), float(ds.snr_db[i])
+            record = generate_record(
+                seed,
+                geom=cfg.geometry(),
+                num_sources=cfg.sources.count,
+                angle_range=cfg.angle_range(),
+                min_sep=cfg.sources.min_sep,
+                snr_db=snr,
+                qspec=ds.quantizer_spec,
+            )
+            row = (ds.inputs[i], ds.targets[i], ds.angles_deg[i])
+            for got, ref, want in zip(record, per_record_reference(seed, cfg, snr), row):
+                assert got.tobytes() == ref.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, 601])
+    def test_block_size_does_not_change_bytes(self, block, monkeypatch, tmp_path):
+        monkeypatch.setattr(dataset, "BLOCK_RECORDS", block)
+        ds = build_dataset(PINNED["seed3-inf-2bit"], "train")
+        assert saved_digest(ds, tmp_path / "ds.qdst") == PINNED_DIGESTS["seed3-inf-2bit", "train"]

@@ -120,13 +120,6 @@ class TestSampleCovariance:
         expected = np.outer(a, a.conj()) + 10 ** (-snr / 10) * np.eye(8)
         assert np.max(np.abs(cov - expected)) < 0.05
 
-    def test_snapshot_count_slice(self):
-        rng = np.random.default_rng(4)
-        data = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
-        np.testing.assert_allclose(
-            sample_covariance(data, num_snapshots=5), sample_covariance(data[:, :5])
-        )
-
     def test_zero_snapshots_rejected(self):
         with pytest.raises(ValueError):
             sample_covariance(np.ones((3, 0), dtype=complex))

@@ -10,12 +10,11 @@ from quantdoa.signal_model import (
     SourceSet,
     draw_source_angles,
     from_real_batch,
-    from_real_interleaved,
+    mix,
     steering_matrix,
     steering_vector,
     synthesize,
     to_real_batch,
-    to_real_interleaved,
 )
 
 GEOM8 = ArrayGeometry(num_sensors=8)
@@ -72,6 +71,17 @@ class TestSteeringVector:
         mat = steering_matrix(thetas, GEOM8)
         for k, th in enumerate(thetas):
             np.testing.assert_allclose(mat[:, k], steering_vector(th, GEOM8))
+
+    def test_stack_matches_each_matrix_bytewise(self):
+        thetas = np.random.default_rng(5).uniform(-60.0, 60.0, size=(4, 2, 3))
+        stack = steering_matrix(thetas, GEOM8)
+        assert stack.shape == (4, 2, 8, 3)
+        for idx in np.ndindex(4, 2):
+            assert stack[idx].tobytes() == steering_matrix(thetas[idx], GEOM8).tobytes()
+
+    def test_stack_rejects_back_halfspace(self):
+        with pytest.raises(ValueError):
+            steering_matrix(np.array([[0.0, 10.0], [95.0, 1.0]]), GEOM8)
 
 
 class TestDrawSourceAngles:
@@ -147,26 +157,50 @@ class TestSynthesize:
             synthesize(SourceSet(np.array([0.0])), GEOM8, NoiseSpec(np.inf), 2)
 
 
+class TestMix:
+    def test_stack_matches_each_record_bytewise(self):
+        # three records, the middle one noiseless: its draws must be ignored
+        rng = np.random.default_rng(9)
+        steering = steering_matrix(rng.uniform(-30.0, 30.0, (3, 2)), GEOM8)
+        amps = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (3, 2, 4)))
+        var = np.array([0.1, 0.0, 1e-3])
+        draws = rng.standard_normal((2, 3, 8, 4))
+        stack = mix(steering, amps, var, draws)
+        for i in range(3):
+            one = mix(steering[i], amps[i], float(var[i]), (draws[0, i], draws[1, i]))
+            assert stack[i].tobytes() == one.tobytes()
+        assert stack[1].tobytes() == (steering[1] @ amps[1]).tobytes()
+
+    def test_synthesize_draws_match_mix(self):
+        src = SourceSet(np.array([-7.0, 12.0]))
+        snap = synthesize(src, GEOM8, NoiseSpec(20.0), 3, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        amps = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(2, 3)))
+        draws = (rng.standard_normal((8, 3)), rng.standard_normal((8, 3)))
+        expected = mix(steering_matrix(src.angles_deg, GEOM8), amps, NoiseSpec(20.0).noise_variance, draws)
+        assert snap.data.tobytes() == expected.tobytes()
+
+
 class TestRealInterleaved:
     def test_layout_example(self):
         np.testing.assert_array_equal(
-            to_real_interleaved(np.array([1 + 2j, 3 + 4j])), [1.0, 3.0, 2.0, 4.0]
+            to_real_batch(np.array([[1 + 2j], [3 + 4j]])), [[1.0, 3.0, 2.0, 4.0]]
         )
 
     def test_all_real_input_zero_imag_half(self):
-        v = to_real_interleaved(np.array([5.0, -1.0, 2.0], dtype=complex))
-        np.testing.assert_array_equal(v[3:], np.zeros(3))
+        v = to_real_batch(np.array([[5.0], [-1.0], [2.0]], dtype=complex))
+        np.testing.assert_array_equal(v[0, 3:], np.zeros(3))
 
-    @given(st.integers(1, 16), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 16), st.integers(1, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_round_trip_identity(self, m, seed):
+    def test_round_trip_identity(self, m, n, seed):
         rng = np.random.default_rng(seed)
-        col = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        np.testing.assert_array_equal(from_real_interleaved(to_real_interleaved(col)), col)
+        data = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        np.testing.assert_array_equal(from_real_batch(to_real_batch(data)).data, data)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            from_real_interleaved(np.arange(5.0))
+            from_real_batch(np.arange(5.0)[None, :])
 
     def test_batch_round_trip(self):
         rng = np.random.default_rng(0)
@@ -174,7 +208,7 @@ class TestRealInterleaved:
         snap = SnapshotMatrix(data)
         batch = to_real_batch(snap)
         assert batch.shape == (4, 12)
-        np.testing.assert_array_equal(batch[0], to_real_interleaved(data[:, 0]))
+        np.testing.assert_array_equal(batch[2], np.concatenate([data[:, 2].real, data[:, 2].imag]))
         np.testing.assert_array_equal(from_real_batch(batch).data, data)
 
 
