@@ -25,20 +25,28 @@ from .network import BatchNorm, Dense, DenoiserModel
 MAGIC = b"QDNN"
 FORMAT_VERSION = 1
 
-_KIND_CODES = {
-    "input_fc": 0,
-    "residual_inner": 1,
-    "residual_outer": 2,
-    "output_linear": 3,
-    "hidden": 4,
-}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
+_RESIDUAL_INNER = 1
 _ACT_CODES = {"relu": 0, "tanh": 1, "sigmoid": 2}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
 
 class CheckpointError(Exception):
     """Corrupt or incompatible checkpoint file."""
+
+
+def _kind_code(model: DenoiserModel, i: int) -> int:
+    """Layer kind in the file: 0 input, 1/2 residual inner/outer, 3 output, 4 plain hidden."""
+    if i == 0:
+        return 0
+    if i == model.depth - 1:
+        return 3
+    if not model.use_residual:
+        return 4
+    return _RESIDUAL_INNER if i % 2 else 2
+
+
+def _kind_codes(model: DenoiserModel) -> list[int]:
+    return [_kind_code(model, i) for i in range(model.depth)]
 
 
 def _payload_dtype(precision: str) -> np.dtype:
@@ -59,12 +67,9 @@ def save_checkpoint(model: DenoiserModel, path: str | Path) -> None:
                     _ACT_CODES[model.activation], 1 if model.input_bias else 0),
         struct.pack("<I", model.depth),
     ]
-    for spec, layer, bn in zip(model.layer_specs(), model.dense, model.norms):
+    for code, layer, bn in zip(_kind_codes(model), model.dense, model.norms):
         chunks.append(
-            struct.pack(
-                "<BIIB", _KIND_CODES[spec.kind], spec.in_dim, spec.out_dim,
-                1 if bn is not None else 0,
-            )
+            struct.pack("<BIIB", code, layer.in_dim, layer.out_dim, 1 if bn is not None else 0)
         )
         chunks.append(np.ascontiguousarray(layer.w).astype(dtype).tobytes())
         chunks.append(layer.b.astype(dtype).tobytes())
@@ -121,12 +126,10 @@ def load_checkpoint(path: str | Path) -> DenoiserModel:
 
     dense: list[Dense] = []
     norms: list[BatchNorm | None] = []
-    kinds: list[str] = []
+    codes: list[int] = []
     prev_out: int | None = None
     for _ in range(layer_count):
         kind_code, in_dim, out_dim, has_bn = r.unpack("<BIIB")
-        if kind_code not in _KIND_NAMES:
-            raise CheckpointError(f"unknown layer kind {kind_code}")
         if in_dim < 1 or out_dim < 1:
             raise CheckpointError("non-positive layer dimension")
         if prev_out is not None and in_dim != prev_out:
@@ -134,7 +137,7 @@ def load_checkpoint(path: str | Path) -> DenoiserModel:
                 f"layer dimension chain broken: {prev_out} feeds {in_dim}"
             )
         prev_out = out_dim
-        kinds.append(_KIND_NAMES[kind_code])
+        codes.append(kind_code)
         w = r.array(in_dim * out_dim, dtype).reshape(in_dim, out_dim)
         b = r.array(out_dim, dtype)
         dense.append(Dense(w=w, b=b))
@@ -148,11 +151,17 @@ def load_checkpoint(path: str | Path) -> DenoiserModel:
             norms.append(None)
     if r.pos != len(body):
         raise CheckpointError("trailing bytes after the last layer")
-    return DenoiserModel(
-        dense=dense,
-        norms=norms,
-        activation=_ACT_NAMES[act_code],
-        input_bias=bool(bias_flag),
-        use_residual="residual_inner" in kinds,
-        precision=precision,
-    )
+    try:
+        model = DenoiserModel(
+            dense=dense,
+            norms=norms,
+            activation=_ACT_NAMES[act_code],
+            input_bias=bool(bias_flag),
+            use_residual=_RESIDUAL_INNER in codes,
+            precision=precision,
+        )
+    except ValueError as exc:
+        raise CheckpointError(f"inconsistent layer table: {exc}") from exc
+    if codes != _kind_codes(model):
+        raise CheckpointError(f"layer kinds {codes} do not match the layer order")
+    return model

@@ -139,7 +139,7 @@ def train(
                 break
             grads = net.backward(model, cache, yb)
             try:
-                adam_step(params, grads.flat(), state)
+                adam_step(params, grads, state)
             except NonFiniteGradientError:
                 diverged = True
                 break

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid")
-LAYER_KINDS = ("input_fc", "residual_inner", "residual_outer", "hidden", "output_linear")
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # weight of the current batch in the running average
@@ -85,15 +84,6 @@ class BatchNorm:
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = BN_EPS
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    kind: str
-    in_dim: int
-    out_dim: int
-    has_bn: bool
 
 
 @dataclass
@@ -104,7 +94,6 @@ class DenoiserModel:
     input_bias: bool = True
     use_residual: bool = True
     precision: str = "fp32"
-    bn_momentum: float = BN_MOMENTUM
 
     def __post_init__(self) -> None:
         if len(self.dense) != len(self.norms):
@@ -113,8 +102,17 @@ class DenoiserModel:
             raise ValueError("model needs at least an input and an output layer")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.use_residual and (len(self.dense) - 2) % 2 != 0:
-            raise ValueError("residual grouping requires an even hidden-layer count")
+        if self.norms[0] is not None or self.norms[-1] is not None:
+            raise ValueError("batch norm is allowed on hidden layers only")
+        if self.use_residual:
+            if (self.depth - 2) % 2 != 0:
+                raise ValueError("residual grouping requires an even hidden-layer count")
+            for i in range(2, self.depth - 1, 2):
+                skip, out = self.dense[i - 1].in_dim, self.dense[i].out_dim
+                if skip != out:
+                    raise ValueError(
+                        f"skip connection into layer {i} needs width {out}, got {skip}"
+                    )
 
     @property
     def depth(self) -> int:
@@ -125,38 +123,15 @@ class DenoiserModel:
         return self.dense[0].in_dim
 
     @property
-    def width_out(self) -> int:
-        return self.dense[-1].out_dim
-
-    @property
-    def num_sensors(self) -> int:
-        return self.width_in // 2
-
-    @property
     def use_bn(self) -> bool:
         return any(bn is not None for bn in self.norms)
 
-    def widths(self) -> list[int]:
-        return [self.dense[0].in_dim] + [layer.out_dim for layer in self.dense]
-
-    def layer_specs(self) -> list[LayerSpec]:
-        specs = []
-        for i, layer in enumerate(self.dense):
-            if i == 0:
-                kind = "input_fc"
-            elif i == self.depth - 1:
-                kind = "output_linear"
-            elif not self.use_residual:
-                kind = "hidden"
-            elif (i - 1) % 2 == 0:
-                kind = "residual_inner"
-            else:
-                kind = "residual_outer"
-            specs.append(LayerSpec(kind, layer.in_dim, layer.out_dim, self.norms[i] is not None))
-        return specs
+    def closes_pair(self, i: int) -> bool:
+        """Layer i is the outer layer of a residual pair and adds the skip."""
+        return self.use_residual and 0 < i < self.depth - 1 and i % 2 == 0
 
     def trainable_arrays(self) -> list[np.ndarray]:
-        """Flat parameter list; order matches Gradients.flat()."""
+        """Flat parameter list; :func:`backward` returns gradients in this order."""
         arrays: list[np.ndarray] = []
         for layer, bn in zip(self.dense, self.norms):
             arrays.extend([layer.w, layer.b])
@@ -182,34 +157,15 @@ class DenoiserModel:
             None
             if bn is None
             else BatchNorm(
-                bn.gamma.copy(), bn.beta.copy(),
-                bn.running_mean.copy(), bn.running_var.copy(), bn.eps,
+                bn.gamma.copy(), bn.beta.copy(), bn.running_mean.copy(), bn.running_var.copy()
             )
             for bn in self.norms
         ]
         return replace(self, dense=dense, norms=norms)
 
 
-def _stage_plan(model: DenoiserModel) -> list[tuple]:
-    last = model.depth - 1
-    plan: list[tuple] = [("input", 0)]
-    if model.use_residual:
-        for i in range(1, last, 2):
-            plan.append(("block", i, i + 1))
-    else:
-        for i in range(1, last):
-            plan.append(("hidden", i))
-    plan.append(("output", last))
-    return plan
-
-
-def batch_norm_train(
-    t: np.ndarray,
-    bn: BatchNorm,
-    momentum: float = BN_MOMENTUM,
-    update_running: bool = True,
-) -> tuple[np.ndarray, tuple]:
-    """Normalize by batch statistics; optionally refresh the running ones.
+def batch_norm_train(t: np.ndarray, bn: BatchNorm) -> tuple[np.ndarray, tuple]:
+    """Normalize by batch statistics and refresh the running ones.
 
     Variance is the biased (divide by batch size) estimate.  Requires a
     batch of at least two rows, otherwise the statistics are degenerate.
@@ -218,18 +174,17 @@ def batch_norm_train(
         raise ValueError("batch norm training needs a 2-D batch with >= 2 rows")
     mean = t.mean(axis=0)
     var = t.var(axis=0)  # biased
-    inv_std = 1.0 / np.sqrt(var + bn.eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (t - mean) * inv_std
     out = bn.gamma * xhat + bn.beta
-    if update_running:
-        bn.running_mean[...] = (1.0 - momentum) * bn.running_mean + momentum * mean
-        bn.running_var[...] = (1.0 - momentum) * bn.running_var + momentum * var
+    bn.running_mean[...] = (1.0 - BN_MOMENTUM) * bn.running_mean + BN_MOMENTUM * mean
+    bn.running_var[...] = (1.0 - BN_MOMENTUM) * bn.running_var + BN_MOMENTUM * var
     return out, (xhat, inv_std, bn.gamma)
 
 
 def batch_norm_infer(t: np.ndarray, bn: BatchNorm) -> np.ndarray:
     """Deterministic normalization by the stored running statistics."""
-    inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
+    inv_std = 1.0 / np.sqrt(bn.running_var + BN_EPS)
     return bn.gamma * (t - bn.running_mean) * inv_std + bn.beta
 
 
@@ -246,11 +201,14 @@ def batch_norm_backward(dout: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.
     return dx, dgamma, dbeta
 
 
-def _affine(x: np.ndarray, layer: Dense, with_bias: bool = True) -> np.ndarray:
-    out = x @ layer.w
-    if with_bias:
-        out = out + layer.b
-    return out
+@dataclass
+class LayerCache:
+    """What one layer of a forward pass keeps for backprop."""
+
+    x: np.ndarray  # layer input
+    pre: np.ndarray  # activation input: after batch norm and the skip add
+    bn: tuple | None  # batch-norm cache, when the layer has one
+    out: np.ndarray  # layer output
 
 
 @dataclass
@@ -259,7 +217,7 @@ class ForwardCache:
 
     x: np.ndarray
     mode: str
-    stages: list[tuple] = field(default_factory=list)
+    layers: list[LayerCache] = field(default_factory=list)
     output: np.ndarray | None = None
 
 
@@ -272,7 +230,8 @@ def forward(
 
     ``mode`` is "train" (batch statistics for BN, cache filled for
     backprop, running stats updated) or "infer" (running statistics, no
-    state mutation).
+    state mutation).  Each layer runs FC -> optional BN -> skip add (when
+    it closes a residual pair) -> activation (all but the last layer).
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -280,51 +239,24 @@ def forward(
     if x.shape[1] != model.width_in:
         raise ValueError(f"input width {x.shape[1]} != model width {model.width_in}")
     train = mode == "train"
-    act = model.activation
+    last = model.depth - 1
     cache = ForwardCache(x=x, mode=mode)
-
-    def norm_fwd(t: np.ndarray, idx: int) -> tuple[np.ndarray, tuple | None]:
-        bn = model.norms[idx]
-        if bn is None:
-            return t, None
-        if train:
-            return batch_norm_train(t, bn, model.bn_momentum)
-        return batch_norm_infer(t, bn), None
-
     h = x
-    for stage in _stage_plan(model):
-        if stage[0] == "input":
-            layer = model.dense[stage[1]]
-            pre = _affine(h, layer, with_bias=model.input_bias)
-            out = _activation_forward(act, pre)
-            cache.stages.append(("input", h, pre, out))
-            h = out
-        elif stage[0] == "block":
-            i_inner, i_outer = stage[1], stage[2]
-            skip = h
-            pre_i = _affine(skip, model.dense[i_inner])
-            u_i, bn_cache_i = norm_fwd(pre_i, i_inner)
-            a_i = _activation_forward(act, u_i)
-            pre_o = _affine(a_i, model.dense[i_outer])
-            u_o, bn_cache_o = norm_fwd(pre_o, i_outer)
-            r = skip + u_o
-            out = _activation_forward(act, r)
-            cache.stages.append(
-                ("block", i_inner, i_outer, skip, u_i, bn_cache_i, a_i, u_o, bn_cache_o, r, out)
-            )
-            h = out
-        elif stage[0] == "hidden":
-            i = stage[1]
-            pre = _affine(h, model.dense[i])
-            u, bn_cache = norm_fwd(pre, i)
-            out = _activation_forward(act, u)
-            cache.stages.append(("hidden", i, h, u, bn_cache, out))
-            h = out
-        else:  # output
-            layer = model.dense[stage[1]]
-            out = _affine(h, layer)
-            cache.stages.append(("output", h))
-            h = out
+    for i, (layer, bn) in enumerate(zip(model.dense, model.norms)):
+        z = h @ layer.w
+        if i > 0 or model.input_bias:
+            z = z + layer.b
+        bn_cache = None
+        if bn is not None:
+            if train:
+                z, bn_cache = batch_norm_train(z, bn)
+            else:
+                z = batch_norm_infer(z, bn)
+        if model.closes_pair(i):
+            z = cache.layers[i - 1].x + z
+        out = z if i == last else _activation_forward(model.activation, z)
+        cache.layers.append(LayerCache(h, z, bn_cache, out))
+        h = out
     cache.output = h
     return h, cache
 
@@ -348,24 +280,8 @@ def per_sample_loss(output: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.sum(diff * diff, axis=1) / diff.shape[1]
 
 
-@dataclass
-class Gradients:
-    """Parameter gradients, mirroring the model layout."""
-
-    dense: list[tuple[np.ndarray, np.ndarray]]
-    norms: list[tuple[np.ndarray, np.ndarray] | None]
-
-    def flat(self) -> list[np.ndarray]:
-        arrays: list[np.ndarray] = []
-        for (dw, db), bn in zip(self.dense, self.norms):
-            arrays.extend([dw, db])
-            if bn is not None:
-                arrays.extend([bn[0], bn[1]])
-        return arrays
-
-
-def backward(model: DenoiserModel, cache: ForwardCache, target: np.ndarray) -> Gradients:
-    """Exact gradients of the loss for every W, b, gamma, beta.
+def backward(model: DenoiserModel, cache: ForwardCache, target: np.ndarray) -> list[np.ndarray]:
+    """Exact gradients of the loss, in :meth:`DenoiserModel.trainable_arrays` order.
 
     Needs the cache of a train-mode forward on the same batch; gradients
     flow through the batch-norm statistics and through the skip fan-out.
@@ -375,57 +291,27 @@ def backward(model: DenoiserModel, cache: ForwardCache, target: np.ndarray) -> G
     target = np.atleast_2d(np.asarray(target))
     if target.shape != cache.output.shape:
         raise ValueError("target shape does not match the cached forward output")
-    act = model.activation
     batch, width = cache.output.shape
-    d_dense: list[tuple[np.ndarray, np.ndarray] | None] = [None] * model.depth
-    d_norms: list[tuple[np.ndarray, np.ndarray] | None] = [None] * model.depth
-
-    def norm_bwd(dout: np.ndarray, idx: int, bn_cache: tuple | None) -> np.ndarray:
-        if model.norms[idx] is None:
-            return dout
-        dx, dgamma, dbeta = batch_norm_backward(dout, bn_cache)
-        d_norms[idx] = (dgamma, dbeta)
-        return dx
-
+    last = model.depth - 1
+    per_layer: list[list[np.ndarray]] = []
     # d loss / d output for the batch-averaged, width-normalized loss
     grad = (2.0 / (batch * width)) * (cache.output - target)
-
-    for stage in reversed(cache.stages):
-        if stage[0] == "output":
-            _, h_in = stage
-            layer_idx = model.depth - 1
-            layer = model.dense[layer_idx]
-            d_dense[layer_idx] = (h_in.T @ grad, grad.sum(axis=0))
-            grad = grad @ layer.w.T
-        elif stage[0] == "block":
-            _, i_inner, i_outer, skip, u_i, bn_cache_i, a_i, u_o, bn_cache_o, r, out = stage
-            dr = _activation_backward(act, grad, r, out)
-            d_skip = dr.copy()
-            dz_o = norm_bwd(dr, i_outer, bn_cache_o)
-            outer = model.dense[i_outer]
-            d_dense[i_outer] = (a_i.T @ dz_o, dz_o.sum(axis=0))
-            da_i = dz_o @ outer.w.T
-            du_i = _activation_backward(act, da_i, u_i, a_i)
-            dz_i = norm_bwd(du_i, i_inner, bn_cache_i)
-            inner = model.dense[i_inner]
-            d_dense[i_inner] = (skip.T @ dz_i, dz_i.sum(axis=0))
-            grad = dz_i @ inner.w.T + d_skip
-        elif stage[0] == "hidden":
-            _, i, h_in, u, bn_cache, out = stage
-            du = _activation_backward(act, grad, u, out)
-            dz = norm_bwd(du, i, bn_cache)
-            layer = model.dense[i]
-            d_dense[i] = (h_in.T @ dz, dz.sum(axis=0))
-            grad = dz @ layer.w.T
-        else:  # input
-            _, h_in, pre, out = stage
-            dz = _activation_backward(act, grad, pre, out)
-            layer = model.dense[0]
-            db = dz.sum(axis=0) if model.input_bias else np.zeros_like(layer.b)
-            d_dense[0] = (h_in.T @ dz, db)
-            grad = dz @ layer.w.T
-
-    return Gradients(dense=list(d_dense), norms=d_norms)
+    d_skip: np.ndarray | None = None  # set by the outer layer of each pair
+    for i in reversed(range(model.depth)):
+        c, layer = cache.layers[i], model.dense[i]
+        dz = grad if i == last else _activation_backward(model.activation, grad, c.pre, c.out)
+        if model.closes_pair(i):
+            d_skip = dz
+        d_norm: list[np.ndarray] = []
+        if c.bn is not None:
+            dz, dgamma, dbeta = batch_norm_backward(dz, c.bn)
+            d_norm = [dgamma, dbeta]
+        db = dz.sum(axis=0) if i > 0 or model.input_bias else np.zeros_like(layer.b)
+        per_layer.append([c.x.T @ dz, db] + d_norm)
+        grad = dz @ layer.w.T
+        if model.closes_pair(i + 1):
+            grad = grad + d_skip
+    return [g for grads in reversed(per_layer) for g in grads]
 
 
 def init_model(
@@ -444,20 +330,9 @@ def init_model(
     each pair's boundary.
     """
     widths = [int(w) for w in widths]
-    if len(widths) < 3:
-        raise ValueError("widths must list at least [in, hidden, out]")
     if any(w < 1 for w in widths):
         raise ValueError("all widths must be positive")
     depth = len(widths) - 1
-    if use_residual:
-        if (depth - 2) % 2 != 0:
-            raise ValueError("residual grouping needs an even number of hidden layers")
-        for i in range(1, depth - 1, 2):
-            if widths[i] != widths[i + 2]:
-                raise ValueError(
-                    f"skip connection needs widths[{i}] == widths[{i + 2}], "
-                    f"got {widths[i]} and {widths[i + 2]}"
-                )
     dense: list[Dense] = []
     norms: list[BatchNorm | None] = []
     for i in range(depth):

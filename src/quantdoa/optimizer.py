@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class NonFiniteGradientError(ValueError):
@@ -19,25 +23,13 @@ class TrainState:
     v: list[np.ndarray]
     step_count: int = 0
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_state(
-    params: list[np.ndarray],
-    learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> TrainState:
+def init_state(params: list[np.ndarray], learning_rate: float = 1e-3) -> TrainState:
     return TrainState(
         m=[np.zeros_like(p) for p in params],
         v=[np.zeros_like(p) for p in params],
         learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
     )
 
 
@@ -56,12 +48,11 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: TrainSta
             raise NonFiniteGradientError("non-finite gradient; step aborted")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    bias1 = 1.0 - b1 ** t
-    bias2 = 1.0 - b2 ** t
+    bias1 = 1.0 - BETA1 ** t
+    bias2 = 1.0 - BETA2 ** t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m[...] = b1 * m + (1.0 - b1) * g
-        v[...] = b2 * v + (1.0 - b2) * (g * g)
+        m[...] = BETA1 * m + (1.0 - BETA1) * g
+        v[...] = BETA2 * v + (1.0 - BETA2) * (g * g)
         m_hat = m / bias1
         v_hat = v / bias2
-        p[...] = p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        p[...] = p - state.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)

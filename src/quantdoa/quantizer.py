@@ -66,14 +66,12 @@ def quantize_complex(data: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
 
 def quantize_snapshots(snapshots: SnapshotMatrix, spec: QuantizerSpec) -> SnapshotMatrix:
     """y(n) = x(n) + q(n): the observation the low-cost ADC delivers."""
-    return SnapshotMatrix(data=quantize_complex(snapshots.data, spec), kind="quantized")
+    return SnapshotMatrix(data=quantize_complex(snapshots.data, spec))
 
 
 def quantization_noise(snapshots: SnapshotMatrix, spec: QuantizerSpec) -> SnapshotMatrix:
     """q(n) = quantized minus clean, componentwise."""
-    return SnapshotMatrix(
-        data=quantize_complex(snapshots.data, spec) - snapshots.data, kind="noise"
-    )
+    return SnapshotMatrix(data=quantize_complex(snapshots.data, spec) - snapshots.data)
 
 
 def clipping_rate(snapshots: SnapshotMatrix | np.ndarray, spec: QuantizerSpec) -> float:

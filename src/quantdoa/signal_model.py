@@ -14,12 +14,9 @@ view of a snapshot: all M real parts followed by all M imaginary parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-SNAPSHOT_KINDS = ("clean", "quantized", "reconstructed", "noise")
-
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -81,15 +78,12 @@ class SourceSet:
 
 @dataclass
 class SnapshotMatrix:
-    """Complex M x N array observations with a provenance tag."""
+    """Complex M x N array observations."""
 
     data: np.ndarray
-    kind: str = "clean"
 
     def __post_init__(self) -> None:
         self.data = np.atleast_2d(np.asarray(self.data, dtype=complex))
-        if self.kind not in SNAPSHOT_KINDS:
-            raise ValueError(f"kind must be one of {SNAPSHOT_KINDS}, got {self.kind!r}")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("snapshot entries must be finite")
 
@@ -187,7 +181,7 @@ def synthesize(
         shape = (geom.num_sensors, num_snapshots)
         draws = (rng.standard_normal(shape), rng.standard_normal(shape))
     data = mix(steering_matrix(sources.angles_deg, geom), amps, var, draws)
-    return SnapshotMatrix(data=data, kind="clean")
+    return SnapshotMatrix(data=data)
 
 
 def mix(
@@ -217,10 +211,10 @@ def to_real_batch(snapshots: SnapshotMatrix | np.ndarray) -> np.ndarray:
     return np.concatenate([data.real.T, data.imag.T], axis=1)
 
 
-def from_real_batch(batch: np.ndarray, kind: str = "reconstructed") -> SnapshotMatrix:
+def from_real_batch(batch: np.ndarray) -> SnapshotMatrix:
     """Rebuild the complex M x N matrix from (N, 2M) network rows."""
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[1] % 2 != 0:
         raise ValueError(f"expected (N, 2M) batch, got shape {batch.shape}")
     half = batch.shape[1] // 2
-    return SnapshotMatrix(data=(batch[:, :half] + 1j * batch[:, half:]).T, kind=kind)
+    return SnapshotMatrix(data=(batch[:, :half] + 1j * batch[:, half:]).T)

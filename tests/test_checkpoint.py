@@ -1,4 +1,6 @@
 import struct
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from quantdoa.checkpoint import (
     parameter_payload_bytes,
     save_checkpoint,
 )
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def make_model(widths=(16, 32, 32, 32, 32, 32, 16), seed=0, **kwargs):
@@ -101,8 +106,6 @@ class TestCorruption:
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
         # fix the crc so the magic check itself is exercised
-        import zlib
-
         body = bytes(blob[:-4])
         blob[-4:] = struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
         path.write_bytes(bytes(blob))
@@ -124,3 +127,59 @@ class TestCorruption:
         path.write_bytes(b"")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+def write_table(path, layers):
+    """A relu, input-bias, fp32 checkpoint with a valid CRC and zero arrays.
+
+    ``layers`` lists (kind, in_dim, out_dim, has_bn) as stored in the file.
+    """
+    chunks = [b"QDNN", struct.pack("<HBBB", 1, 0, 0, 1), struct.pack("<I", len(layers))]
+    for kind, in_dim, out_dim, has_bn in layers:
+        chunks.append(struct.pack("<BIIB", kind, in_dim, out_dim, has_bn))
+        chunks.append(bytes(4 * (in_dim * out_dim + out_dim * (5 if has_bn else 1))))
+    body = b"".join(chunks)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+class TestInconsistentLayerTable:
+    def test_odd_residual_hidden_count(self, tmp_path):
+        path = tmp_path / "m.qdnn"
+        write_table(path, [(0, 4, 6, 0), (1, 6, 6, 0), (2, 6, 6, 0), (1, 6, 6, 0), (3, 6, 4, 0)])
+        with pytest.raises(CheckpointError, match="even hidden-layer count"):
+            load_checkpoint(path)
+
+    def test_skip_width_mismatch(self, tmp_path):
+        path = tmp_path / "m.qdnn"
+        write_table(path, [(0, 4, 6, 0), (1, 6, 6, 0), (2, 6, 8, 0), (3, 8, 4, 0)])
+        with pytest.raises(CheckpointError, match="skip connection"):
+            load_checkpoint(path)
+
+    def test_batch_norm_on_the_input_layer(self, tmp_path):
+        path = tmp_path / "m.qdnn"
+        write_table(path, [(0, 4, 6, 1), (1, 6, 6, 1), (2, 6, 6, 1), (3, 6, 4, 0)])
+        with pytest.raises(CheckpointError, match="batch norm"):
+            load_checkpoint(path)
+
+    def test_kinds_out_of_layer_order(self, tmp_path):
+        path = tmp_path / "m.qdnn"
+        write_table(path, [(0, 4, 6, 0), (2, 6, 6, 0), (1, 6, 6, 0), (3, 6, 4, 0)])
+        with pytest.raises(CheckpointError, match="layer kinds"):
+            load_checkpoint(path)
+
+
+class TestCommittedV1Files:
+    @pytest.mark.parametrize(
+        "name, residual, bn, activation, input_bias",
+        [
+            ("v1_residual_bn.qdnn", True, True, "relu", True),
+            ("v1_plain_tanh_no_input_bias.qdnn", False, False, "tanh", False),
+        ],
+    )
+    def test_loads_and_resaves_byte_for_byte(self, name, residual, bn, activation, input_bias, tmp_path):
+        path = DATA / name
+        model = load_checkpoint(path)
+        assert (model.use_residual, model.use_bn) == (residual, bn)
+        assert (model.activation, model.input_bias) == (activation, input_bias)
+        save_checkpoint(model, tmp_path / "again.qdnn")
+        assert (tmp_path / "again.qdnn").read_bytes() == path.read_bytes()

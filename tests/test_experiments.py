@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,55 @@ class TestTrain:
         for arr in result.model.all_arrays():
             assert np.all(np.isfinite(arr))
         assert all(np.isfinite(p.y) for p in result.curves)
+
+
+# SHA-256 of the trained arrays (running statistics included) written by
+# the stage-by-stage forward/backward that the per-layer loop replaced.
+TRAINED_DIGESTS = {
+    "full": "03bef87544433019d5e66dbe9a5d6abe56410a8c879f671c34d89db9fc07d88c",
+    "no-bn": "3ff8df1ffeed2fd08f6f886e4b95166dcf43c22bb4fb9dfe49c0cb6b566533ff",
+    "no-skip": "e5ba70abba94926a0fa68aa4b485d2ba6b6095bd40e688809bd12444d70bec86",
+    "plain": "db00ed966e4b3fcca89a9268d7bd01b1a204e441155856708288c7fb838eed11",
+    "tanh": "35011dd5ed6e6c55247c0ccced3d9f72b72dc5f3b6f3efa4fcb41c25d7e80cf8",
+    "sigmoid": "e3731670032615975949798cbc6b34f54463451d6982b609e7e762f7ef75ff18",
+    "no-input-bias": "1d2d4e483a0fefe5e22aa8127af88cd95250b5b5e93ae902f299e6a838983da0",
+    "deep-no-bn-batch16": "02fe0f01fc86e49f64ca754523b74dc25ba870426c39cd32f905138276c600fc",
+}
+DIGEST_VARIANTS = {
+    "full": {},
+    "no-bn": {"use_bn": False},
+    "no-skip": {"use_residual": False},
+    "plain": {"use_bn": False, "use_residual": False},
+    "tanh": {"activation": "tanh"},
+    "sigmoid": {"activation": "sigmoid"},
+    "no-input-bias": {"input_bias": False},
+    "deep-no-bn-batch16": {"widths": [16] + [32] * 11 + [16], "use_bn": False},
+}
+
+
+def digest_config(name):
+    cfg = desk_default()
+    cfg.data.train_count = 256
+    cfg.data.test_count = 64
+    cfg.network.widths = [16, 32, 32, 32, 16]
+    cfg.train.epochs = 2
+    cfg.train.batch_size = 16 if name == "deep-no-bn-batch16" else 32
+    for key, value in DIGEST_VARIANTS[name].items():
+        setattr(cfg.network, key, value)
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def digest_data():
+    cfg = digest_config("full")
+    return build_dataset(cfg, "train"), build_dataset(cfg, "test")
+
+
+@pytest.mark.parametrize("name", sorted(TRAINED_DIGESTS))
+def test_trained_parameters_match_pinned_digest(name, digest_data):
+    result = train(digest_config(name), *digest_data)
+    blob = b"".join(a.tobytes() for a in result.model.all_arrays())
+    assert hashlib.sha256(blob).hexdigest() == TRAINED_DIGESTS[name]
 
 
 class TestEvalReconstruction:

@@ -27,7 +27,7 @@ def fd_check(model, x, target):
     _, cache = net.forward(model, x, mode="train")
     grads = net.backward(model, cache, target)
     worst = 0.0
-    for p, g in zip(model.trainable_arrays(), grads.flat()):
+    for p, g in zip(model.trainable_arrays(), grads):
         it = np.nditer(p, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
@@ -93,7 +93,7 @@ def test_zero_error_batch_zero_output_bias_gradient():
     out, cache = net.forward(model, x, "train")
     np.testing.assert_array_equal(out, target)
     grads = net.backward(model, cache, target)
-    np.testing.assert_array_equal(grads.dense[-1][1], np.zeros(4))
+    np.testing.assert_array_equal(grads[-1], np.zeros(4))  # output bias
 
 
 def test_dead_relu_unit_gets_zero_gradient():
@@ -104,7 +104,7 @@ def test_dead_relu_unit_gets_zero_gradient():
     x, target = tiny_batch(5)
     _, cache = net.forward(model, x, "train")
     grads = net.backward(model, cache, target)
-    dw0, db0 = grads.dense[0]
+    dw0, db0 = grads[:2]
     np.testing.assert_array_equal(dw0[:, dead], np.zeros(4))
     assert db0[dead] == 0.0
 
@@ -114,7 +114,7 @@ def test_disabled_input_bias_gradient_is_zero():
     x, target = tiny_batch(6)
     _, cache = net.forward(model, x, "train")
     grads = net.backward(model, cache, target)
-    np.testing.assert_array_equal(grads.dense[0][1], np.zeros(6))
+    np.testing.assert_array_equal(grads[1], np.zeros(6))  # input bias
 
 
 def test_backward_requires_train_cache():

@@ -115,7 +115,6 @@ class TestSynthesize:
         src = SourceSet(np.array([0.0]), amplitudes=np.ones((1, 3), dtype=complex))
         snap = synthesize(src, ArrayGeometry(4), NoiseSpec(np.inf), 3)
         np.testing.assert_allclose(snap.data, np.ones((4, 3), dtype=complex))
-        assert snap.kind == "clean"
 
     def test_noiseless_two_sources_hand_sum(self):
         # direct evaluation: column = s_1 a(th_1) + s_2 a(th_2)
@@ -216,7 +215,3 @@ class TestSnapshotMatrix:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             SnapshotMatrix(np.array([[np.nan + 0j, 1.0]]))
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            SnapshotMatrix(np.ones((2, 2), dtype=complex), kind="mystery")
