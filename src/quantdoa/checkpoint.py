@@ -120,23 +120,15 @@ def load_checkpoint(path: str | Path) -> DenoiserModel:
         raise CheckpointError(f"unknown activation code {act_code}")
     precision = "fp16" if precision_flag == 1 else "fp32"
     dtype = _payload_dtype(precision)
-    (layer_count,) = r.unpack("<I")
-    if layer_count < 2:
-        raise CheckpointError(f"implausible layer count {layer_count}")
+    (layer_count,) = r.unpack("<I")  # DenoiserModel rejects fewer than two layers
 
     dense: list[Dense] = []
     norms: list[BatchNorm | None] = []
     codes: list[int] = []
-    prev_out: int | None = None
     for _ in range(layer_count):
         kind_code, in_dim, out_dim, has_bn = r.unpack("<BIIB")
         if in_dim < 1 or out_dim < 1:
             raise CheckpointError("non-positive layer dimension")
-        if prev_out is not None and in_dim != prev_out:
-            raise CheckpointError(
-                f"layer dimension chain broken: {prev_out} feeds {in_dim}"
-            )
-        prev_out = out_dim
         codes.append(kind_code)
         w = r.array(in_dim * out_dim, dtype).reshape(in_dim, out_dim)
         b = r.array(out_dim, dtype)

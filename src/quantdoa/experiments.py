@@ -112,8 +112,8 @@ def train(
         activation=config.network.activation,
         input_bias=config.network.input_bias,
     )
-    params = model.trainable_arrays()
-    state = init_state(params, learning_rate=config.train.lr)
+    state = init_state([model.params], learning_rate=config.train.lr)
+    grad = np.empty_like(model.params)
     shuffle_rng = np.random.default_rng(derived_seed(config.seed, DOMAIN_SHUFFLE))
     inputs, targets = train_set.inputs, train_set.targets
     count = train_set.count
@@ -121,6 +121,7 @@ def train(
     curves: list[CurvePoint] = []
     diverged = False
     retained = model.copy()
+    test_loss = float("nan")
 
     start = time.perf_counter()
     for epoch in range(config.train.epochs):
@@ -137,9 +138,9 @@ def train(
             if not np.isfinite(batch_loss):
                 diverged = True
                 break
-            grads = net.backward(model, cache, yb)
+            net.backward(model, cache, yb, out=grad)
             try:
-                adam_step(params, grads, state)
+                adam_step([model.params], [grad], state)
             except NonFiniteGradientError:
                 diverged = True
                 break
@@ -161,13 +162,14 @@ def train(
                 print(f"epoch {epoch}: train {train_loss:.5f} test {test_loss:.5f}")
     elapsed = time.perf_counter() - start
 
-    final_test = evaluate_loss(model, test_set) if test_set is not None else float("nan")
+    if diverged and test_set is not None:  # the last epoch is always evaluated, a rollback is not
+        test_loss = evaluate_loss(model, test_set)
     return TrainResult(
         model=model,
         curves=curves,
         diverged=diverged,
         train_seconds=elapsed,
-        final_test_loss=final_test,
+        final_test_loss=test_loss,
     )
 
 

@@ -35,28 +35,30 @@ BN_MOMENTUM = 0.1  # weight of the current batch in the running average
 _FP16_MAX = float(np.finfo(np.float16).max)
 
 
-def relu(t: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, x)."""
-    return np.maximum(0.0, t)
+def relu(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise max(0, x), into ``out`` when given."""
+    return np.maximum(0.0, t, out=out)
 
 
-def _activation_forward(name: str, pre: np.ndarray) -> np.ndarray:
+def _activation_forward(name: str, z: np.ndarray) -> np.ndarray:
+    """The activation of ``z``, computed in place for relu and tanh."""
     if name == "relu":
-        return relu(pre)
+        return relu(z, out=z)
     if name == "tanh":
-        return np.tanh(pre)
+        return np.tanh(z, out=z)
     if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-pre))
+        return 1.0 / (1.0 + np.exp(-z))
     raise ValueError(f"unknown activation {name!r}; expected one of {ACTIVATIONS}")
 
 
-def _activation_backward(name: str, dout: np.ndarray, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return dout * (pre > 0)
+def _activation_backward(name: str, dout: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``dout`` times the activation's derivative, read off its output; scales ``dout`` in place."""
+    if name == "relu":  # relu(z) > 0 exactly where z > 0
+        return np.multiply(dout, out > 0, out=dout)
     if name == "tanh":
-        return dout * (1.0 - out * out)
+        return np.multiply(dout, 1.0 - out * out, out=dout)
     if name == "sigmoid":
-        return dout * out * (1.0 - out)
+        return np.multiply(np.multiply(dout, out, out=dout), 1.0 - out, out=dout)
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -94,6 +96,8 @@ class DenoiserModel:
     input_bias: bool = True
     use_residual: bool = True
     precision: str = "fp32"
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+    stats: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.dense) != len(self.norms):
@@ -104,15 +108,29 @@ class DenoiserModel:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.norms[0] is not None or self.norms[-1] is not None:
             raise ValueError("batch norm is allowed on hidden layers only")
+        for i in range(1, self.depth):
+            fed, takes = self.dense[i - 1].out_dim, self.dense[i].in_dim
+            if fed != takes:
+                raise ValueError(f"layer {i} takes width {takes}, but layer {i - 1} outputs {fed}")
         if self.use_residual:
             if (self.depth - 2) % 2 != 0:
                 raise ValueError("residual grouping requires an even hidden-layer count")
             for i in range(2, self.depth - 1, 2):
                 skip, out = self.dense[i - 1].in_dim, self.dense[i].out_dim
                 if skip != out:
-                    raise ValueError(
-                        f"skip connection into layer {i} needs width {out}, got {skip}"
-                    )
+                    raise ValueError(f"skip connection into layer {i} needs width {out}, got {skip}")
+        self._pack()
+
+    def _pack(self) -> None:
+        """Copy the arrays into fresh ``params``/``stats`` buffers and rebind the layers to views."""
+        running = [a for bn in self.norms if bn is not None for a in (bn.running_mean, bn.running_var)]
+        self.params = np.concatenate([a.ravel() for a in self.trainable_arrays()])
+        self.stats = np.concatenate([np.empty(0, self.params.dtype)] + [a.ravel() for a in running])
+        p, s = iter(self.views(self.params)), iter(_split(self.stats, running))
+        norms, self.dense, self.norms = self.norms, [], []
+        for bn in norms:
+            self.dense.append(Dense(next(p), next(p)))
+            self.norms.append(None if bn is None else BatchNorm(next(p), next(p), next(s), next(s)))
 
     @property
     def depth(self) -> int:
@@ -131,7 +149,7 @@ class DenoiserModel:
         return self.use_residual and 0 < i < self.depth - 1 and i % 2 == 0
 
     def trainable_arrays(self) -> list[np.ndarray]:
-        """Flat parameter list; :func:`backward` returns gradients in this order."""
+        """The views into ``params``; :func:`backward` returns gradients in this order."""
         arrays: list[np.ndarray] = []
         for layer, bn in zip(self.dense, self.norms):
             arrays.extend([layer.w, layer.b])
@@ -148,20 +166,23 @@ class DenoiserModel:
                 arrays.extend([bn.gamma, bn.beta, bn.running_mean, bn.running_var])
         return arrays
 
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of a vector laid out like ``params``, one per trainable array."""
+        return _split(flat, self.trainable_arrays())
+
     def parameter_count(self) -> int:
-        return int(sum(a.size for a in self.all_arrays()))
+        return int(self.params.size + self.stats.size)
 
     def copy(self) -> "DenoiserModel":
-        dense = [Dense(l.w.copy(), l.b.copy()) for l in self.dense]
-        norms = [
-            None
-            if bn is None
-            else BatchNorm(
-                bn.gamma.copy(), bn.beta.copy(), bn.running_mean.copy(), bn.running_var.copy()
-            )
-            for bn in self.norms
-        ]
-        return replace(self, dense=dense, norms=norms)
+        return replace(self)  # packing copies into fresh buffers
+
+
+def _split(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    views, pos = [], 0
+    for a in like:
+        views.append(flat[pos : pos + a.size].reshape(a.shape))
+        pos += a.size
+    return views
 
 
 def batch_norm_train(t: np.ndarray, bn: BatchNorm) -> tuple[np.ndarray, tuple]:
@@ -173,10 +194,13 @@ def batch_norm_train(t: np.ndarray, bn: BatchNorm) -> tuple[np.ndarray, tuple]:
     if t.ndim != 2 or t.shape[0] < 2:
         raise ValueError("batch norm training needs a 2-D batch with >= 2 rows")
     mean = t.mean(axis=0)
-    var = t.var(axis=0)  # biased
+    xhat = t - mean
+    out = xhat * xhat
+    var = out.sum(axis=0) / t.shape[0]  # biased; equals t.var(axis=0) bit for bit
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (t - mean) * inv_std
-    out = bn.gamma * xhat + bn.beta
+    xhat *= inv_std
+    np.multiply(bn.gamma, xhat, out=out)
+    out += bn.beta
     bn.running_mean[...] = (1.0 - BN_MOMENTUM) * bn.running_mean + BN_MOMENTUM * mean
     bn.running_var[...] = (1.0 - BN_MOMENTUM) * bn.running_var + BN_MOMENTUM * var
     return out, (xhat, inv_std, bn.gamma)
@@ -188,17 +212,21 @@ def batch_norm_infer(t: np.ndarray, bn: BatchNorm) -> np.ndarray:
     return bn.gamma * (t - bn.running_mean) * inv_std + bn.beta
 
 
-def batch_norm_backward(dout: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient through batch statistics (mean and biased variance)."""
+def batch_norm_backward(dout: np.ndarray, cache: tuple, dgamma: np.ndarray, dbeta: np.ndarray) -> np.ndarray:
+    """Input gradient through batch statistics; writes the parameter gradients into ``dgamma``, ``dbeta``."""
     xhat, inv_std, gamma = cache
     n = dout.shape[0]
-    dbeta = dout.sum(axis=0)
-    dgamma = (dout * xhat).sum(axis=0)
-    dxhat = dout * gamma
-    dx = (inv_std / n) * (
-        n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
-    )
-    return dx, dgamma, dbeta
+    dout.sum(axis=0, out=dbeta)
+    dxhat = dout * xhat
+    dxhat.sum(axis=0, out=dgamma)
+    np.multiply(dout, gamma, out=dxhat)
+    # (inv_std / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)), in two buffers
+    dx = n * dxhat
+    dx -= dxhat.sum(axis=0)
+    dxhat *= xhat
+    dx -= np.multiply(xhat, dxhat.sum(axis=0), out=dxhat)
+    dx *= inv_std / n
+    return dx
 
 
 @dataclass
@@ -206,32 +234,18 @@ class LayerCache:
     """What one layer of a forward pass keeps for backprop."""
 
     x: np.ndarray  # layer input
-    pre: np.ndarray  # activation input: after batch norm and the skip add
     bn: tuple | None  # batch-norm cache, when the layer has one
     out: np.ndarray  # layer output
 
 
-@dataclass
-class ForwardCache:
-    """Intermediates a train-mode forward retains for exact gradients."""
+def forward(model: DenoiserModel, x: np.ndarray, mode: str = "infer") -> tuple[np.ndarray, list[LayerCache]]:
+    """Run the network on a (batch, 2M) tensor; returns the output and the per-layer cache.
 
-    x: np.ndarray
-    mode: str
-    layers: list[LayerCache] = field(default_factory=list)
-    output: np.ndarray | None = None
-
-
-def forward(
-    model: DenoiserModel,
-    x: np.ndarray,
-    mode: str = "infer",
-) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on a (batch, 2M) tensor.
-
-    ``mode`` is "train" (batch statistics for BN, cache filled for
-    backprop, running stats updated) or "infer" (running statistics, no
-    state mutation).  Each layer runs FC -> optional BN -> skip add (when
-    it closes a residual pair) -> activation (all but the last layer).
+    ``mode`` is "train" (batch statistics for BN, running stats updated,
+    one cache record per layer for backprop) or "infer" (running
+    statistics, nothing mutated, an empty cache).  Each layer runs FC ->
+    optional BN -> skip add (when it closes a residual pair) ->
+    activation (not the last).
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -240,12 +254,14 @@ def forward(
         raise ValueError(f"input width {x.shape[1]} != model width {model.width_in}")
     train = mode == "train"
     last = model.depth - 1
-    cache = ForwardCache(x=x, mode=mode)
-    h = x
+    cache: list[LayerCache] = []
+    h = skip = x
     for i, (layer, bn) in enumerate(zip(model.dense, model.norms)):
+        if model.closes_pair(i + 1):
+            skip = h
         z = h @ layer.w
         if i > 0 or model.input_bias:
-            z = z + layer.b
+            z += layer.b
         bn_cache = None
         if bn is not None:
             if train:
@@ -253,11 +269,11 @@ def forward(
             else:
                 z = batch_norm_infer(z, bn)
         if model.closes_pair(i):
-            z = cache.layers[i - 1].x + z
+            z += skip
         out = z if i == last else _activation_forward(model.activation, z)
-        cache.layers.append(LayerCache(h, z, bn_cache, out))
+        if train:
+            cache.append(LayerCache(h, bn_cache, out))
         h = out
-    cache.output = h
     return h, cache
 
 
@@ -280,38 +296,43 @@ def per_sample_loss(output: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.sum(diff * diff, axis=1) / diff.shape[1]
 
 
-def backward(model: DenoiserModel, cache: ForwardCache, target: np.ndarray) -> list[np.ndarray]:
+def backward(model: DenoiserModel, cache: list[LayerCache], target: np.ndarray, out=None) -> list[np.ndarray]:
     """Exact gradients of the loss, in :meth:`DenoiserModel.trainable_arrays` order.
 
     Needs the cache of a train-mode forward on the same batch; gradients
     flow through the batch-norm statistics and through the skip fan-out.
+    They are written into ``out``, a vector laid out like ``model.params``
+    (fresh when omitted), and returned as views of it.
     """
-    if cache.mode != "train" or cache.output is None:
+    if not cache:
         raise ValueError("backward requires the cache of a train-mode forward")
+    output = cache[-1].out
     target = np.atleast_2d(np.asarray(target))
-    if target.shape != cache.output.shape:
+    if target.shape != output.shape:
         raise ValueError("target shape does not match the cached forward output")
-    batch, width = cache.output.shape
+    grads = model.views(np.empty_like(model.params) if out is None else out)
+    slots = reversed(grads)  # per layer, last first: [beta, gamma,] b, w
+    batch, width = output.shape
     last = model.depth - 1
-    per_layer: list[list[np.ndarray]] = []
     # d loss / d output for the batch-averaged, width-normalized loss
-    grad = (2.0 / (batch * width)) * (cache.output - target)
+    grad = (2.0 / (batch * width)) * (output - target)
     d_skip: np.ndarray | None = None  # set by the outer layer of each pair
     for i in reversed(range(model.depth)):
-        c, layer = cache.layers[i], model.dense[i]
-        dz = grad if i == last else _activation_backward(model.activation, grad, c.pre, c.out)
+        c, layer = cache[i], model.dense[i]
+        dz = grad if i == last else _activation_backward(model.activation, grad, c.out)
         if model.closes_pair(i):
             d_skip = dz
-        d_norm: list[np.ndarray] = []
         if c.bn is not None:
-            dz, dgamma, dbeta = batch_norm_backward(dz, c.bn)
-            d_norm = [dgamma, dbeta]
-        db = dz.sum(axis=0) if i > 0 or model.input_bias else np.zeros_like(layer.b)
-        per_layer.append([c.x.T @ dz, db] + d_norm)
-        grad = dz @ layer.w.T
-        if model.closes_pair(i + 1):
-            grad = grad + d_skip
-    return [g for grads in reversed(per_layer) for g in grads]
+            dbeta, dgamma = next(slots), next(slots)
+            dz = batch_norm_backward(dz, c.bn, dgamma, dbeta)
+        db, dw = next(slots), next(slots)
+        np.matmul(c.x.T, dz, out=dw)
+        db[...] = 0.0 if i == 0 and not model.input_bias else dz.sum(axis=0)
+        if i > 0:  # layer 0's input gradient has no use
+            grad = dz @ layer.w.T
+            if model.closes_pair(i + 1):
+                grad += d_skip
+    return grads
 
 
 def init_model(
@@ -372,7 +393,7 @@ def to_half_precision(model: DenoiserModel) -> DenoiserModel:
         raise ValueError("model is already stored at half precision")
     clipped = model.copy()
     overflow = 0
-    for arr in clipped.all_arrays():
+    for arr in (clipped.params, clipped.stats):
         over = np.abs(arr) > _FP16_MAX
         overflow += int(np.count_nonzero(over))
         np.clip(arr, -_FP16_MAX, _FP16_MAX, out=arr)

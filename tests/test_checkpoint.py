@@ -161,6 +161,18 @@ class TestInconsistentLayerTable:
         with pytest.raises(CheckpointError, match="batch norm"):
             load_checkpoint(path)
 
+    def test_broken_dimension_chain(self, tmp_path):
+        path = tmp_path / "m.qdnn"
+        write_table(path, [(0, 4, 6, 0), (1, 6, 6, 0), (2, 5, 6, 0), (3, 6, 4, 0)])
+        with pytest.raises(CheckpointError, match="layer 2 takes width 5, but layer 1 outputs 6"):
+            load_checkpoint(path)
+
+    def test_single_layer(self, tmp_path):
+        path = tmp_path / "m.qdnn"
+        write_table(path, [(0, 4, 4, 0)])
+        with pytest.raises(CheckpointError, match="at least an input and an output layer"):
+            load_checkpoint(path)
+
     def test_kinds_out_of_layer_order(self, tmp_path):
         path = tmp_path / "m.qdnn"
         write_table(path, [(0, 4, 6, 0), (2, 6, 6, 0), (1, 6, 6, 0), (3, 6, 4, 0)])

@@ -16,6 +16,7 @@ from quantdoa.experiments import (
     denoise_snapshots,
     eval_doa,
     eval_reconstruction,
+    evaluate_loss,
     make_transform,
     read_curves_csv,
     reconstruction_loss_by_snr,
@@ -102,6 +103,22 @@ class TestTrain:
         for arr in result.model.all_arrays():
             assert np.all(np.isfinite(arr))
         assert all(np.isfinite(p.y) for p in result.curves)
+
+    def test_final_test_loss_is_the_last_epochs_test_loss(self, tiny_setup):
+        _, _, test_set, result = tiny_setup
+        last = [p for p in result.curves if p.series == "test-loss"][-1]
+        assert last.x == result.curves[-1].x  # the last epoch is always evaluated
+        assert result.final_test_loss == last.y == evaluate_loss(result.model, test_set)
+
+    def test_diverged_final_test_loss_scores_the_retained_model(self):
+        cfg = tiny_config()
+        cfg.train.lr = 1e9
+        cfg.train.epochs = 4
+        train_set = build_dataset(cfg, "train")
+        test_set = build_dataset(cfg, "test")
+        result = train(cfg, train_set, test_set)
+        assert result.diverged
+        assert result.final_test_loss == evaluate_loss(result.model, test_set)
 
 
 # SHA-256 of the trained arrays (running statistics included) written by

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from quantdoa import network as net
+from quantdoa.checkpoint import load_checkpoint, save_checkpoint
 
 
 def make_model(widths=(4, 6, 6, 6, 4), seed=0, dtype=np.float64, **kwargs):
@@ -95,12 +98,16 @@ class TestForward:
             model.dense[i].w[...] = 0.0
             model.dense[i].b[...] = 0.0
         x = np.random.default_rng(1).standard_normal((4, 4))
-        _, cache = net.forward(model, x, mode)
+        out, cache = net.forward(model, x, mode)
         assert model.closes_pair(2)
-        block_in, block_out = cache.layers[1].x, cache.layers[2].out
-        np.testing.assert_allclose(block_out, net.relu(block_in), atol=1e-12)
         # block input is already post-relu, so the skip carries it unchanged
-        np.testing.assert_allclose(block_out, block_in, atol=1e-12)
+        # and the network reduces to its first and last layers
+        block_in = net.relu(x @ model.dense[0].w + model.dense[0].b)
+        np.testing.assert_allclose(out, block_in @ model.dense[3].w + model.dense[3].b, atol=1e-12)
+        if mode == "train":
+            block_in, block_out = cache[1].x, cache[2].out
+            np.testing.assert_allclose(block_out, net.relu(block_in), atol=1e-12)
+            np.testing.assert_allclose(block_out, block_in, atol=1e-12)
 
     def test_full_size_shape(self):
         widths = [64] + [1024] * 9 + [64]
@@ -134,6 +141,23 @@ class TestForward:
         model = make_model()
         with pytest.raises(ValueError):
             net.forward(model, np.zeros((2, 5)), "infer")
+
+    # SHA-256 of infer-mode outputs written by the forward that kept a
+    # per-layer cache in infer mode too
+    INFER_DIGESTS = {
+        "residual-bn": "500946936dca5256245c60e7a522f06b33bd3f07f4647af190e50d67dabee7c6",
+        "plain-tanh": "258dd922b469f36703c8ed3fed74f92d9aec19b0addd8c56f6402ad9318cb90d",
+    }
+
+    @pytest.mark.parametrize("name", sorted(INFER_DIGESTS))
+    def test_infer_mode_keeps_no_layer_records(self, name):
+        kwargs = {} if name == "residual-bn" else {"use_residual": False, "use_bn": False, "activation": "tanh"}
+        model = make_model([16] + [128] * 5 + [16], seed=4, dtype=np.float32, **kwargs)
+        rng = np.random.default_rng(5)
+        net.forward(model, rng.standard_normal((64, 16)).astype(np.float32), "train")
+        out, cache = net.forward(model, rng.standard_normal((300, 16)).astype(np.float32), "infer")
+        assert cache == []
+        assert hashlib.sha256(out.tobytes()).hexdigest() == self.INFER_DIGESTS[name]
 
 
 class TestLoss:
@@ -193,6 +217,77 @@ class TestInit:
     def test_plain_variant_allows_any_depth(self):
         model = make_model([4, 6, 6, 4], use_residual=False)
         assert model.depth == 3
+
+    def test_broken_dimension_chain_rejected(self):
+        dense = [net.Dense(np.zeros((4, 6)), np.zeros(6)), net.Dense(np.zeros((5, 4)), np.zeros(4))]
+        with pytest.raises(ValueError, match="layer 1 takes width 5, but layer 0 outputs 6"):
+            net.DenoiserModel(dense, [None, None], use_residual=False)
+
+
+def shares(a, b):
+    return np.shares_memory(a, b)
+
+
+class TestParameterBuffer:
+    """Every array lives in its own model's two buffers, and in no other model's."""
+
+    def check_views(self, model):
+        assert model.params.flags.c_contiguous and model.stats.flags.c_contiguous
+        trainable = model.trainable_arrays()
+        assert model.params.size == sum(a.size for a in trainable)
+        for a, view in zip(trainable, model.views(model.params)):
+            assert shares(a, model.params) and np.array_equal(a, view)
+        for bn in model.norms:
+            if bn is not None:
+                assert shares(bn.running_mean, model.stats) and shares(bn.running_var, model.stats)
+
+    def check_separate(self, model, source):
+        for buf in (model.params, model.stats):
+            for other in (source.params, source.stats):
+                assert not shares(buf, other)
+
+    @pytest.mark.parametrize("use_bn", [True, False])
+    def test_init_model(self, use_bn):
+        model = make_model(dtype=np.float32, use_bn=use_bn)
+        self.check_views(model)
+        assert model.params.dtype == np.float32
+        assert model.stats.size == (2 * 2 * 6 if use_bn else 0)  # two BN layers of width 6
+
+    def test_float64_model_keeps_float64_buffers(self):
+        model = make_model(dtype=np.float64)
+        assert model.params.dtype == model.stats.dtype == np.float64
+
+    def test_load_checkpoint(self, tmp_path):
+        model = make_model(seed=2, dtype=np.float32)
+        save_checkpoint(model, tmp_path / "m.qdnn")
+        loaded = load_checkpoint(tmp_path / "m.qdnn")
+        self.check_views(loaded)
+        assert loaded.params.tobytes() == model.params.tobytes()
+        assert loaded.stats.tobytes() == model.stats.tobytes()
+
+    def test_copy(self):
+        model = make_model(seed=3, dtype=np.float32)
+        twin = model.copy()
+        self.check_views(twin)
+        self.check_separate(twin, model)
+        assert all(a is not b for a, b in zip(twin.dense, model.dense))
+        model.params[...] = 0.0  # training the source leaves the copy alone
+        model.stats[...] = 0.0
+        assert np.any(twin.params != 0.0) and np.any(twin.stats != 0.0)
+
+    def test_to_half_precision(self):
+        model = make_model(seed=4, dtype=np.float32)
+        half = net.to_half_precision(model)
+        self.check_views(half)
+        self.check_separate(half, model)
+
+    def test_construction_copies_the_given_arrays(self):
+        w0, w1 = np.ones((4, 6)), np.ones((6, 4))
+        model = net.DenoiserModel(
+            [net.Dense(w0, np.zeros(6)), net.Dense(w1, np.zeros(4))], [None, None], use_residual=False
+        )
+        self.check_views(model)
+        assert not shares(model.params, w0) and not shares(model.params, w1)
 
 
 class TestHalfPrecision:
