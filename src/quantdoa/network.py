@@ -35,15 +35,15 @@ BN_MOMENTUM = 0.1  # weight of the current batch in the running average
 _FP16_MAX = float(np.finfo(np.float16).max)
 
 
-def relu(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise max(0, x), into ``out`` when given."""
-    return np.maximum(0.0, t, out=out)
+def relu(t: np.ndarray) -> np.ndarray:
+    """Elementwise max(0, x)."""
+    return np.maximum(0.0, t)
 
 
 def _activation_forward(name: str, z: np.ndarray) -> np.ndarray:
     """The activation of ``z``, computed in place for relu and tanh."""
     if name == "relu":
-        return relu(z, out=z)
+        return np.maximum(0.0, z, out=z)
     if name == "tanh":
         return np.tanh(z, out=z)
     if name == "sigmoid":
@@ -296,13 +296,13 @@ def per_sample_loss(output: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.sum(diff * diff, axis=1) / diff.shape[1]
 
 
-def backward(model: DenoiserModel, cache: list[LayerCache], target: np.ndarray, out=None) -> list[np.ndarray]:
+def backward(model: DenoiserModel, cache: list[LayerCache], target: np.ndarray, out: np.ndarray) -> list[np.ndarray]:
     """Exact gradients of the loss, in :meth:`DenoiserModel.trainable_arrays` order.
 
     Needs the cache of a train-mode forward on the same batch; gradients
     flow through the batch-norm statistics and through the skip fan-out.
-    They are written into ``out``, a vector laid out like ``model.params``
-    (fresh when omitted), and returned as views of it.
+    They are written into ``out``, a vector laid out like ``model.params``,
+    and returned as views of it.
     """
     if not cache:
         raise ValueError("backward requires the cache of a train-mode forward")
@@ -310,7 +310,7 @@ def backward(model: DenoiserModel, cache: list[LayerCache], target: np.ndarray, 
     target = np.atleast_2d(np.asarray(target))
     if target.shape != output.shape:
         raise ValueError("target shape does not match the cached forward output")
-    grads = model.views(np.empty_like(model.params) if out is None else out)
+    grads = model.views(out)
     slots = reversed(grads)  # per layer, last first: [beta, gamma,] b, w
     batch, width = output.shape
     last = model.depth - 1

@@ -43,8 +43,10 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: TrainSta
     ``out=`` calls round each element exactly as
     ``p - lr * (m / bias1) / (sqrt(v / bias2) + EPS)`` does.
     """
-    if not len(params) == len(grads) == len(state.m) == len(state.v) == len(state.scratch):
+    if not len(params) == len(grads) == len(state.m) == len(state.v):
         raise ValueError("params, grads, and state must have matching lengths")
+    if len(state.scratch) != len(params):
+        raise ValueError("state has no scratch arrays for these parameters; build it with init_state")
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")

@@ -242,7 +242,7 @@ def test_criterion_1_gradient_check():
         return net.loss(out, target)
 
     _, cache = net.forward(model, x, mode="train")
-    grads = net.backward(model, cache, target)
+    grads = net.backward(model, cache, target, np.empty_like(model.params))
     step = 1e-5
     worst = 0.0
     for p, g in zip(model.trainable_arrays(), grads):

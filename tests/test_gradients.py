@@ -25,7 +25,7 @@ def fd_check(model, x, target):
         return net.loss(out, target)
 
     _, cache = net.forward(model, x, mode="train")
-    grads = net.backward(model, cache, target)
+    grads = net.backward(model, cache, target, np.empty_like(model.params))
     worst = 0.0
     for p, g in zip(model.trainable_arrays(), grads):
         it = np.nditer(p, flags=["multi_index"])
@@ -92,7 +92,7 @@ def test_zero_error_batch_zero_output_bias_gradient():
     target = np.zeros((4, 4))  # output == target == 0
     out, cache = net.forward(model, x, "train")
     np.testing.assert_array_equal(out, target)
-    grads = net.backward(model, cache, target)
+    grads = net.backward(model, cache, target, np.empty_like(model.params))
     np.testing.assert_array_equal(grads[-1], np.zeros(4))  # output bias
 
 
@@ -103,7 +103,7 @@ def test_dead_relu_unit_gets_zero_gradient():
     model.dense[0].b[dead] = -100.0  # pre-activation < 0 for any sane input
     x, target = tiny_batch(5)
     _, cache = net.forward(model, x, "train")
-    grads = net.backward(model, cache, target)
+    grads = net.backward(model, cache, target, np.empty_like(model.params))
     dw0, db0 = grads[:2]
     np.testing.assert_array_equal(dw0[:, dead], np.zeros(4))
     assert db0[dead] == 0.0
@@ -113,7 +113,7 @@ def test_disabled_input_bias_gradient_is_zero():
     model = tiny_model(input_bias=False)
     x, target = tiny_batch(6)
     _, cache = net.forward(model, x, "train")
-    grads = net.backward(model, cache, target)
+    grads = net.backward(model, cache, target, np.empty_like(model.params))
     np.testing.assert_array_equal(grads[1], np.zeros(6))  # input bias
 
 
@@ -122,4 +122,4 @@ def test_backward_requires_train_cache():
     x, target = tiny_batch()
     _, cache = net.forward(model, x, "infer")
     with pytest.raises(ValueError):
-        net.backward(model, cache, target)
+        net.backward(model, cache, target, np.empty_like(model.params))

@@ -112,11 +112,12 @@ def test_nonfinite_gradient_leaves_buffer_moments_and_counter():
     assert state.step_count == 3
 
 
-def test_state_must_match_the_parameter_list():
+def test_state_without_scratch_arrays_names_the_cause():
     p = np.zeros(3)
-    state = TrainState(m=[np.zeros(3)], v=[np.zeros(3)])  # no scratch arrays
-    with pytest.raises(ValueError, match="matching lengths"):
+    state = TrainState(m=[np.zeros(3)], v=[np.zeros(3)])  # built without init_state
+    with pytest.raises(ValueError, match="no scratch arrays.*init_state"):
         adam_step([p], [np.ones(3)], state)
+    assert state.step_count == 0 and not p.any()
 
 
 def fresh_norm(dim, rng):
