@@ -32,10 +32,8 @@ from .network import (
 from .optimizer import NonFiniteGradientError, TrainState, adam_step, init_state
 from .checkpoint import CheckpointError, load_checkpoint, parameter_payload_bytes, save_checkpoint
 from .music import (
-    MusicResult,
     TrialResult,
     doa_mse,
-    estimate_doa,
     music_spectrum,
     noise_subspace,
     pick_peaks,

@@ -213,6 +213,8 @@ class ScenarioConfig:
             errs.append("music.grid_step must be > 0")
         if m.grid_max <= m.grid_min:
             errs.append("music.grid_max must exceed music.grid_min")
+        if not (-90 < m.grid_min and m.grid_max < 90):
+            errs.append("music grid must lie inside (-90, 90) degrees")
         if m.num_snapshots < 1:
             errs.append("music.num_snapshots must be >= 1")
         if m.trials < 1:

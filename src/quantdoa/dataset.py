@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import DOMAIN_TEST_DATA, DOMAIN_TRAIN_DATA, ScenarioConfig, derived_seed
 from .quantizer import QuantizerSpec, quantize_complex
-from .signal_model import ArrayGeometry, NoiseSpec, draw_source_angles, mix, steering_matrix, to_real_batch
+from .signal_model import ArrayGeometry, NoiseSpec, synthesize_seeded, to_real_batch
 
 MAGIC = b"QDST"
 FORMAT_VERSION = 1
@@ -98,24 +98,12 @@ def generate_records(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows of inputs, targets and angles for a block of records.
 
-    Each record draws from its own generator what a one-snapshot
-    ``synthesize`` call draws, in the same order: angles, source phases,
-    then the real and imaginary noise when its variance is > 0.  The
-    mixing, quantization and real-stacking then run once for the block.
+    Each record is one snapshot from ``synthesize_seeded``: only its
+    seeded draws run per record.
     """
-    n, k, m = len(record_seeds), num_sources, geom.num_sensors
-    variances = np.array([NoiseSpec(snr).noise_variance for snr in snr_db])
-    angles = np.empty((n, k))
-    phases = np.empty((n, k, 1))
-    draws = np.zeros((2, n, m, 1))
-    for i, seed in enumerate(record_seeds):
-        rng = np.random.default_rng(seed)
-        angles[i] = draw_source_angles(k, angle_range, min_sep, rng)
-        phases[i] = rng.uniform(0.0, 2.0 * np.pi, size=(k, 1))
-        if variances[i] > 0.0:
-            rng.standard_normal(out=draws[0, i])
-            rng.standard_normal(out=draws[1, i])
-    clean = mix(steering_matrix(angles, geom), np.exp(1j * phases), variances, draws)[..., 0].T
+    variances = [NoiseSpec(snr).noise_variance for snr in snr_db]
+    angles, clean = synthesize_seeded(record_seeds, variances, geom, num_sources, angle_range, min_sep, 1)
+    clean = clean[..., 0].T
     return (
         to_real_batch(quantize_complex(clean, qspec)).astype(np.float32),
         to_real_batch(clean).astype(np.float32),

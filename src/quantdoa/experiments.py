@@ -199,10 +199,16 @@ def eval_reconstruction(model: net.DenoiserModel, ds: Dataset) -> list[CurvePoin
 
 
 def denoise_snapshots(model: net.DenoiserModel, data: np.ndarray) -> np.ndarray:
-    """Run each snapshot column through the network independently."""
-    batch = to_real_batch(data).astype(np.float32)
-    out, _ = net.forward(model, batch, mode="infer")
-    return from_real_batch(out).data
+    """Run each snapshot column through the network independently.
+
+    ``data`` is M x N or a stack (..., M, N) of trials; each matrix gets
+    its own forward call, so its float32 rounding does not depend on the stack.
+    """
+    out = np.empty(data.shape, dtype=complex)
+    for idx in np.ndindex(data.shape[:-2]):
+        rows, _ = net.forward(model, to_real_batch(data[idx]).astype(np.float32), mode="infer")
+        out[idx] = from_real_batch(rows).data
+    return out
 
 
 def make_transform(tag: str, qspec_for, model: net.DenoiserModel | None = None):

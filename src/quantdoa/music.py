@@ -11,9 +11,10 @@ are orthogonal to E, so P peaks there.  A tiny regularizer keeps the
 spectrum finite in exactly noiseless scenarios.  The per-trial quality
 metric is the mean squared angle error after rank pairing.
 
-Covariance, subspace and spectrum accept leading batch axes, so
-``run_trials`` scans a stack of trials in one call of each; every
-matrix in a stack goes through the same arithmetic as a lone one.
+Every step accepts leading batch axes, and ``run_trials`` runs each
+step once per stacked chunk of trials: only the seeded draws run per
+trial.  Every matrix in a stack goes through the same arithmetic as a
+lone one, so a stacked scan is bit-identical to one-at-a-time scans.
 """
 
 from __future__ import annotations
@@ -23,15 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .signal_model import (
-    ArrayGeometry,
-    NoiseSpec,
-    SnapshotMatrix,
-    SourceSet,
-    draw_source_angles,
-    steering_matrix,
-    synthesize,
-)
+from .signal_model import ArrayGeometry, NoiseSpec, SnapshotMatrix, steering_matrix, synthesize_seeded
 
 SPECTRUM_REGULARIZER = 1e-12
 
@@ -39,28 +32,18 @@ SPECTRUM_REGULARIZER = 1e-12
 # chunks so the (T, M-K, G) complex projection stays near this size.
 CHUNK_BYTES = 2_000_000
 
-# Transforms map the clean complex M x N matrix to whatever the
-# estimator should see (identity, quantized, denoised, ...).
+# Transforms map clean complex snapshots, M x N or a stack (..., M, N)
+# of trials, to what the estimator should see, in the same shape.
 SignalTransform = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass
-class MusicResult:
-    """Scan output: the spectrum plus the K picked angles."""
-
-    grid_deg: np.ndarray
-    spectrum: np.ndarray
-    angles_deg: np.ndarray
-    mse: float | None = None
-
-
 def scan_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """Inclusive angle grid from lo to hi in uniform steps."""
+    """Angle grid lo, lo + step, ... up to hi, never past it (1e-9 step of slack)."""
     if not step > 0:
         raise ValueError("grid step must be > 0")
     if hi <= lo:
         raise ValueError(f"empty grid [{lo}, {hi}]")
-    n = int(round((hi - lo) / step))
+    n = int(np.floor((hi - lo) / step + 1e-9))
     return lo + step * np.arange(n + 1)
 
 
@@ -113,17 +96,47 @@ def music_spectrum(
     subspace = noise_subspace(cov, num_sources)
     if steering is None:
         steering = steering_matrix(grid_deg, geom)
-    projection = subspace.conj().swapaxes(-1, -2) @ steering
-    power = np.sum(np.abs(projection) ** 2, axis=-2)
-    return 1.0 / (power + SPECTRUM_REGULARIZER)
+    rows = subspace.conj().swapaxes(-1, -2)
+    if rows.shape[-2] > 1:  # one GEMM over the subspace rows of every matrix
+        projection = (rows.reshape(-1, rows.shape[-1]) @ steering).reshape(*rows.shape[:-1], -1)
+    else:
+        # numpy sends one-row products to gemv, which rounds unlike gemm
+        projection = rows @ steering
+    power = np.abs(projection)
+    power **= 2
+    # Row-by-row adds: the order np.sum(..., axis=-2) adds in.
+    spectrum = power[..., 0, :].copy()
+    for row in range(1, power.shape[-2]):
+        spectrum += power[..., row, :]
+    spectrum += SPECTRUM_REGULARIZER
+    return np.divide(1.0, spectrum, out=spectrum)
+
+
+def ranked_peaks(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the peaks of a finite (T, G) stack.
+
+    A peak is a run of equal values above both neighbouring runs, at the
+    run's leftmost index; endpoint runs never count.  Peaks come by row,
+    then by descending value, ties toward the smaller index.  Only
+    comparisons touch the values.
+    """
+    t, g = spectra.shape
+    # step is 1 where a row rises to the next point and -1 where it falls;
+    # the last column, a change that does neither, keeps rows apart.
+    step = np.full((t, g), 2, dtype=np.int8)
+    np.subtract(spectra[:, 1:] > spectra[:, :-1], spectra[:, :-1] > spectra[:, 1:],
+                out=step[:, :-1], dtype=np.int8)
+    change = np.flatnonzero(step)
+    kind = step.ravel()[change]
+    peak_at = change[:-1][(kind[:-1] == 1) & (kind[1:] == -1)] + 1  # flat index into spectra
+    order = np.lexsort((-spectra.ravel()[peak_at], peak_at // g))  # stable: ties keep index order
+    return np.divmod(peak_at[order], g)
 
 
 def pick_peaks(grid_deg: np.ndarray, spectrum: np.ndarray, num_sources: int) -> np.ndarray:
-    """The K largest local maxima, padded with the largest leftover values.
+    """The K largest peaks (see ``ranked_peaks``), padded with the largest other values.
 
-    A local maximum is strictly greater than its neighbors; a plateau
-    counts once, at its leftmost index.  Ties between peaks break toward
-    the smaller index.  Returned angles are sorted ascending.
+    Ties break toward the smaller index.  Returned angles are sorted ascending.
     """
     grid_deg = np.asarray(grid_deg, dtype=float)
     spectrum = np.asarray(spectrum, dtype=float)
@@ -131,52 +144,48 @@ def pick_peaks(grid_deg: np.ndarray, spectrum: np.ndarray, num_sources: int) -> 
         raise ValueError("grid and spectrum must be matching 1-D arrays")
     if num_sources < 1 or num_sources > grid_deg.size:
         raise ValueError(f"cannot pick {num_sources} peaks from {grid_deg.size} points")
-
-    # Compress plateaus to runs, then compare neighboring run values;
-    # endpoint runs have only one neighbor and never count.
-    run_starts = np.concatenate([[0], np.flatnonzero(np.diff(spectrum) != 0.0) + 1])
-    values = spectrum[run_starts]
-    inner = values[1:-1]
-    peaks = run_starts[1:-1][(inner > values[:-2]) & (inner > values[2:])]
-
-    # Stable sorts of negated values keep ties in ascending index order.
-    chosen = peaks[np.argsort(-spectrum[peaks], kind="stable")[:num_sources]]
-    if chosen.size < num_sources:
-        rest = np.delete(np.arange(grid_deg.size), chosen)
-        fill = rest[np.argsort(-spectrum[rest], kind="stable")[: num_sources - chosen.size]]
-        chosen = np.concatenate([chosen, fill])
+    if not np.all(np.isfinite(spectrum)):
+        raise ValueError("spectrum must be finite")
+    chosen = list(ranked_peaks(spectrum[None])[1][:num_sources])
+    left = spectrum.copy()
+    left[chosen] = -np.inf
+    while len(chosen) < num_sources:
+        chosen.append(np.argmax(left))  # the first of tied maxima
+        left[chosen[-1]] = -np.inf
     return np.sort(grid_deg[chosen])
 
 
-def doa_mse(estimated: np.ndarray, truth: np.ndarray) -> float:
+def pick_peak_rows(grid_deg: np.ndarray, spectra: np.ndarray, num_sources: int) -> np.ndarray:
+    """``pick_peaks`` on every row of a finite (T, G) stack: (T, K) angles.
+
+    Peaks are found and ranked for the whole stack at once.  A row with
+    fewer than K peaks goes through ``pick_peaks`` alone to be padded.
+    """
+    rows, cols = ranked_peaks(spectra)
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    top = rank < num_sources
+    angles = np.empty((spectra.shape[0], num_sources))
+    angles[rows[top], rank[top]] = grid_deg[cols[top]]
+    for r in np.flatnonzero(np.bincount(rows[top], minlength=spectra.shape[0]) < num_sources):
+        angles[r] = pick_peaks(grid_deg, spectra[r], num_sources)
+    return np.sort(angles, axis=1)
+
+
+def doa_mse(estimated: np.ndarray, truth: np.ndarray) -> float | np.ndarray:
     """Mean squared angle error in degrees^2, both lists paired by rank.
 
-    For 1-D angles under squared error the rank (monotone) pairing is an
-    optimal assignment, so no other pairing can give a smaller value.
+    The last axis holds the angles; leading axes are a stack of trials
+    and give one error per trial.  For 1-D angles under squared error
+    the rank (monotone) pairing is an optimal assignment, so no other
+    pairing can give a smaller value.
     """
-    est = np.sort(np.asarray(estimated, dtype=float).ravel())
-    tru = np.sort(np.asarray(truth, dtype=float).ravel())
-    if est.size != tru.size:
-        raise ValueError(f"count mismatch: {est.size} estimates vs {tru.size} truths")
+    est = np.sort(np.asarray(estimated, dtype=float), axis=-1)
+    tru = np.sort(np.asarray(truth, dtype=float), axis=-1)
+    if est.shape != tru.shape:
+        raise ValueError(f"count mismatch: {est.shape} estimates vs {tru.shape} truths")
     if est.size == 0:
         raise ValueError("empty angle lists")
-    return float(np.mean((est - tru) ** 2))
-
-
-def estimate_doa(
-    snapshots: SnapshotMatrix | np.ndarray,
-    num_sources: int,
-    geom: ArrayGeometry,
-    grid_deg: np.ndarray,
-    truth_deg: np.ndarray | None = None,
-    steering: np.ndarray | None = None,
-) -> MusicResult:
-    """Covariance -> subspace -> spectrum -> peaks, in one call."""
-    cov = sample_covariance(snapshots)
-    spectrum = music_spectrum(cov, num_sources, geom, grid_deg, steering=steering)
-    angles = pick_peaks(grid_deg, spectrum, num_sources)
-    mse = None if truth_deg is None else doa_mse(angles, truth_deg)
-    return MusicResult(grid_deg=grid_deg, spectrum=spectrum, angles_deg=angles, mse=mse)
+    return np.mean((est - tru) ** 2, axis=-1)
 
 
 @dataclass
@@ -190,21 +199,11 @@ class TrialResult:
         return float(np.mean(self.mses))
 
     @property
-    def median(self) -> float:
-        return float(np.median(self.mses))
-
-    @property
     def stderr(self) -> float:
         n = self.mses.size
         if n < 2:
             return 0.0
         return float(np.std(self.mses, ddof=1) / np.sqrt(n))
-
-
-def paired_stderr(a: TrialResult, b: TrialResult) -> float:
-    """Standard error of the per-trial difference a - b."""
-    diff = a.mses - b.mses
-    return float(np.std(diff, ddof=1) / np.sqrt(diff.size)) if diff.size > 1 else 0.0
 
 
 def run_trials(
@@ -232,24 +231,16 @@ def run_trials(
         raise ValueError("trials must be >= 1")
     grid_deg = np.asarray(grid_deg, dtype=float)
     steering = steering_matrix(grid_deg, geom)
-    noise = NoiseSpec(snr_db=snr_db)
+    variance = NoiseSpec(snr_db=snr_db).noise_variance
     projection_bytes = (geom.num_sensors - num_sources) * grid_deg.size * steering.itemsize
     chunk = max(1, CHUNK_BYTES // projection_bytes)
     mses = {tag: np.empty(trials, dtype=float) for tag in transforms}
     for lo in range(0, trials, chunk):
         ts = range(lo, min(lo + chunk, trials))
-        truths = []
-        observed: dict[str, list[np.ndarray]] = {tag: [] for tag in transforms}
-        for t in ts:
-            rng = np.random.default_rng(base_seed ^ t)
-            angles = draw_source_angles(num_sources, angle_range, min_sep, rng)
-            clean = synthesize(SourceSet(angles), geom, noise, num_snapshots, rng)
-            truths.append(angles)
-            for tag, transform in transforms.items():
-                observed[tag].append(transform(clean.data))
-        for tag, stack in observed.items():
-            cov = sample_covariance(np.stack(stack))
+        truths, clean = synthesize_seeded([base_seed ^ t for t in ts], [variance] * len(ts), geom,
+                                          num_sources, angle_range, min_sep, num_snapshots)
+        for tag, transform in transforms.items():
+            cov = sample_covariance(transform(clean))
             spectra = music_spectrum(cov, num_sources, geom, grid_deg, steering=steering)
-            for t, spectrum, truth in zip(ts, spectra, truths):
-                mses[tag][t] = doa_mse(pick_peaks(grid_deg, spectrum, num_sources), truth)
+            mses[tag][lo : ts.stop] = doa_mse(pick_peak_rows(grid_deg, spectra, num_sources), truths)
     return {tag: TrialResult(mses=m) for tag, m in mses.items()}

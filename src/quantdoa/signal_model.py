@@ -87,14 +87,6 @@ class SnapshotMatrix:
         if not np.all(np.isfinite(self.data)):
             raise ValueError("snapshot entries must be finite")
 
-    @property
-    def num_sensors(self) -> int:
-        return int(self.data.shape[0])
-
-    @property
-    def num_snapshots(self) -> int:
-        return int(self.data.shape[1])
-
 
 def steering_vector(theta_deg: float, geom: ArrayGeometry) -> np.ndarray:
     """Steering vector a(theta): the one column of :func:`steering_matrix`."""
@@ -182,6 +174,29 @@ def synthesize(
         draws = (rng.standard_normal(shape), rng.standard_normal(shape))
     data = mix(steering_matrix(sources.angles_deg, geom), amps, var, draws)
     return SnapshotMatrix(data=data)
+
+
+def synthesize_seeded(
+    seeds: list[int], noise_variances: list[float], geom: ArrayGeometry, num_sources: int,
+    angle_range: tuple[float, float], min_sep: float, num_snapshots: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Angles (n, K) and snapshots (n, M, N); row i from ``default_rng(seeds[i])``.
+
+    Each row draws what :func:`synthesize` draws, in the same order:
+    angles, source phases, then the real and imaginary noise when its
+    variance is > 0.  Steering and mixing run once for the block.
+    """
+    angles = np.empty((len(seeds), num_sources))
+    phases = np.empty((len(seeds), num_sources, num_snapshots))
+    draws = np.zeros((2, len(seeds), geom.num_sensors, num_snapshots))
+    for i, (seed, variance) in enumerate(zip(seeds, noise_variances)):
+        rng = np.random.default_rng(seed)
+        angles[i] = draw_source_angles(num_sources, angle_range, min_sep, rng)
+        phases[i] = rng.uniform(0.0, 2.0 * np.pi, size=phases.shape[1:])
+        if variance > 0.0:
+            rng.standard_normal(out=draws[0, i])
+            rng.standard_normal(out=draws[1, i])
+    return angles, mix(steering_matrix(angles, geom), np.exp(1j * phases), noise_variances, draws)
 
 
 def mix(

@@ -35,7 +35,7 @@ from quantdoa.experiments import (
     train,
     width_sweep_variants,
 )
-from quantdoa.music import paired_stderr, run_trials, scan_grid
+from quantdoa.music import TrialResult, run_trials, scan_grid
 from quantdoa.quantizer import QuantizerSpec, quantize_complex, quantize_real
 from quantdoa.signal_model import (
     ArrayGeometry,
@@ -44,6 +44,12 @@ from quantdoa.signal_model import (
     steering_matrix,
     to_real_batch,
 )
+
+
+def paired_stderr(a: TrialResult, b: TrialResult) -> float:
+    """Standard error of the per-trial difference a - b."""
+    diff = a.mses - b.mses
+    return float(np.std(diff, ddof=1) / np.sqrt(diff.size)) if diff.size > 1 else 0.0
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -394,10 +400,13 @@ def ideal_eval(desk_setup, estimation_floor):
     ev = doa_eval_config(cfg, train_set)
     missing = []
 
-    def ideal_1bit(data):
-        recon, lacks = estimation_floor.conditional_mean(data)
-        missing.append(lacks)
-        return recon
+    def ideal_1bit(stack):
+        recons = []
+        for data in stack:
+            recon, lacks = estimation_floor.conditional_mean(data)
+            missing.append(lacks)
+            recons.append(recon)
+        return np.stack(recons)
 
     trial_args = dict(
         geom=ev.geometry(),

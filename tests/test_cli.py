@@ -115,6 +115,14 @@ class TestValidationErrors:
         assert code == 1
         assert "2*num_sensors" in capsys.readouterr().err
 
+    def test_grid_at_90_degrees_exit_1_before_any_input_is_read(self, tmp_path, capsys):
+        code = run([
+            "eval-doa", "--out", tmp_path,
+            "--set", "music.grid_min=-90.0", "--set", "music.grid_max=90.0",
+        ])
+        assert code == 1
+        assert "music grid must lie inside (-90, 90)" in capsys.readouterr().err
+
     def test_unknown_override_key_exit_1(self, tmp_path, capsys):
         code = run(["generate", "--out", tmp_path, "--set", "data.size=10"])
         assert code == 1

@@ -67,6 +67,11 @@ class TestValidation:
         cfg.sources.count = 8
         assert any("smaller than array.num_sensors" in e for e in cfg.validate())
 
+    def test_grid_must_lie_inside_the_front_half_space(self):
+        cfg = desk_default()
+        cfg.music.grid_min, cfg.music.grid_max = -90.0, 90.0
+        assert any("music grid" in e for e in cfg.validate())
+
     def test_infeasible_separation(self):
         cfg = desk_default()
         cfg.sources.min_sep = 40.0

@@ -26,7 +26,7 @@ from quantdoa.experiments import (
     width_sweep_variants,
     write_curves_csv,
 )
-from quantdoa.music import estimate_doa, sample_covariance, scan_grid
+from quantdoa.music import sample_covariance, scan_grid
 from quantdoa.quantizer import QuantizerSpec
 from quantdoa.signal_model import (
     NoiseSpec,
@@ -37,6 +37,8 @@ from quantdoa.signal_model import (
     synthesize,
     to_real_batch,
 )
+
+from music_reference import estimate_doa
 
 
 def tiny_config(**kwargs):
@@ -222,6 +224,14 @@ class TestTransforms:
         with pytest.raises(ValueError, match="unknown series"):
             make_transform("midrise-2bit", lambda b: QuantizerSpec(b, 1.0))
 
+    def test_denoise_maps_over_a_stack(self, tiny_setup):
+        _, _, _, result = tiny_setup
+        rng = np.random.default_rng(1)
+        stack = rng.standard_normal((3, 8, 5)) + 1j * rng.standard_normal((3, 8, 5))
+        out = denoise_snapshots(result.model, stack)
+        for data, one in zip(stack, out):
+            assert one.tobytes() == np.ascontiguousarray(denoise_snapshots(result.model, data)).tobytes()
+
     def test_denoise_runs_each_snapshot_independently(self, tiny_setup):
         cfg, _, _, result = tiny_setup
         rng = np.random.default_rng(0)
@@ -254,7 +264,29 @@ def per_trial_reference(model, cfg, tag, snr_index, snr, trials):
     return np.array(mses), low_rank
 
 
+# SHA-256 of each series' per-trial MSEs at 10 then 50 dB, 50 trials, as
+# written by the per-trial engine that stacked chunk scoring replaced.
+EVAL_DOA_DIGESTS = {
+    "unquantized": "943e090940f1c2ee7a6825c2f1a5d61502b5e4903ecf05540e02d04ce86db0ca",
+    "raw-1bit": "67f97649856164d9998347d2d8d6a66224482fb529fc9d4446929b9c5e148f11",
+    "raw-2bit": "e841f8b37b551e85ccc8e4ffb8ae530c8b777b450701496c9fc7f24cd7370823",
+    "raw-3bit": "b362e822f52aed2e6e4994fd1b65abb1649c2ca84a3e4559bf863ca9861187c1",
+    "raw-4bit": "c04d80fc0a6fe0a5e197160446f1c869d5731df45227eb51f105ab9d955bce52",
+    "recon-1bit": "dade7280c861c1c8c2407a41d4a091c1e02071869e8e25e72598d43bd7b95842",
+}
+
+
 class TestEvalDoa:
+    def test_mses_match_pinned_digests(self, tiny_setup):
+        cfg, train_set, _, result = tiny_setup
+        ev = cfg.copy()
+        ev.music.min_sep = 4.0
+        ev.quantizer.full_scale = train_set.full_scale
+        _, details = eval_doa(result.model, ev, snr_db=[10.0, 50.0], trials=50)
+        for tag in DOA_SERIES:
+            blob = details[(tag, 10.0)].mses.tobytes() + details[(tag, 50.0)].mses.tobytes()
+            assert hashlib.sha256(blob).hexdigest() == EVAL_DOA_DIGESTS[tag], tag
+
     def test_matches_per_trial_reference(self, tiny_setup):
         cfg, train_set, _, result = tiny_setup
         ev = cfg.copy()

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from quantdoa import music
 from quantdoa.music import (
     doa_mse,
-    estimate_doa,
     music_spectrum,
     noise_subspace,
+    pick_peak_rows,
     pick_peaks,
     run_trials,
     sample_covariance,
@@ -26,6 +26,8 @@ from quantdoa.signal_model import (
     steering_vector,
     synthesize,
 )
+
+from music_reference import estimate_doa
 
 GEOM8 = ArrayGeometry(8)
 GRID = scan_grid(-30.0, 30.0, 0.01)
@@ -95,6 +97,12 @@ class TestScanGrid:
     def test_uniform_step(self):
         g = scan_grid(-5, 5, 0.5)
         np.testing.assert_allclose(np.diff(g), 0.5)
+
+    def test_never_steps_past_hi(self):
+        np.testing.assert_array_equal(scan_grid(0, 1, 0.35), [0.0, 0.35, 0.7])
+
+    def test_desk_grid_values_unchanged(self):
+        np.testing.assert_array_equal(scan_grid(-30.0, 30.0, 0.01), -30.0 + 0.01 * np.arange(6001))
 
 
 class TestSampleCovariance:
@@ -212,6 +220,19 @@ class TestStackedScan:
                 )
                 np.testing.assert_array_equal(spectra[i], music_spectrum_2d(cov, 3, steering))
 
+    @pytest.mark.parametrize("m, k", [(8, 7), (4, 3), (8, 6), (8, 3), (6, 1)])
+    def test_flat_gemm_matches_each_matrix_bit_for_bit(self, m, k):
+        # M - K = 1 keeps a per-matrix product; M - K >= 2 runs one GEMM
+        rng = np.random.default_rng(m * 10 + k)
+        geom = ArrayGeometry(m)
+        data = rng.standard_normal((9, m, 5)) + 1j * rng.standard_normal((9, m, 5))
+        data[5:] = quantize_complex(data[5:], QuantizerSpec(1, 1.0))
+        steering = steering_matrix(GRID, geom)
+        covs = sample_covariance(data)
+        spectra = music_spectrum(covs, k, geom, GRID, steering=steering)
+        for cov, spectrum in zip(covs, spectra):
+            np.testing.assert_array_equal(spectrum, music_spectrum_2d(cov, k, steering))
+
     def test_stack_validation(self):
         with pytest.raises(ValueError, match="square"):
             noise_subspace(np.ones((2, 4, 3), dtype=complex), 1)
@@ -252,6 +273,11 @@ class TestPickPeaks:
         with pytest.raises(ValueError):
             pick_peaks(np.arange(3.0), np.ones(3), 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spectrum_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            pick_peaks(np.arange(3.0), np.array([1.0, bad, 2.0]), 1)
+
     @given(
         values=st.lists(
             st.one_of(
@@ -279,6 +305,40 @@ class TestPickPeaks:
             )
 
 
+SPECTRUM_VALUE = st.one_of(
+    st.integers(0, 4).map(float),  # a small alphabet: plateaus and exact ties
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+class TestPickPeakRows:
+    @given(
+        rows=st.integers(1, 40).flatmap(
+            lambda g: st.lists(st.lists(SPECTRUM_VALUE, min_size=g, max_size=g), min_size=1, max_size=6)
+        ),
+        data=st.data(),
+    )
+    @example(rows=[[5.0, 1.0, 1.0, 4.0], [2.0, 2.0, 2.0, 2.0]], data=None)  # endpoint maxima, one flat run
+    @example(rows=[[1.0, 3.0, 3.0, 1.0, 3.0, 1.0, 0.0], [0, 5, 0, 9, 0, 7, 0]], data=None)
+    @example(rows=[[1.0, 2.0, 1.0, 2.0, 1.0], [3.0, 3.0, 1.0, 3.0, 3.0]], data=None)  # tied peaks
+    @example(rows=[[7.0]], data=None)
+    @settings(max_examples=300, deadline=None)
+    def test_stack_matches_loop_reference_row_by_row(self, rows, data):
+        spectra = np.array(rows, dtype=float)
+        grid = -30.0 + 0.5 * np.arange(spectra.shape[1])
+        ks = range(1, grid.size + 1) if data is None else [
+            data.draw(st.integers(1, grid.size), label="num_sources")
+        ]
+        for k in ks:
+            picks = pick_peak_rows(grid, spectra, k)
+            for row, pick in zip(spectra, picks):
+                np.testing.assert_array_equal(pick, pick_peaks_loop(grid, row, k))
+
+    def test_rejects_more_picks_than_points(self):
+        with pytest.raises(ValueError, match="cannot pick"):
+            pick_peak_rows(np.arange(3.0), np.ones((2, 3)), 4)
+
+
 class TestDoaMse:
     def test_identical_lists_zero(self):
         assert doa_mse([1.0, 2.0], [1.0, 2.0]) == 0.0
@@ -300,6 +360,14 @@ class TestDoaMse:
         est = rng.uniform(-30, 30, len(angles))
         shuffled = rng.permutation(est)
         assert doa_mse(est, angles) == doa_mse(shuffled, angles)
+
+    def test_stack_matches_each_trial_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        est, truth = rng.uniform(-30, 30, (50, 3)), rng.uniform(-30, 30, (50, 3))
+        mses = doa_mse(est, truth)
+        for e, t, mse in zip(est, truth, mses):
+            # the former one-trial arithmetic, verbatim
+            assert mse == float(np.mean((np.sort(e.ravel()) - np.sort(t.ravel())) ** 2))
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -400,5 +468,5 @@ class TestRunTrials:
 
     def test_summary_statistics(self):
         result = run_trials(snr_db=50.0, transforms={"id": lambda d: d}, **self._common())["id"]
-        assert result.median <= result.mean + 1e-12
+        assert np.median(result.mses) <= result.mean + 1e-12
         assert result.stderr >= 0.0

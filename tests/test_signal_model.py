@@ -14,6 +14,7 @@ from quantdoa.signal_model import (
     steering_matrix,
     steering_vector,
     synthesize,
+    synthesize_seeded,
     to_real_batch,
 )
 
@@ -178,6 +179,22 @@ class TestMix:
         draws = (rng.standard_normal((8, 3)), rng.standard_normal((8, 3)))
         expected = mix(steering_matrix(src.angles_deg, GEOM8), amps, NoiseSpec(20.0).noise_variance, draws)
         assert snap.data.tobytes() == expected.tobytes()
+
+
+class TestSynthesizeSeeded:
+    @pytest.mark.parametrize("snr_db", [20.0, np.inf])
+    def test_rows_match_one_synthesize_call_per_seed(self, snr_db):
+        seeds = [7, 2**40 + 3, 12345]
+        angles, stack = synthesize_seeded(
+            seeds, [NoiseSpec(snr_db).noise_variance] * 3, GEOM8, 3, (-30.0, 30.0), 4.0, 5
+        )
+        assert angles.shape == (3, 3) and stack.shape == (3, 8, 5)
+        for seed, row_angles, row in zip(seeds, angles, stack):
+            rng = np.random.default_rng(seed)
+            truth = draw_source_angles(3, (-30.0, 30.0), 4.0, rng)
+            snap = synthesize(SourceSet(truth), GEOM8, NoiseSpec(snr_db), 5, rng)
+            assert row_angles.tobytes() == truth.tobytes()
+            assert row.tobytes() == snap.data.tobytes()
 
 
 class TestRealInterleaved:
