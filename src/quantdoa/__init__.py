@@ -3,20 +3,14 @@
 from .signal_model import (
     ArrayGeometry,
     NoiseSpec,
-    SnapshotMatrix,
-    SourceSet,
     draw_source_angles,
     steering_matrix,
-    steering_vector,
     synthesize,
 )
 from .quantizer import (
     QuantizerSpec,
     clipping_rate,
     default_full_scale,
-    quantization_noise,
-    quantize_scalar,
-    quantize_snapshots,
 )
 from .network import (
     DenoiserModel,
@@ -26,7 +20,6 @@ from .network import (
     forward,
     init_model,
     loss,
-    relu,
     to_half_precision,
 )
 from .optimizer import NonFiniteGradientError, TrainState, adam_step, init_state
@@ -41,7 +34,7 @@ from .music import (
     sample_covariance,
     scan_grid,
 )
-from .config import ScenarioConfig, apply_overrides, desk_default, load_config, save_config
+from .config import ScenarioConfig, apply_overrides, desk_default, load_config
 from .dataset import Dataset, build_dataset, generate_record, load_dataset, save_dataset
 from .experiments import (
     CurvePoint,

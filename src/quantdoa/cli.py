@@ -100,6 +100,8 @@ def _load_scenario(args) -> ScenarioConfig:
         if args.seed < 0 or args.seed >= 2 ** 64:
             raise ConfigError("--seed must fit in an unsigned 64-bit integer")
         config.seed = args.seed
+    if getattr(args, "trials", None) is not None:
+        config.music.trials = args.trials
     errs = config.validate()
     if errs:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errs))
@@ -152,7 +154,7 @@ def _cmd_eval_recon(args, config: ScenarioConfig) -> None:
 def _cmd_eval_doa(args, config: ScenarioConfig) -> None:
     out = args.out
     model = load_checkpoint(_require(out / "model.qdnn", "model checkpoint"))
-    points, _ = eval_doa(model, config, trials=args.trials)
+    points, _ = eval_doa(model, config)
     write_curves_csv(out / "doa_mse.csv", points, config)
     print(f"wrote {out / 'doa_mse.csv'}")
 

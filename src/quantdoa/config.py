@@ -11,7 +11,8 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
@@ -168,12 +169,12 @@ class ScenarioConfig:
             errs.append("angle range cannot hold sources.count angles at sources.min_sep")
         if not self.snr_db:
             errs.append("snr_db list must be non-empty")
-        elif any(math.isnan(v) for v in self.snr_db):
-            errs.append("snr_db values must not be NaN")
+        elif any(math.isnan(v) or v == -math.inf for v in self.snr_db):
+            errs.append("snr_db values must not be NaN or -inf")
         if q.bits < 1:
             errs.append("quantizer.bits must be >= 1")
-        if q.full_scale is not None and not q.full_scale > 0:
-            errs.append("quantizer.full_scale must be > 0 when set")
+        if q.full_scale is not None and not 0 < q.full_scale < math.inf:
+            errs.append("quantizer.full_scale must be finite and > 0 when set")
         if d.train_count < 1 or d.test_count < 1:
             errs.append("data.train_count and data.test_count must be >= 1")
         two_m = 2 * a.num_sensors
@@ -237,67 +238,55 @@ def desk_default() -> ScenarioConfig:
 def _build_dataclass(cls, tree: dict, path: str):
     if not isinstance(tree, dict):
         raise ConfigError(f"expected a mapping at {path or 'top level'}")
-    known = {f.name: f for f in fields(cls)}
-    unknown = set(tree) - set(known)
+    hints = typing.get_type_hints(cls)
+    unknown = set(tree) - set(hints)
     if unknown:
         raise ConfigError(
             f"unknown config key(s) {sorted(unknown)} under {path or 'top level'}"
         )
     kwargs = {}
-    for name, f in known.items():
+    for name, typ in hints.items():
         if name not in tree:
             continue
         value = tree[name]
         sub = f"{path}.{name}" if path else name
-        if dataclasses.is_dataclass(f.type) or f.type in _SECTION_TYPES:
-            kwargs[name] = _build_dataclass(_SECTION_TYPES.get(f.type, f.type), value, sub)
+        if dataclasses.is_dataclass(typ):
+            kwargs[name] = _build_dataclass(typ, value, sub)
         else:
-            kwargs[name] = _coerce_leaf(value, f, sub)
+            kwargs[name] = _coerce_leaf(value, typ, sub)
     return cls(**kwargs)
 
 
-_SECTION_TYPES = {
-    "ArraySection": ArraySection,
-    "SourcesSection": SourcesSection,
-    "QuantizerSection": QuantizerSection,
-    "DataSection": DataSection,
-    "NetworkSection": NetworkSection,
-    "TrainSection": TrainSection,
-    "MusicSection": MusicSection,
-}
-
-
-def _coerce_leaf(value, f, path: str):
-    typ = f.type if isinstance(f.type, str) else getattr(f.type, "__name__", str(f.type))
-    if typ == "int":
+def _coerce_leaf(value, typ, path: str):
+    if typ is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path} must be an integer, got {value!r}")
         return value
-    if typ == "float":
+    if typ is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path} must be a number, got {value!r}")
         return float(value)
-    if typ == "float | None":
+    if typ == float | None:
         if value is None:
             return None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path} must be a number or null, got {value!r}")
         return float(value)
-    if typ == "bool":
+    if typ is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{path} must be true or false, got {value!r}")
         return value
-    if typ == "str":
+    if typ is str:
         if not isinstance(value, str):
             raise ConfigError(f"{path} must be a string, got {value!r}")
         return value
-    if typ.startswith("list[int]"):
+    if typ == list[int]:
         if not isinstance(value, list) or not all(
             isinstance(v, int) and not isinstance(v, bool) for v in value
         ):
             raise ConfigError(f"{path} must be a list of integers, got {value!r}")
         return list(value)
-    if typ.startswith("list[float]"):
+    if typ == list[float]:
         if not isinstance(value, list) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
         ):
@@ -312,10 +301,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if tree is None:
         tree = {}
     return ScenarioConfig.from_dict(tree)
-
-
-def save_config(config: ScenarioConfig, path: str | Path) -> None:
-    Path(path).write_text(yaml.safe_dump(config.to_dict(), sort_keys=False))
 
 
 def apply_overrides(config: ScenarioConfig, assignments: list[str]) -> ScenarioConfig:

@@ -31,7 +31,7 @@ from .dataset import Dataset
 from .music import TrialResult, run_trials, sample_covariance, music_spectrum, scan_grid
 from .optimizer import NonFiniteGradientError, adam_step, init_state
 from .quantizer import QuantizerSpec, quantize_complex
-from .signal_model import NoiseSpec, SourceSet, from_real_batch, synthesize, to_real_batch
+from .signal_model import NoiseSpec, from_real_batch, synthesize, to_real_batch
 
 # Default spectrum-demo scenario: two sources 1.31 degrees apart plus a
 # far-off third, the stress case for post-reconstruction resolution.
@@ -74,19 +74,6 @@ def write_curves_csv(
     for p in points:
         lines.append(f"{p.series},{float(p.x)!r},{float(p.y)!r},{float(p.spread)!r}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_curves_csv(path: str | Path) -> tuple[list[CurvePoint], dict[str, str]]:
-    header: dict[str, str] = {}
-    points: list[CurvePoint] = []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#"):
-            key, _, value = line[1:].partition(":")
-            header[key.strip()] = value.strip()
-        elif line and not line.startswith("series,"):
-            series, x, y, spread = line.split(",")
-            points.append(CurvePoint(series, float(x), float(y), float(spread)))
-    return points, header
 
 
 # -- training -------------------------------------------------------------------
@@ -207,7 +194,7 @@ def denoise_snapshots(model: net.DenoiserModel, data: np.ndarray) -> np.ndarray:
     out = np.empty(data.shape, dtype=complex)
     for idx in np.ndindex(data.shape[:-2]):
         rows, _ = net.forward(model, to_real_batch(data[idx]).astype(np.float32), mode="infer")
-        out[idx] = from_real_batch(rows).data
+        out[idx] = from_real_batch(rows)
     return out
 
 
@@ -241,8 +228,7 @@ def eval_doa(
     snrs = [float(v) for v in (config.snr_db if snr_db is None else snr_db)]
     trials = config.music.trials if trials is None else trials
     grid = scan_grid(config.music.grid_min, config.music.grid_max, config.music.grid_step)
-    qspec_for = lambda bits: config.quantizer_spec(bits)
-    transforms = {tag: make_transform(tag, qspec_for, model) for tag in series}
+    transforms = {tag: make_transform(tag, config.quantizer_spec, model) for tag in series}
     points: list[CurvePoint] = []
     details: dict[tuple[str, float], TrialResult] = {}
     for snr_index, snr in enumerate(snrs):
@@ -278,19 +264,12 @@ def spectrum_compare(
     trial_seed = derived_seed(config.seed, DOMAIN_SPECTRUM)
     rng = np.random.default_rng(trial_seed)
     geom = config.geometry()
-    clean = synthesize(
-        SourceSet(np.asarray(angles_deg)),
-        geom,
-        NoiseSpec(snr_db),
-        config.music.num_snapshots,
-        rng,
-    )
+    clean = synthesize(angles_deg, geom, NoiseSpec(snr_db), config.music.num_snapshots, rng)
     grid = scan_grid(config.music.grid_min, config.music.grid_max, config.music.grid_step)
-    qspec_for = lambda bits: config.quantizer_spec(bits)
     points: list[CurvePoint] = []
     for tag in series:
-        transform = make_transform(tag, qspec_for, model)
-        cov = sample_covariance(transform(clean.data))
+        transform = make_transform(tag, config.quantizer_spec, model)
+        cov = sample_covariance(transform(clean))
         spectrum = music_spectrum(cov, len(angles_deg), geom, grid)
         points.extend(CurvePoint(tag, g, s) for g, s in zip(grid, spectrum))
     return points, trial_seed

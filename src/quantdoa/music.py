@@ -9,7 +9,8 @@ scans a dense angle grid for the peaks of
 where E spans the noise subspace.  Steering vectors at source angles
 are orthogonal to E, so P peaks there.  A tiny regularizer keeps the
 spectrum finite in exactly noiseless scenarios.  The per-trial quality
-metric is the mean squared angle error after rank pairing.
+metric is the mean squared angle error after rank pairing.  Snapshots
+are plain complex ndarrays: Y is (M, N), one column per snapshot.
 
 Every step accepts leading batch axes, and ``run_trials`` runs each
 step once per stacked chunk of trials: only the seeded draws run per
@@ -24,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .signal_model import ArrayGeometry, NoiseSpec, SnapshotMatrix, steering_matrix, synthesize_seeded
+from .signal_model import ArrayGeometry, NoiseSpec, steering_matrix, synthesize_seeded
 
 SPECTRUM_REGULARIZER = 1e-12
 
@@ -47,12 +48,11 @@ def scan_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 
-def sample_covariance(snapshots: SnapshotMatrix | np.ndarray) -> np.ndarray:
+def sample_covariance(data: np.ndarray) -> np.ndarray:
     """R = (1/N) Y Y^H, symmetrized to kill roundoff drift.
 
     Y is M x N, or a stack (..., M, N) giving a stack of covariances.
     """
-    data = snapshots.data if isinstance(snapshots, SnapshotMatrix) else np.asarray(snapshots)
     data = np.atleast_2d(data)
     if data.shape[-1] < 1:
         raise ValueError("covariance needs at least one snapshot")

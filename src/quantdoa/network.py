@@ -35,11 +35,6 @@ BN_MOMENTUM = 0.1  # weight of the current batch in the running average
 _FP16_MAX = float(np.finfo(np.float16).max)
 
 
-def relu(t: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, x)."""
-    return np.maximum(0.0, t)
-
-
 def _activation_forward(name: str, z: np.ndarray) -> np.ndarray:
     """The activation of ``z``, computed in place for relu and tanh."""
     if name == "relu":

@@ -4,7 +4,8 @@ The quantizer saturates at the full-scale voltage V, then rounds to the
 nearest level on the grid k*step for integer k, step = 2V/2^B.  That
 grid has 2^B + 1 levels covering [-V, V]; exact half-step ties round
 away from zero so the level set stays symmetric.  For in-range inputs
-the error never exceeds step/2.
+the error never exceeds step/2.  Snapshots are complex ndarrays of any
+shape, (M, N) or a stack (..., M, N), and keep their shape.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-
-from .signal_model import SnapshotMatrix
 
 
 @dataclass(frozen=True)
@@ -27,8 +26,8 @@ class QuantizerSpec:
     def __post_init__(self) -> None:
         if int(self.bits) != self.bits or self.bits < 1:
             raise ValueError(f"bits must be a positive integer, got {self.bits}")
-        if not self.full_scale > 0:
-            raise ValueError(f"full_scale must be > 0, got {self.full_scale}")
+        if not 0 < self.full_scale < np.inf:
+            raise ValueError(f"full_scale must be finite and > 0, got {self.full_scale}")
 
     @property
     def step(self) -> float:
@@ -52,31 +51,15 @@ def quantize_real(values: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
     return np.sign(x) * k * spec.step
 
 
-def quantize_scalar(value: float, spec: QuantizerSpec) -> float:
-    if not np.isfinite(value):
-        raise ValueError(f"quantizer input must be finite, got {value}")
-    return float(quantize_real(np.asarray(value), spec))
-
-
 def quantize_complex(data: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
-    """Quantize real and imaginary parts independently."""
+    """y(n) = x(n) + q(n): real and imaginary parts quantized independently."""
     data = np.asarray(data, dtype=complex)
     return quantize_real(data.real, spec) + 1j * quantize_real(data.imag, spec)
 
 
-def quantize_snapshots(snapshots: SnapshotMatrix, spec: QuantizerSpec) -> SnapshotMatrix:
-    """y(n) = x(n) + q(n): the observation the low-cost ADC delivers."""
-    return SnapshotMatrix(data=quantize_complex(snapshots.data, spec))
-
-
-def quantization_noise(snapshots: SnapshotMatrix, spec: QuantizerSpec) -> SnapshotMatrix:
-    """q(n) = quantized minus clean, componentwise."""
-    return SnapshotMatrix(data=quantize_complex(snapshots.data, spec) - snapshots.data)
-
-
-def clipping_rate(snapshots: SnapshotMatrix | np.ndarray, spec: QuantizerSpec) -> float:
-    """Fraction of real components beyond full scale (saturated)."""
-    data = snapshots.data if isinstance(snapshots, SnapshotMatrix) else np.asarray(snapshots)
+def clipping_rate(data: np.ndarray, spec: QuantizerSpec) -> float:
+    """Fraction of real components of complex ``data`` beyond full scale (saturated)."""
+    data = np.asarray(data)
     parts = np.concatenate([np.ravel(data.real), np.ravel(data.imag)])
     return float(np.mean(np.abs(parts) > spec.full_scale))
 

@@ -8,8 +8,9 @@ complex Gaussian noise,
 
 with a(theta)_m = exp(j 2 pi (d/lambda) m sin theta) for sensor index
 m = 0..M-1.  Angles are degrees at every interface; radians appear only
-inside the trig calls.  The denoising network consumes the real-stacked
-view of a snapshot: all M real parts followed by all M imaginary parts.
+inside the trig calls.  Snapshots are plain complex ndarrays, (M, N)
+or a stack (..., M, N); the network reads a snapshot real-stacked: all
+M real parts, then all M imaginary parts.
 """
 
 from __future__ import annotations
@@ -46,51 +47,6 @@ class NoiseSpec:
     def noise_variance(self) -> float:
         """Variance per complex sample (each real component carries half)."""
         return float(10.0 ** (-self.snr_db / 10.0))
-
-
-@dataclass
-class SourceSet:
-    """K far-field sources: angles plus optional per-snapshot amplitudes.
-
-    ``amplitudes`` has shape (K, N); when ``None``, :func:`synthesize`
-    draws unit-modulus phasors with i.i.d. uniform phase per source per
-    snapshot.
-    """
-
-    angles_deg: np.ndarray
-    amplitudes: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.angles_deg = np.atleast_1d(np.asarray(self.angles_deg, dtype=float))
-        if self.angles_deg.size < 1:
-            raise ValueError("at least one source angle required")
-        if np.any(np.abs(self.angles_deg) >= 90.0):
-            raise ValueError("source angles must lie strictly inside (-90, 90) degrees")
-        if self.amplitudes is not None:
-            self.amplitudes = np.atleast_2d(np.asarray(self.amplitudes, dtype=complex))
-            if self.amplitudes.shape[0] != self.angles_deg.size:
-                raise ValueError("amplitudes must have one row per source")
-
-    @property
-    def num_sources(self) -> int:
-        return int(self.angles_deg.size)
-
-
-@dataclass
-class SnapshotMatrix:
-    """Complex M x N array observations."""
-
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.data = np.atleast_2d(np.asarray(self.data, dtype=complex))
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("snapshot entries must be finite")
-
-
-def steering_vector(theta_deg: float, geom: ArrayGeometry) -> np.ndarray:
-    """Steering vector a(theta): the one column of :func:`steering_matrix`."""
-    return steering_matrix(theta_deg, geom)[:, 0]
 
 
 def steering_matrix(thetas_deg: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
@@ -140,40 +96,27 @@ def draw_source_angles(
 
 
 def synthesize(
-    sources: SourceSet,
+    angles_deg: np.ndarray,
     geom: ArrayGeometry,
     noise: NoiseSpec,
     num_snapshots: int,
-    rng: np.random.Generator | None = None,
-) -> SnapshotMatrix:
-    """Generate N clean snapshots of the source mixture plus noise.
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """N snapshots (M, N) of K unit-modulus sources at ``angles_deg`` plus noise.
 
-    When the source set carries no amplitudes, each s_k(n) is a fresh
-    unit-modulus phasor (uniform random phase).  Noise is circular
-    complex Gaussian with ``noise.noise_variance`` per complex entry,
-    i.e. half of it per real component.
+    Each s_k(n) has a uniform random phase; the noise is circular complex
+    Gaussian with ``noise.noise_variance`` per entry, half per real part.
+    Draws the phases, then the real and imaginary noise when it is > 0.
     """
     if num_snapshots < 1:
         raise ValueError("num_snapshots must be >= 1")
-    amps = sources.amplitudes
-    if amps is None:
-        if rng is None:
-            raise ValueError("rng required when source amplitudes are drawn")
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(sources.num_sources, num_snapshots))
-        amps = np.exp(1j * phases)
-    elif amps.shape[1] != num_snapshots:
-        raise ValueError(
-            f"amplitudes cover {amps.shape[1]} snapshots, requested {num_snapshots}"
-        )
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(np.size(angles_deg), num_snapshots))
     var = noise.noise_variance
     draws = None
     if var > 0.0:
-        if rng is None:
-            raise ValueError("rng required for noisy synthesis")
         shape = (geom.num_sensors, num_snapshots)
         draws = (rng.standard_normal(shape), rng.standard_normal(shape))
-    data = mix(steering_matrix(sources.angles_deg, geom), amps, var, draws)
-    return SnapshotMatrix(data=data)
+    return mix(steering_matrix(angles_deg, geom), np.exp(1j * phases), var, draws)
 
 
 def synthesize_seeded(
@@ -220,16 +163,16 @@ def mix(
     return data
 
 
-def to_real_batch(snapshots: SnapshotMatrix | np.ndarray) -> np.ndarray:
-    """Snapshot columns as network rows: (N, 2M) with real parts first."""
-    data = snapshots.data if isinstance(snapshots, SnapshotMatrix) else np.asarray(snapshots)
+def to_real_batch(data: np.ndarray) -> np.ndarray:
+    """Snapshot columns of an (M, N) array as network rows: (N, 2M) with real parts first."""
+    data = np.asarray(data)
     return np.concatenate([data.real.T, data.imag.T], axis=1)
 
 
-def from_real_batch(batch: np.ndarray) -> SnapshotMatrix:
+def from_real_batch(batch: np.ndarray) -> np.ndarray:
     """Rebuild the complex M x N matrix from (N, 2M) network rows."""
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[1] % 2 != 0:
         raise ValueError(f"expected (N, 2M) batch, got shape {batch.shape}")
     half = batch.shape[1] // 2
-    return SnapshotMatrix(data=(batch[:, :half] + 1j * batch[:, half:]).T)
+    return (batch[:, :half] + 1j * batch[:, half:]).T

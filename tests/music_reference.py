@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from quantdoa.music import doa_mse, music_spectrum, pick_peaks, sample_covariance
-from quantdoa.signal_model import ArrayGeometry, SnapshotMatrix
+from quantdoa.signal_model import ArrayGeometry
 
 
 @dataclass
@@ -26,7 +26,7 @@ class MusicResult:
 
 
 def estimate_doa(
-    snapshots: SnapshotMatrix | np.ndarray,
+    snapshots: np.ndarray,
     num_sources: int,
     geom: ArrayGeometry,
     grid_deg: np.ndarray,

@@ -4,7 +4,8 @@ import pytest
 from quantdoa.checkpoint import load_checkpoint
 from quantdoa.cli import parse_and_dispatch
 from quantdoa.dataset import load_dataset
-from quantdoa.experiments import read_curves_csv
+
+from curves import read_curves_csv
 
 TINY = [
     "--set", "data.train_count=300",
@@ -58,6 +59,13 @@ class TestPipeline:
         series = {p.series for p in points}
         assert "recon-1bit" in series
         assert {"unquantized", "raw-1bit", "raw-2bit", "raw-3bit", "raw-4bit"} <= series
+
+    def test_trials_flag_writes_what_the_config_override_writes(self, pipeline_dir):
+        outputs = []
+        for flag in (["--trials", 4], ["--set", "music.trials=4"]):
+            assert run(["eval-doa", "--out", pipeline_dir] + TINY + flag) == 0
+            outputs.append((pipeline_dir / "doa_mse.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_eval_recon_and_compress(self, pipeline_dir):
         assert run(["eval-recon", "--out", pipeline_dir] + TINY) == 0
@@ -122,6 +130,16 @@ class TestValidationErrors:
         ])
         assert code == 1
         assert "music grid must lie inside (-90, 90)" in capsys.readouterr().err
+
+    def test_zero_trials_flag_exit_1_before_any_input_is_read(self, tmp_path, capsys):
+        assert run(["eval-doa", "--out", tmp_path, "--trials", 0]) == 1
+        assert "music.trials must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["snr_db=[-.inf, 10.0]", "quantizer.full_scale=.inf"])
+    def test_non_finite_quantizer_scale_exit_1(self, tmp_path, capsys, override):
+        assert run(["generate", "--out", tmp_path, "--set", override]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not (tmp_path / "train.qdst").exists()
 
     def test_unknown_override_key_exit_1(self, tmp_path, capsys):
         code = run(["generate", "--out", tmp_path, "--set", "data.size=10"])

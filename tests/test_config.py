@@ -1,4 +1,5 @@
 import pytest
+import yaml
 
 from quantdoa.config import (
     ConfigError,
@@ -6,7 +7,6 @@ from quantdoa.config import (
     apply_overrides,
     desk_default,
     load_config,
-    save_config,
 )
 
 
@@ -29,7 +29,7 @@ class TestDefaults:
         cfg = desk_default()
         cfg.music.trials = 77
         path = tmp_path / "cfg.yaml"
-        save_config(cfg, path)
+        path.write_text(yaml.safe_dump(cfg.to_dict(), sort_keys=False))
         assert load_config(path).to_dict() == cfg.to_dict()
 
 

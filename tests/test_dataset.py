@@ -16,15 +16,8 @@ from quantdoa.dataset import (
     load_dataset,
     save_dataset,
 )
-from quantdoa.quantizer import quantization_noise, quantize_complex
-from quantdoa.signal_model import (
-    NoiseSpec,
-    SnapshotMatrix,
-    SourceSet,
-    draw_source_angles,
-    from_real_batch,
-    synthesize,
-)
+from quantdoa.quantizer import quantize_complex
+from quantdoa.signal_model import NoiseSpec, draw_source_angles, from_real_batch, synthesize
 
 DATA = Path(__file__).parent / "data"
 FIELDS = ("inputs", "targets", "snr_db", "angles_deg", "record_seeds")
@@ -72,7 +65,7 @@ def per_record_reference(seed, cfg, snr_db):
     """The one-record-at-a-time generator that block generation replaced."""
     rng = np.random.default_rng(seed)
     angles = draw_source_angles(cfg.sources.count, cfg.angle_range(), cfg.sources.min_sep, rng)
-    column = synthesize(SourceSet(angles), cfg.geometry(), NoiseSpec(snr_db), 1, rng).data[:, 0]
+    column = synthesize(angles, cfg.geometry(), NoiseSpec(snr_db), 1, rng)[:, 0]
     quantized = quantize_complex(column, cfg.quantizer_spec())
     return (
         np.concatenate([quantized.real, quantized.imag]).astype(np.float32),
@@ -119,9 +112,9 @@ class TestBuild:
     def test_target_is_input_minus_quantization_noise(self, small_train):
         spec = small_train.quantizer_spec
         for i in range(0, small_train.count, 7):
-            clean = from_real_batch(small_train.targets[i : i + 1]).data[:, 0]
-            q = quantization_noise(SnapshotMatrix(clean[:, None]), spec).data[:, 0]
-            observed = from_real_batch(small_train.inputs[i : i + 1]).data[:, 0]
+            clean = from_real_batch(small_train.targets[i : i + 1])[:, 0]
+            q = quantize_complex(clean, spec) - clean
+            observed = from_real_batch(small_train.inputs[i : i + 1])[:, 0]
             np.testing.assert_allclose(observed, clean + q, atol=1e-7)
 
     def test_record_reproducible_from_seed(self, small_config, small_train):

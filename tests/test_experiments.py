@@ -18,7 +18,6 @@ from quantdoa.experiments import (
     eval_reconstruction,
     evaluate_loss,
     make_transform,
-    read_curves_csv,
     reconstruction_loss_by_snr,
     spectrum_compare,
     timing_points,
@@ -30,7 +29,6 @@ from quantdoa.music import sample_covariance, scan_grid
 from quantdoa.quantizer import QuantizerSpec
 from quantdoa.signal_model import (
     NoiseSpec,
-    SourceSet,
     draw_source_angles,
     from_real_batch,
     steering_matrix,
@@ -38,6 +36,7 @@ from quantdoa.signal_model import (
     to_real_batch,
 )
 
+from curves import read_curves_csv
 from music_reference import estimate_doa
 
 
@@ -256,8 +255,8 @@ def per_trial_reference(model, cfg, tag, snr_index, snr, trials):
     for t in range(trials):
         rng = np.random.default_rng(base_seed ^ t)
         angles = draw_source_angles(k, cfg.angle_range(), cfg.eval_min_sep(), rng)
-        clean = synthesize(SourceSet(angles), geom, NoiseSpec(snr), cfg.music.num_snapshots, rng)
-        observed = transform(clean.data)
+        clean = synthesize(angles, geom, NoiseSpec(snr), cfg.music.num_snapshots, rng)
+        observed = transform(clean)
         low_rank += np.linalg.matrix_rank(sample_covariance(observed)) <= k
         result = estimate_doa(observed, k, geom, grid, truth_deg=angles, steering=steering)
         mses.append(result.mse)

@@ -16,16 +16,8 @@ from quantdoa.music import (
     sample_covariance,
     scan_grid,
 )
-from quantdoa.quantizer import QuantizerSpec, quantize_complex, quantize_snapshots
-from quantdoa.signal_model import (
-    ArrayGeometry,
-    NoiseSpec,
-    SnapshotMatrix,
-    SourceSet,
-    steering_matrix,
-    steering_vector,
-    synthesize,
-)
+from quantdoa.quantizer import QuantizerSpec, quantize_complex
+from quantdoa.signal_model import ArrayGeometry, NoiseSpec, steering_matrix, synthesize
 
 from music_reference import estimate_doa
 
@@ -107,7 +99,7 @@ class TestScanGrid:
 
 class TestSampleCovariance:
     def test_single_ones_snapshot_hand_value(self):
-        snap = SnapshotMatrix(np.ones((2, 1), dtype=complex))
+        snap = np.ones((2, 1), dtype=complex)
         np.testing.assert_array_equal(sample_covariance(snap), np.ones((2, 2)))
 
     def test_hermitian_and_psd(self):
@@ -122,9 +114,9 @@ class TestSampleCovariance:
         # law of large numbers: R -> a a^H + sigma^2 I elementwise within 5%
         rng = np.random.default_rng(3)
         theta, snr = 9.0, 20.0
-        snap = synthesize(SourceSet(np.array([theta])), GEOM8, NoiseSpec(snr), 10_000, rng)
+        snap = synthesize(np.array([theta]), GEOM8, NoiseSpec(snr), 10_000, rng)
         cov = sample_covariance(snap)
-        a = steering_vector(theta, GEOM8)
+        a = steering_matrix(theta, GEOM8)[:, 0]
         expected = np.outer(a, a.conj()) + 10 ** (-snr / 10) * np.eye(8)
         assert np.max(np.abs(cov - expected)) < 0.05
 
@@ -140,7 +132,7 @@ class TestNoiseSubspace:
         np.testing.assert_allclose(e.conj().T @ e, np.eye(3), atol=1e-10)
 
     def test_orthogonal_to_single_source(self):
-        a = steering_vector(-14.0, GEOM8)
+        a = steering_matrix(-14.0, GEOM8)[:, 0]
         cov = np.outer(a, a.conj()) + 0.01 * np.eye(8)
         e = noise_subspace(cov, 1)
         assert np.linalg.norm(e.conj().T @ a) < 1e-6 * np.linalg.norm(a)
@@ -161,12 +153,17 @@ class TestNoiseSubspace:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
             noise_subspace(bad, 1)
+        # a NaN snapshot, raw or through the ADC, fails there as well
+        snap = np.array([[np.nan + 0j, 1.0], [1.0, 1.0]])
+        for data in (snap, quantize_complex(snap, QuantizerSpec(1, 1.0))):
+            with pytest.raises(ValueError, match="non-finite"):
+                noise_subspace(sample_covariance(data), 1)
 
 
 class TestMusicSpectrum:
     def test_peak_at_single_source(self):
         theta = 7.37
-        a = steering_vector(theta, GEOM8)
+        a = steering_matrix(theta, GEOM8)[:, 0]
         cov = np.outer(a, a.conj()) + 1e-6 * np.eye(8)
         spectrum = music_spectrum(cov, 1, GEOM8, GRID)
         nearest = GRID[np.argmin(np.abs(GRID - theta))]
@@ -174,15 +171,15 @@ class TestMusicSpectrum:
 
     def test_symmetric_sources_symmetric_spectrum(self):
         theta = 10.0
-        a_pos = steering_vector(theta, GEOM8)
-        a_neg = steering_vector(-theta, GEOM8)
+        a_pos = steering_matrix(theta, GEOM8)[:, 0]
+        a_neg = steering_matrix(-theta, GEOM8)[:, 0]
         cov = np.outer(a_pos, a_pos.conj()) + np.outer(a_neg, a_neg.conj()) + 1e-4 * np.eye(8)
         grid = scan_grid(-20, 20, 0.05)
         spectrum = music_spectrum(cov, 2, GEOM8, grid)
         np.testing.assert_allclose(spectrum, spectrum[::-1], rtol=1e-6)
 
     def test_finite_and_positive_even_noiseless(self):
-        a = steering_vector(0.0, GEOM8)
+        a = steering_matrix(0.0, GEOM8)[:, 0]
         cov = np.outer(a, a.conj())  # exactly singular
         spectrum = music_spectrum(cov, 1, GEOM8, GRID)
         assert np.all(np.isfinite(spectrum))
@@ -390,17 +387,16 @@ class TestDoaMse:
 class TestEndToEnd:
     def test_noiseless_single_source_within_grid_step(self):
         rng = np.random.default_rng(0)
-        src = SourceSet(np.array([-13.17]))
-        snap = synthesize(src, GEOM8, NoiseSpec(np.inf), 5, rng)
-        result = estimate_doa(snap, 1, GEOM8, GRID, truth_deg=src.angles_deg)
+        truth = np.array([-13.17])
+        snap = synthesize(truth, GEOM8, NoiseSpec(np.inf), 5, rng)
+        result = estimate_doa(snap, 1, GEOM8, GRID, truth_deg=truth)
         assert abs(result.angles_deg[0] - (-13.17)) <= 0.01
 
     def test_high_resolution_quantization_matches_unquantized(self):
         rng = np.random.default_rng(1)
-        src = SourceSet(np.array([-20.0, 5.0]))
-        snap = synthesize(src, GEOM8, NoiseSpec(30.0), 5, rng)
-        spec = QuantizerSpec(16, float(np.max(np.abs(snap.data.view(np.float64)))))
-        quantized = quantize_snapshots(snap, spec)
+        snap = synthesize(np.array([-20.0, 5.0]), GEOM8, NoiseSpec(30.0), 5, rng)
+        spec = QuantizerSpec(16, float(np.max(np.abs(snap.view(np.float64)))))
+        quantized = quantize_complex(snap, spec)
         r_clean = estimate_doa(snap, 2, GEOM8, GRID)
         r_quant = estimate_doa(quantized, 2, GEOM8, GRID)
         np.testing.assert_array_equal(r_clean.angles_deg, r_quant.angles_deg)

@@ -7,13 +7,10 @@ from quantdoa.quantizer import (
     QuantizerSpec,
     clipping_rate,
     default_full_scale,
-    quantization_noise,
     quantize_complex,
     quantize_real,
-    quantize_scalar,
-    quantize_snapshots,
 )
-from quantdoa.signal_model import ArrayGeometry, NoiseSpec, SnapshotMatrix, SourceSet, synthesize
+from quantdoa.signal_model import ArrayGeometry, NoiseSpec, synthesize
 
 B1V1 = QuantizerSpec(bits=1, full_scale=1.0)
 
@@ -36,30 +33,32 @@ class TestSpec:
             QuantizerSpec(0, 1.0)
         with pytest.raises(ValueError):
             QuantizerSpec(2, -1.0)
+        for full_scale in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                QuantizerSpec(1, full_scale)
+
+
+def quantize_value(x: float, spec: QuantizerSpec) -> float:
+    """One value through quantize_real, as a Python float."""
+    return float(quantize_real(np.asarray(x), spec))
 
 
 class TestQuantizeScalar:
+    """Per-value behaviour of the ADC, checked through quantize_real."""
+
     def test_hand_values_one_bit(self):
-        assert quantize_scalar(0.3, B1V1) == 0.0
-        assert quantize_scalar(0.6, B1V1) == 1.0
-        assert quantize_scalar(-0.6, B1V1) == -1.0
+        np.testing.assert_array_equal(quantize_real([0.3, 0.6, -0.6], B1V1), [0.0, 1.0, -1.0])
 
     def test_levels_are_fixed_points(self):
         spec = QuantizerSpec(3, 1.7)
-        for level in spec.levels():
-            assert quantize_scalar(level, spec) == level
+        np.testing.assert_array_equal(quantize_real(spec.levels(), spec), spec.levels())
 
     def test_half_ties_round_away_from_zero(self):
-        assert quantize_scalar(0.5, B1V1) == 1.0
-        assert quantize_scalar(-0.5, B1V1) == -1.0
+        np.testing.assert_array_equal(quantize_real([0.5, -0.5], B1V1), [1.0, -1.0])
 
     def test_saturates_out_of_range(self):
-        assert quantize_scalar(7.0, B1V1) == 1.0
-        assert quantize_scalar(-123.0, B1V1) == -1.0
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            quantize_scalar(float("nan"), B1V1)
+        np.testing.assert_array_equal(quantize_real([7.0, -123.0], B1V1), [1.0, -1.0])
+        assert quantize_complex(7.0 - 123.0j, B1V1) == 1.0 - 1.0j
 
     @given(
         x=st.floats(-0.999, 0.999),
@@ -68,7 +67,7 @@ class TestQuantizeScalar:
     @settings(max_examples=200, deadline=None)
     def test_error_bound_in_range(self, x, bits):
         spec = QuantizerSpec(bits, 1.0)
-        assert abs(quantize_scalar(x, spec) - x) <= spec.step / 2
+        assert abs(quantize_value(x, spec) - x) <= spec.step / 2
 
     @given(
         pair=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
@@ -78,49 +77,37 @@ class TestQuantizeScalar:
     def test_monotonicity(self, pair, bits):
         spec = QuantizerSpec(bits, 2.0)
         lo, hi = min(pair), max(pair)
-        assert quantize_scalar(lo, spec) <= quantize_scalar(hi, spec)
+        assert quantize_value(lo, spec) <= quantize_value(hi, spec)
 
     @given(x=st.floats(-2, 2), bits=st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
     def test_idempotence(self, x, bits):
         spec = QuantizerSpec(bits, 1.5)
-        once = quantize_scalar(x, spec)
-        assert quantize_scalar(once, spec) == once
+        once = quantize_value(x, spec)
+        assert quantize_value(once, spec) == once
 
 
 class TestQuantizeSnapshots:
     def _snap(self, seed=0, m=6, n=32):
         rng = np.random.default_rng(seed)
-        data = rng.uniform(-1, 1, (m, n)) + 1j * rng.uniform(-1, 1, (m, n))
-        return SnapshotMatrix(data)
+        return rng.uniform(-1, 1, (m, n)) + 1j * rng.uniform(-1, 1, (m, n))
 
     def test_one_bit_alphabet(self):
-        snap = self._snap()
-        out = quantize_snapshots(snap, B1V1)
-        for part in (out.data.real, out.data.imag):
+        out = quantize_complex(self._snap(), B1V1)
+        for part in (out.real, out.imag):
             assert set(np.unique(part)).issubset({-1.0, 0.0, 1.0})
 
     def test_idempotent(self):
-        snap = self._snap(1)
         spec = QuantizerSpec(3, 1.0)
-        once = quantize_snapshots(snap, spec)
-        twice = quantize_snapshots(once, spec)
-        np.testing.assert_array_equal(once.data, twice.data)
-
-    def test_noise_is_difference(self):
-        snap = self._snap(2)
-        spec = QuantizerSpec(2, 1.0)
-        q = quantization_noise(snap, spec)
-        np.testing.assert_array_equal(
-            q.data, quantize_snapshots(snap, spec).data - snap.data
-        )
+        once = quantize_complex(self._snap(1), spec)
+        twice = quantize_complex(once, spec)
+        np.testing.assert_array_equal(once, twice)
 
     def test_noise_zero_on_levels(self):
         spec = QuantizerSpec(2, 1.0)
         levels = spec.levels()
         data = (levels[:, None] + 1j * levels[::-1][:, None]).astype(complex)
-        q = quantization_noise(SnapshotMatrix(data), spec)
-        np.testing.assert_array_equal(q.data, np.zeros_like(data))
+        np.testing.assert_array_equal(quantize_complex(data, spec) - data, np.zeros_like(data))
 
     def test_noise_bound_and_variance(self):
         # uniform in-range inputs: q ~ uniform(-step/2, step/2), var = step^2/12
@@ -149,6 +136,5 @@ class TestFullScale:
         geom = ArrayGeometry(50)
         rng = np.random.default_rng(21)
         spec = QuantizerSpec(1, default_full_scale(3, 10.0))
-        src = SourceSet(np.array([-20.0, 1.0, 25.0]))
-        snap = synthesize(src, geom, NoiseSpec(10.0), 10_000, rng)
+        snap = synthesize(np.array([-20.0, 1.0, 25.0]), geom, NoiseSpec(10.0), 10_000, rng)
         assert clipping_rate(snap, spec) < 1e-3

@@ -6,13 +6,10 @@ from hypothesis import strategies as st
 from quantdoa.signal_model import (
     ArrayGeometry,
     NoiseSpec,
-    SnapshotMatrix,
-    SourceSet,
     draw_source_angles,
     from_real_batch,
     mix,
     steering_matrix,
-    steering_vector,
     synthesize,
     synthesize_seeded,
     to_real_batch,
@@ -36,42 +33,44 @@ class TestGeometry:
 
 
 class TestSteeringVector:
+    """Steering vectors a(theta): the one column of a one-angle steering matrix."""
+
     def test_broadside_is_all_ones(self):
-        a = steering_vector(0.0, ArrayGeometry(4))
+        a = steering_matrix(0.0, ArrayGeometry(4))[:, 0]
         np.testing.assert_array_equal(a, np.ones(4, dtype=complex))
 
     def test_thirty_degrees_hand_value(self):
         # 2*pi*0.5*sin(30deg) = pi/2, so the second element is exp(j*pi/2) = j
-        a = steering_vector(30.0, ArrayGeometry(2, spacing=0.5))
+        a = steering_matrix(30.0, ArrayGeometry(2, spacing=0.5))[:, 0]
         np.testing.assert_allclose(a, [1.0, 1j], atol=1e-12)
 
     def test_first_element_exactly_one(self):
-        a = steering_vector(-17.3, GEOM8)
+        a = steering_matrix(-17.3, GEOM8)[:, 0]
         assert a[0] == 1.0 + 0.0j
 
     @given(theta=st.floats(-89.9, 89.9))
     @settings(max_examples=50, deadline=None)
     def test_unit_modulus(self, theta):
-        a = steering_vector(theta, GEOM8)
+        a = steering_matrix(theta, GEOM8)[:, 0]
         np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-12)
 
     @given(theta=st.floats(-89.0, 89.0))
     @settings(max_examples=50, deadline=None)
     def test_conjugate_symmetry(self, theta):
-        a_pos = steering_vector(theta, GEOM8)
-        a_neg = steering_vector(-theta, GEOM8)
+        a_pos = steering_matrix(theta, GEOM8)[:, 0]
+        a_neg = steering_matrix(-theta, GEOM8)[:, 0]
         np.testing.assert_allclose(a_neg, np.conj(a_pos), atol=1e-12)
 
     @pytest.mark.parametrize("theta", [90.0, -90.0, 123.0])
     def test_rejects_back_halfspace(self, theta):
         with pytest.raises(ValueError):
-            steering_vector(theta, GEOM8)
+            steering_matrix(theta, GEOM8)
 
     def test_matrix_matches_vectors(self):
         thetas = np.array([-20.0, 3.5, 28.0])
         mat = steering_matrix(thetas, GEOM8)
         for k, th in enumerate(thetas):
-            np.testing.assert_allclose(mat[:, k], steering_vector(th, GEOM8))
+            np.testing.assert_allclose(mat[:, k], steering_matrix(th, GEOM8)[:, 0])
 
     def test_stack_matches_each_matrix_bytewise(self):
         thetas = np.random.default_rng(5).uniform(-60.0, 60.0, size=(4, 2, 3))
@@ -113,48 +112,44 @@ class TestDrawSourceAngles:
 class TestSynthesize:
     def test_noiseless_single_source_broadside(self):
         # one unit source at 0 degrees: every column is the all-ones vector
-        src = SourceSet(np.array([0.0]), amplitudes=np.ones((1, 3), dtype=complex))
-        snap = synthesize(src, ArrayGeometry(4), NoiseSpec(np.inf), 3)
-        np.testing.assert_allclose(snap.data, np.ones((4, 3), dtype=complex))
+        snap = mix(steering_matrix(0.0, ArrayGeometry(4)), np.ones((1, 3), dtype=complex), 0.0, None)
+        np.testing.assert_allclose(snap, np.ones((4, 3), dtype=complex))
 
     def test_noiseless_two_sources_hand_sum(self):
         # direct evaluation: column = s_1 a(th_1) + s_2 a(th_2)
         geom = ArrayGeometry(5)
         amps = np.array([[0.3 + 0.1j], [-0.7j]])
-        src = SourceSet(np.array([-11.0, 24.0]), amplitudes=amps)
-        snap = synthesize(src, geom, NoiseSpec(np.inf), 1)
-        expected = amps[0, 0] * steering_vector(-11.0, geom) + amps[1, 0] * steering_vector(24.0, geom)
-        np.testing.assert_allclose(snap.data[:, 0], expected, atol=1e-12)
+        snap = mix(steering_matrix(np.array([-11.0, 24.0]), geom), amps, 0.0, None)
+        a1, a2 = steering_matrix(-11.0, geom)[:, 0], steering_matrix(24.0, geom)[:, 0]
+        expected = amps[0, 0] * a1 + amps[1, 0] * a2
+        np.testing.assert_allclose(snap[:, 0], expected, atol=1e-12)
 
     def test_noise_variance_monte_carlo(self):
-        # 1e5 complex entries: empirical variance of x - signal within 5%
+        # 1e5 complex entries: empirical variance of x - signal within 5%;
+        # the same seed draws the same phases first, so the difference is the noise
         geom = ArrayGeometry(100)
-        rng = np.random.default_rng(7)
-        src = SourceSet(np.array([5.0]), amplitudes=np.ones((1, 1000), dtype=complex))
-        noisy = synthesize(src, geom, NoiseSpec(10.0), 1000, rng)
-        clean = synthesize(src, geom, NoiseSpec(np.inf), 1000)
-        resid = noisy.data - clean.data
+        noisy = synthesize(np.array([5.0]), geom, NoiseSpec(10.0), 1000, np.random.default_rng(7))
+        clean = synthesize(np.array([5.0]), geom, NoiseSpec(np.inf), 1000, np.random.default_rng(7))
+        resid = noisy - clean
         emp_var = float(np.mean(np.abs(resid) ** 2))
         assert abs(emp_var - 0.1) < 0.05 * 0.1
 
     def test_unit_modulus_amplitudes_drawn(self):
         rng = np.random.default_rng(3)
-        src = SourceSet(np.array([-5.0, 10.0]))
-        snap = synthesize(src, ArrayGeometry(2), NoiseSpec(np.inf), 4, rng)
+        snap = synthesize(np.array([-5.0, 10.0]), ArrayGeometry(2), NoiseSpec(np.inf), 4, rng)
         # noiseless two-unit-source mixture: |column 0 entry| <= 2
-        assert np.all(np.abs(snap.data) <= 2.0 + 1e-12)
+        assert np.all(np.abs(snap) <= 2.0 + 1e-12)
 
     def test_noiseless_single_source_rank_one(self):
         rng = np.random.default_rng(11)
-        src = SourceSet(np.array([13.0]))
-        snap = synthesize(src, GEOM8, NoiseSpec(np.inf), 16, rng)
-        s = np.linalg.svd(snap.data, compute_uv=False)
+        snap = synthesize(np.array([13.0]), GEOM8, NoiseSpec(np.inf), 16, rng)
+        s = np.linalg.svd(snap, compute_uv=False)
         energy = s**2
         assert energy[0] / energy.sum() > 1.0 - 1e-10
 
     def test_rng_required_when_drawing(self):
-        with pytest.raises(ValueError):
-            synthesize(SourceSet(np.array([0.0])), GEOM8, NoiseSpec(np.inf), 2)
+        with pytest.raises(TypeError):
+            synthesize(np.array([0.0]), GEOM8, NoiseSpec(np.inf), 2)
 
 
 class TestMix:
@@ -172,13 +167,13 @@ class TestMix:
         assert stack[1].tobytes() == (steering[1] @ amps[1]).tobytes()
 
     def test_synthesize_draws_match_mix(self):
-        src = SourceSet(np.array([-7.0, 12.0]))
-        snap = synthesize(src, GEOM8, NoiseSpec(20.0), 3, np.random.default_rng(4))
+        angles = np.array([-7.0, 12.0])
+        snap = synthesize(angles, GEOM8, NoiseSpec(20.0), 3, np.random.default_rng(4))
         rng = np.random.default_rng(4)
         amps = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(2, 3)))
         draws = (rng.standard_normal((8, 3)), rng.standard_normal((8, 3)))
-        expected = mix(steering_matrix(src.angles_deg, GEOM8), amps, NoiseSpec(20.0).noise_variance, draws)
-        assert snap.data.tobytes() == expected.tobytes()
+        expected = mix(steering_matrix(angles, GEOM8), amps, NoiseSpec(20.0).noise_variance, draws)
+        assert snap.tobytes() == expected.tobytes()
 
 
 class TestSynthesizeSeeded:
@@ -192,9 +187,9 @@ class TestSynthesizeSeeded:
         for seed, row_angles, row in zip(seeds, angles, stack):
             rng = np.random.default_rng(seed)
             truth = draw_source_angles(3, (-30.0, 30.0), 4.0, rng)
-            snap = synthesize(SourceSet(truth), GEOM8, NoiseSpec(snr_db), 5, rng)
+            snap = synthesize(truth, GEOM8, NoiseSpec(snr_db), 5, rng)
             assert row_angles.tobytes() == truth.tobytes()
-            assert row.tobytes() == snap.data.tobytes()
+            assert row.tobytes() == snap.tobytes()
 
 
 class TestRealInterleaved:
@@ -212,7 +207,7 @@ class TestRealInterleaved:
     def test_round_trip_identity(self, m, n, seed):
         rng = np.random.default_rng(seed)
         data = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        np.testing.assert_array_equal(from_real_batch(to_real_batch(data)).data, data)
+        np.testing.assert_array_equal(from_real_batch(to_real_batch(data)), data)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -221,14 +216,7 @@ class TestRealInterleaved:
     def test_batch_round_trip(self):
         rng = np.random.default_rng(0)
         data = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-        snap = SnapshotMatrix(data)
-        batch = to_real_batch(snap)
+        batch = to_real_batch(data)
         assert batch.shape == (4, 12)
         np.testing.assert_array_equal(batch[2], np.concatenate([data[:, 2].real, data[:, 2].imag]))
-        np.testing.assert_array_equal(from_real_batch(batch).data, data)
-
-
-class TestSnapshotMatrix:
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            SnapshotMatrix(np.array([[np.nan + 0j, 1.0]]))
+        np.testing.assert_array_equal(from_real_batch(batch), data)
