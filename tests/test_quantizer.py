@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantdoa.music import noise_subspace, sample_covariance
 from quantdoa.quantizer import (
     QuantizerSpec,
     clipping_rate,
@@ -59,6 +60,12 @@ class TestQuantizeScalar:
     def test_saturates_out_of_range(self):
         np.testing.assert_array_equal(quantize_real([7.0, -123.0], B1V1), [1.0, -1.0])
         assert quantize_complex(7.0 - 123.0j, B1V1) == 1.0 - 1.0j
+
+    def test_rejects_nonfinite(self):
+        # the ADC passes NaN through; the estimator that reads it raises
+        snap = quantize_complex(np.array([[np.nan + 0j, 1.0], [1.0, 1.0]]), B1V1)
+        with pytest.raises(ValueError, match="non-finite"):
+            noise_subspace(sample_covariance(snap), 1)
 
     @given(
         x=st.floats(-0.999, 0.999),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantdoa.music import noise_subspace, sample_covariance
 from quantdoa.signal_model import (
     ArrayGeometry,
     NoiseSpec,
@@ -220,3 +221,12 @@ class TestRealInterleaved:
         assert batch.shape == (4, 12)
         np.testing.assert_array_equal(batch[2], np.concatenate([data[:, 2].real, data[:, 2].imag]))
         np.testing.assert_array_equal(from_real_batch(batch), data)
+
+
+class TestSnapshotMatrix:
+    """Snapshot matrices are plain complex (M, N) arrays."""
+
+    def test_rejects_nonfinite(self):
+        snap = np.array([[np.nan + 0j, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            noise_subspace(sample_covariance(snap), 1)
