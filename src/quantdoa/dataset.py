@@ -200,6 +200,10 @@ def load_dataset(path: str | Path) -> Dataset:
     # Check the header against the body before any record is allocated:
     # a CRC does not authenticate the record count.
     try:
+        QuantizerSpec(bits=bits, full_scale=full_scale)
+    except ValueError as exc:
+        raise DatasetFormatError(f"bad quantizer header: {exc}") from None
+    try:
         record = record_dtype(m, k)
     except ValueError as exc:
         raise DatasetFormatError(f"bad record shape M={m}, K={k}: {exc}") from None

@@ -105,11 +105,38 @@ def music_spectrum(
     power = np.abs(projection)
     power **= 2
     # Row-by-row adds: the order np.sum(..., axis=-2) adds in.
-    spectrum = power[..., 0, :].copy()
-    for row in range(1, power.shape[-2]):
+    spectrum = power[..., 0, :].copy() if rows.shape[-2] == 1 else np.add(power[..., 0, :], power[..., 1, :])
+    for row in range(2, rows.shape[-2]):
         spectrum += power[..., row, :]
     spectrum += SPECTRUM_REGULARIZER
     return np.divide(1.0, spectrum, out=spectrum)
+
+
+def _peaks(flat: np.ndarray, g: int) -> np.ndarray:
+    """Flat indices of the peaks (see ``ranked_peaks``) of the G-point rows of ``flat``.
+
+    Only a rise that stops rising can start a peak; rows where one starts
+    a plateau are run-compressed whole.  Indices ascend within each row.
+    """
+    up = flat[1:] > flat[:-1]
+    at = np.flatnonzero(up[:-1] > up[1:]) + 1  # flat[at - 1] < flat[at] >= flat[at + 1]
+    col = at % g
+    at = at[(col > 0) & (col < g - 1)]  # drop the row seams
+    plateau = flat[at] == flat[at + 1]
+    if plateau.any():
+        redo = np.zeros(flat.size // g, dtype=bool)
+        redo[at[plateau] // g] = True
+        rows = np.flatnonzero(redo)
+        sub = flat.reshape(-1, g)[rows]
+        # step is 1 where a row rises to the next point and -1 where it falls;
+        # the last column, a change that does neither, keeps rows apart.
+        step = np.full(sub.shape, 2, dtype=np.int8)
+        np.subtract(sub[:, 1:] > sub[:, :-1], sub[:, :-1] > sub[:, 1:], out=step[:, :-1], dtype=np.int8)
+        change = np.flatnonzero(step)
+        kind = step.ravel()[change]
+        r, c = np.divmod(change[:-1][(kind[:-1] == 1) & (kind[1:] == -1)] + 1, g)
+        at = np.concatenate([at[~redo[at // g]], rows[r] * g + c])
+    return at
 
 
 def ranked_peaks(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,17 +147,10 @@ def ranked_peaks(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     then by descending value, ties toward the smaller index.  Only
     comparisons touch the values.
     """
-    t, g = spectra.shape
-    # step is 1 where a row rises to the next point and -1 where it falls;
-    # the last column, a change that does neither, keeps rows apart.
-    step = np.full((t, g), 2, dtype=np.int8)
-    np.subtract(spectra[:, 1:] > spectra[:, :-1], spectra[:, :-1] > spectra[:, 1:],
-                out=step[:, :-1], dtype=np.int8)
-    change = np.flatnonzero(step)
-    kind = step.ravel()[change]
-    peak_at = change[:-1][(kind[:-1] == 1) & (kind[1:] == -1)] + 1  # flat index into spectra
-    order = np.lexsort((-spectra.ravel()[peak_at], peak_at // g))  # stable: ties keep index order
-    return np.divmod(peak_at[order], g)
+    g = spectra.shape[1]
+    at = _peaks(spectra.ravel(), g)
+    order = np.lexsort((-spectra.ravel()[at], at // g))  # stable: ties keep index order
+    return np.divmod(at[order], g)
 
 
 def pick_peaks(grid_deg: np.ndarray, spectrum: np.ndarray, num_sources: int) -> np.ndarray:
@@ -146,7 +166,8 @@ def pick_peaks(grid_deg: np.ndarray, spectrum: np.ndarray, num_sources: int) -> 
         raise ValueError(f"cannot pick {num_sources} peaks from {grid_deg.size} points")
     if not np.all(np.isfinite(spectrum)):
         raise ValueError("spectrum must be finite")
-    chosen = list(ranked_peaks(spectrum[None])[1][:num_sources])
+    at = _peaks(spectrum, spectrum.size)
+    chosen = list(at[np.argsort(-spectrum[at], kind="stable")][:num_sources])
     left = spectrum.copy()
     left[chosen] = -np.inf
     while len(chosen) < num_sources:
@@ -166,7 +187,7 @@ def pick_peak_rows(grid_deg: np.ndarray, spectra: np.ndarray, num_sources: int) 
     top = rank < num_sources
     angles = np.empty((spectra.shape[0], num_sources))
     angles[rows[top], rank[top]] = grid_deg[cols[top]]
-    for r in np.flatnonzero(np.bincount(rows[top], minlength=spectra.shape[0]) < num_sources):
+    for r in np.flatnonzero(np.bincount(rows, minlength=spectra.shape[0]) < num_sources):
         angles[r] = pick_peaks(grid_deg, spectra[r], num_sources)
     return np.sort(angles, axis=1)
 

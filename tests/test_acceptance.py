@@ -162,7 +162,7 @@ class EstimationFloor:
         idx = np.minimum(np.searchsorted(self.keys, codes), self.keys.size - 1)
         found = self.keys[idx] == codes
         rows = np.where(found[:, None], self.means[idx], rows)
-        return from_real_batch(rows).data, ~found
+        return from_real_batch(rows), ~found
 
 
 @pytest.fixture(scope="session")

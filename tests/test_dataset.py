@@ -226,6 +226,24 @@ class TestFileFormat:
         with pytest.raises(DatasetFormatError, match="header promises|record shape"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "field, fmt, value",
+        [
+            ("full_scale", "<d", math.inf),
+            ("full_scale", "<d", math.nan),
+            ("full_scale", "<d", 0.0),
+            ("full_scale", "<d", -1.0),
+            ("bits", "<B", 0),
+        ],
+    )
+    def test_impossible_quantizer_header_rejected(self, small_train, tmp_path, field, fmt, value):
+        path = tmp_path / "ds.qdst"
+        save_dataset(small_train, path)
+        bits_at = 26 + 8 * len(small_train.snr_list)  # after the fixed header and the SNR list
+        reseal(path, bits_at + (field == "full_scale"), fmt, value)
+        with pytest.raises(DatasetFormatError, match=f"bad quantizer header: {field}"):
+            load_dataset(path)
+
     def test_loaded_columns_are_contiguous_native_arrays(self, small_train, tmp_path):
         path = tmp_path / "ds.qdst"
         save_dataset(small_train, path)

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from quantdoa.quantizer import QuantizerSpec, quantize_complex
 from quantdoa.signal_model import ArrayGeometry, NoiseSpec, steering_matrix, synthesize
 
 from music_reference import estimate_doa
+from music_reference import ranked_peaks as ranked_peaks_runs
 
 GEOM8 = ArrayGeometry(8)
 GRID = scan_grid(-30.0, 30.0, 0.01)
@@ -329,6 +331,67 @@ class TestPickPeakRows:
     def test_rejects_more_picks_than_points(self):
         with pytest.raises(ValueError, match="cannot pick"):
             pick_peak_rows(np.arange(3.0), np.ones((2, 3)), 4)
+
+
+def peak_stacks():
+    """(T, G) stacks with G of 1 to 3 as often as wider ones; T·G may be below 3."""
+    return st.one_of(st.integers(1, 3), st.integers(4, 30)).flatmap(
+        lambda g: st.lists(st.lists(SPECTRUM_VALUE, min_size=g, max_size=g), min_size=1, max_size=6)
+    )
+
+
+class TestPeakFinder:
+    """The candidate finder against the run-compression reference it replaced."""
+
+    @given(rows=peak_stacks(), data=st.data())
+    @example(rows=[[0.0, 1.0, 5.0], [0.0, 2.0, 0.0]], data=None)  # a row ends high, the next starts low
+    @example(rows=[[5.0, 1.0, 0.0], [9.0, 2.0, 0.0]], data=None)  # a row ends low, the next starts high
+    @example(rows=[[0.0, 2.0, 2.0, 2.0], [1.0, 0.0, 1.0, 0.0]], data=None)  # plateau into the last column
+    @example(rows=[[0.0, 2.0, 2.0], [2.0, 2.0, 0.0]], data=None)  # a plateau continued across the seam
+    @example(rows=[[0.0, 2.0, 2.0, 1.0, 3.0, 1.0], [1.0, 3.0, 1.0, 3.0, 1.0, 0.0]], data=None)  # plateau, ties
+    @example(rows=[[7.0]], data=None)
+    @example(rows=[[1.0, 2.0]], data=None)
+    @example(rows=[[1.0], [2.0]], data=None)
+    @example(rows=[[1.0, 2.0, 1.0]], data=None)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_run_compression_row_by_row(self, rows, data):
+        spectra = np.array(rows, dtype=float)
+        grid = -30.0 + 0.5 * np.arange(spectra.shape[1])
+        got, want = music.ranked_peaks(spectra), ranked_peaks_runs(spectra)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        for r, row in enumerate(spectra):
+            np.testing.assert_array_equal(got[1][got[0] == r], ranked_peaks_runs(row[None])[1])
+        ks = range(1, grid.size + 1) if data is None else [
+            data.draw(st.integers(1, grid.size), label="num_sources")
+        ]
+        for k in ks:
+            picks = pick_peak_rows(grid, spectra, k)
+            for row, pick in zip(spectra, picks):
+                np.testing.assert_array_equal(pick, pick_peaks_loop(grid, row, k))
+                np.testing.assert_array_equal(pick_peaks(grid, row, k), pick_peaks_loop(grid, row, k))
+
+    @given(rows=peak_stacks(), data=st.data())
+    @example(rows=[[0.0, 2.0, 2.0, 2.0], [1.0, 3.0, 1.0, 2.0], [0.0, 1.0, 0.0, 1.0]], data=None)
+    @settings(max_examples=200, deadline=None)
+    def test_pads_through_pick_peaks_once_per_short_row(self, rows, data):
+        spectra = np.array(rows, dtype=float)
+        grid = -30.0 + 0.5 * np.arange(spectra.shape[1])
+        ks = range(1, grid.size + 1) if data is None else [
+            data.draw(st.integers(1, grid.size), label="num_sources")
+        ]
+        for k in ks:
+            counts = np.bincount(ranked_peaks_runs(spectra)[0], minlength=len(spectra))
+            short = sorted(row.tobytes() for row, n in zip(spectra, counts) if n < k)
+            padded = []
+
+            def recording(grid_deg, spectrum, num_sources):
+                padded.append(np.asarray(spectrum).tobytes())
+                return pick_peaks(grid_deg, spectrum, num_sources)
+
+            with mock.patch.object(music, "pick_peaks", recording):
+                pick_peak_rows(grid, spectra, k)
+            assert sorted(padded) == short
 
 
 class TestDoaMse:
