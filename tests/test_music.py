@@ -20,8 +20,7 @@ from quantdoa.music import (
 from quantdoa.quantizer import QuantizerSpec, quantize_complex
 from quantdoa.signal_model import ArrayGeometry, NoiseSpec, steering_matrix, synthesize
 
-from music_reference import estimate_doa
-from music_reference import ranked_peaks as ranked_peaks_runs
+from music_reference import estimate_doa, ranked_peaks as ranked_peaks_runs
 
 GEOM8 = ArrayGeometry(8)
 GRID = scan_grid(-30.0, 30.0, 0.01)
