@@ -59,11 +59,54 @@ def parameter_payload_bytes(model: DenoiserModel) -> int:
     return model.parameter_count() * itemsize
 
 
+def write_framed(path: str | Path, magic: bytes, version: int, chunks: list[bytes]) -> None:
+    """Write magic, u16 version, the chunks, then a crc32 of everything before it."""
+    body = b"".join([magic, struct.pack("<H", version), *chunks])
+    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+class FramedReader:
+    """Reads a ``write_framed`` file front to back; a short read raises ``error``.
+
+    The length, CRC, magic and version are checked on construction.
+    """
+
+    def __init__(self, path: str | Path, magic: bytes, version: int, error: type[Exception], what: str):
+        self.error, self.what = error, what
+        blob = memoryview(Path(path).read_bytes())
+        if len(blob) < len(magic) + 4:
+            raise error(f"truncated {what} file")
+        self.buf, (crc_stored,) = blob[:-4], struct.unpack("<I", blob[-4:])
+        if zlib.crc32(self.buf) & 0xFFFFFFFF != crc_stored:
+            raise error("checksum mismatch; file is corrupt")
+        self.pos = 0
+        if self.take(len(magic)) != magic:
+            raise error(f"bad magic; not a {what} file")
+        (found,) = self.unpack("<H")
+        if found != version:
+            raise error(f"unsupported {what} version {found}")
+
+    @property
+    def remaining(self) -> int:
+        return len(self.buf) - self.pos
+
+    def take(self, n: int) -> memoryview:
+        if n > self.remaining:
+            raise self.error(f"truncated {self.what} file")
+        self.pos += n
+        return self.buf[self.pos - n : self.pos]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, count: int, dtype: np.dtype) -> np.ndarray:
+        return np.frombuffer(self.take(count * dtype.itemsize), dtype=dtype).astype(np.float32)
+
+
 def save_checkpoint(model: DenoiserModel, path: str | Path) -> None:
     dtype = _payload_dtype(model.precision)
     chunks = [
-        MAGIC,
-        struct.pack("<HBBB", FORMAT_VERSION, 1 if model.precision == "fp16" else 0,
+        struct.pack("<BBB", 1 if model.precision == "fp16" else 0,
                     _ACT_CODES[model.activation], 1 if model.input_bias else 0),
         struct.pack("<I", model.depth),
     ]
@@ -76,44 +119,12 @@ def save_checkpoint(model: DenoiserModel, path: str | Path) -> None:
         if bn is not None:
             for arr in (bn.gamma, bn.beta, bn.running_mean, bn.running_var):
                 chunks.append(arr.astype(dtype).tobytes())
-    body = b"".join(chunks)
-    blob = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-    Path(path).write_bytes(blob)
-
-
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise CheckpointError("truncated checkpoint file")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def array(self, count: int, dtype: np.dtype) -> np.ndarray:
-        raw = self.take(count * dtype.itemsize)
-        return np.frombuffer(raw, dtype=dtype).astype(np.float32)
+    write_framed(path, MAGIC, FORMAT_VERSION, chunks)
 
 
 def load_checkpoint(path: str | Path) -> DenoiserModel:
-    blob = Path(path).read_bytes()
-    if len(blob) < len(MAGIC) + 4:
-        raise CheckpointError("truncated checkpoint file")
-    body, (crc_stored,) = blob[:-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
-        raise CheckpointError("checksum mismatch; file is corrupt")
-    r = _Reader(body)
-    if r.take(4) != MAGIC:
-        raise CheckpointError("bad magic; not a model checkpoint")
-    version, precision_flag, act_code, bias_flag = r.unpack("<HBBB")
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
+    r = FramedReader(path, MAGIC, FORMAT_VERSION, CheckpointError, "checkpoint")
+    precision_flag, act_code, bias_flag = r.unpack("<BBB")
     if precision_flag not in (0, 1):
         raise CheckpointError(f"unknown precision flag {precision_flag}")
     if act_code not in _ACT_NAMES:
@@ -131,17 +142,10 @@ def load_checkpoint(path: str | Path) -> DenoiserModel:
             raise CheckpointError("non-positive layer dimension")
         codes.append(kind_code)
         w = r.array(in_dim * out_dim, dtype).reshape(in_dim, out_dim)
-        b = r.array(out_dim, dtype)
-        dense.append(Dense(w=w, b=b))
-        if has_bn:
-            gamma = r.array(out_dim, dtype)
-            beta = r.array(out_dim, dtype)
-            rmean = r.array(out_dim, dtype)
-            rvar = r.array(out_dim, dtype)
-            norms.append(BatchNorm(gamma, beta, rmean, rvar))
-        else:
-            norms.append(None)
-    if r.pos != len(body):
+        dense.append(Dense(w=w, b=r.array(out_dim, dtype)))
+        # gamma, beta, running_mean, running_var, in file order
+        norms.append(BatchNorm(*(r.array(out_dim, dtype) for _ in range(4))) if has_bn else None)
+    if r.remaining:
         raise CheckpointError("trailing bytes after the last layer")
     try:
         model = DenoiserModel(

@@ -97,8 +97,6 @@ def _load_scenario(args) -> ScenarioConfig:
     if args.overrides:
         config = apply_overrides(config, args.overrides)
     if args.seed is not None:
-        if args.seed < 0 or args.seed >= 2 ** 64:
-            raise ConfigError("--seed must fit in an unsigned 64-bit integer")
         config.seed = args.seed
     if getattr(args, "trials", None) is not None:
         config.music.trials = args.trials

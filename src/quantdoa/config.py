@@ -149,6 +149,8 @@ class ScenarioConfig:
     def validate(self) -> list[str]:
         """All invariant violations, as human-readable messages."""
         errs: list[str] = []
+        if not 0 <= self.seed <= _MASK:
+            errs.append("seed must fit in an unsigned 64-bit integer")
         a, s, q, d, n, t, m = (
             self.array, self.sources, self.quantizer, self.data,
             self.network, self.train, self.music,
@@ -222,6 +224,8 @@ class ScenarioConfig:
             errs.append("music.trials must be >= 1")
         if m.min_sep is not None and m.min_sep < 0:
             errs.append("music.min_sep must be >= 0 when set")
+        elif m.min_sep is not None and s.angle_max - s.angle_min < (s.count - 1) * m.min_sep:
+            errs.append("angle range cannot hold sources.count angles at music.min_sep")
         if s.count >= a.num_sensors:
             errs.append("sources.count must be smaller than array.num_sensors for MUSIC")
         return errs

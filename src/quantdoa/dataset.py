@@ -19,12 +19,12 @@ File layout (little-endian):
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import FramedReader, write_framed
 from .config import DOMAIN_TEST_DATA, DOMAIN_TRAIN_DATA, ScenarioConfig, derived_seed
 from .quantizer import QuantizerSpec, quantize_complex
 from .signal_model import ArrayGeometry, NoiseSpec, synthesize_seeded, to_real_batch
@@ -160,43 +160,21 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
     records = np.empty(ds.count, dtype=record_dtype(ds.num_sensors, ds.num_sources))
     records["input"], records["target"], records["snr"] = ds.inputs, ds.targets, ds.snr_db
     records["angles"], records["seed"] = ds.angles_deg, ds.record_seeds
-    body = b"".join([
-        MAGIC,
-        struct.pack("<HIIQ", FORMAT_VERSION, ds.num_sensors, ds.num_sources, ds.count),
+    write_framed(path, MAGIC, FORMAT_VERSION, [
+        struct.pack("<IIQ", ds.num_sensors, ds.num_sources, ds.count),
         struct.pack("<I", len(ds.snr_list)),
         np.asarray(ds.snr_list, dtype="<f8").tobytes(),
         struct.pack("<Bd", ds.bits, ds.full_scale),
         records.tobytes(),
     ])
-    blob = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-    Path(path).write_bytes(blob)
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    blob = Path(path).read_bytes()
-    if len(blob) < len(MAGIC) + 4:
-        raise DatasetFormatError("truncated dataset file")
-    body, (crc_stored,) = blob[:-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
-        raise DatasetFormatError("checksum mismatch; file is corrupt")
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(body):
-            raise DatasetFormatError("truncated dataset file")
-        out = body[pos : pos + n]
-        pos += n
-        return out
-
-    if take(4) != MAGIC:
-        raise DatasetFormatError("bad magic; not a dataset file")
-    version, m, k, count = struct.unpack("<HIIQ", take(18))
-    if version != FORMAT_VERSION:
-        raise DatasetFormatError(f"unsupported dataset version {version}")
-    (snr_len,) = struct.unpack("<I", take(4))
-    snr_list = np.frombuffer(take(8 * snr_len), dtype="<f8").tolist()
-    bits, full_scale = struct.unpack("<Bd", take(9))
+    r = FramedReader(path, MAGIC, FORMAT_VERSION, DatasetFormatError, "dataset")
+    m, k, count = r.unpack("<IIQ")
+    (snr_len,) = r.unpack("<I")
+    snr_list = np.frombuffer(r.take(8 * snr_len), dtype="<f8").tolist()
+    bits, full_scale = r.unpack("<Bd")
     # Check the header against the body before any record is allocated:
     # a CRC does not authenticate the record count.
     try:
@@ -207,11 +185,11 @@ def load_dataset(path: str | Path) -> Dataset:
         record = record_dtype(m, k)
     except ValueError as exc:
         raise DatasetFormatError(f"bad record shape M={m}, K={k}: {exc}") from None
-    if count * record.itemsize != len(body) - pos:
+    if count * record.itemsize != r.remaining:
         raise DatasetFormatError(
             f"header promises {count} records of {record.itemsize} bytes; "
-            f"the body holds {len(body) - pos} bytes")
-    records = np.frombuffer(body, dtype=record, count=count, offset=pos)
+            f"the body holds {r.remaining} bytes")
+    records = np.frombuffer(r.take(r.remaining), dtype=record)
     return Dataset(
         inputs=records["input"].astype(np.float32),
         targets=records["target"].astype(np.float32),

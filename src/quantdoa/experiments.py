@@ -23,6 +23,7 @@ from .config import (
     DOMAIN_SHUFFLE,
     DOMAIN_SPECTRUM,
     DOMAIN_TRIALS,
+    ConfigError,
     ScenarioConfig,
     apply_overrides,
     derived_seed,
@@ -31,7 +32,7 @@ from .dataset import Dataset
 from .music import TrialResult, run_trials, sample_covariance, music_spectrum, scan_grid
 from .optimizer import NonFiniteGradientError, adam_step, init_state
 from .quantizer import QuantizerSpec, quantize_complex
-from .signal_model import NoiseSpec, from_real_batch, synthesize, to_real_batch
+from .signal_model import NoiseSpec, from_real_batch, steering_matrix, synthesize, to_real_batch
 
 # Default spectrum-demo scenario: two sources 1.31 degrees apart plus a
 # far-off third, the stress case for post-reconstruction resolution.
@@ -99,7 +100,7 @@ def train(
         activation=config.network.activation,
         input_bias=config.network.input_bias,
     )
-    state = init_state([model.params], learning_rate=config.train.lr)
+    state = init_state(model.params, learning_rate=config.train.lr)
     grad = np.empty_like(model.params)
     shuffle_rng = np.random.default_rng(derived_seed(config.seed, DOMAIN_SHUFFLE))
     inputs, targets = train_set.inputs, train_set.targets
@@ -127,7 +128,7 @@ def train(
                 break
             net.backward(model, cache, yb, out=grad)
             try:
-                adam_step([model.params], [grad], state)
+                adam_step(model.params, grad, state)
             except NonFiniteGradientError:
                 diverged = True
                 break
@@ -258,19 +259,20 @@ def spectrum_compare(
     series: tuple[str, ...] = ("unquantized", "raw-2bit", "raw-3bit", "recon-1bit"),
 ) -> tuple[list[CurvePoint], int]:
     """MUSIC spectra of several pipelines on one shared realization."""
-    lo, hi = config.angle_range()
+    lo, hi = config.music.grid_min, config.music.grid_max
     if any(not (lo <= a <= hi) for a in angles_deg):
-        raise ValueError(f"angles {angles_deg} fall outside the scan range [{lo}, {hi}]")
+        raise ConfigError(f"angles {angles_deg} fall outside the scan range [{lo}, {hi}]")
     trial_seed = derived_seed(config.seed, DOMAIN_SPECTRUM)
     rng = np.random.default_rng(trial_seed)
     geom = config.geometry()
     clean = synthesize(angles_deg, geom, NoiseSpec(snr_db), config.music.num_snapshots, rng)
-    grid = scan_grid(config.music.grid_min, config.music.grid_max, config.music.grid_step)
+    grid = scan_grid(lo, hi, config.music.grid_step)
+    steering = steering_matrix(grid, geom)
     points: list[CurvePoint] = []
     for tag in series:
         transform = make_transform(tag, config.quantizer_spec, model)
         cov = sample_covariance(transform(clean))
-        spectrum = music_spectrum(cov, len(angles_deg), geom, grid)
+        spectrum = music_spectrum(cov, len(angles_deg), steering)
         points.extend(CurvePoint(tag, g, s) for g, s in zip(grid, spectrum))
     return points, trial_seed
 

@@ -77,25 +77,13 @@ def noise_subspace(cov: np.ndarray, num_sources: int) -> np.ndarray:
     return vecs[..., : m - num_sources]
 
 
-def music_spectrum(
-    cov: np.ndarray,
-    num_sources: int,
-    geom: ArrayGeometry,
-    grid_deg: np.ndarray,
-    steering: np.ndarray | None = None,
-) -> np.ndarray:
-    """Pseudo-spectrum over the grid; larger means more source-like.
+def music_spectrum(cov: np.ndarray, num_sources: int, steering: np.ndarray) -> np.ndarray:
+    """Pseudo-spectrum over a grid given by its steering matrix (one column per angle).
 
-    A stack of covariances (..., M, M) gives a stack of spectra
-    (..., G).  ``steering`` may carry a precomputed steering matrix for
-    the grid (one column per angle) to amortize repeated scans.
+    Larger means more source-like.  A stack of covariances (..., M, M)
+    gives a stack of spectra (..., G).
     """
-    grid_deg = np.asarray(grid_deg, dtype=float)
-    if grid_deg.size == 0:
-        raise ValueError("empty scan grid")
     subspace = noise_subspace(cov, num_sources)
-    if steering is None:
-        steering = steering_matrix(grid_deg, geom)
     rows = subspace.conj().swapaxes(-1, -2)
     if rows.shape[-2] > 1:  # one GEMM over the subspace rows of every matrix
         projection = (rows.reshape(-1, rows.shape[-1]) @ steering).reshape(*rows.shape[:-1], -1)
@@ -262,6 +250,6 @@ def run_trials(
                                           num_sources, angle_range, min_sep, num_snapshots)
         for tag, transform in transforms.items():
             cov = sample_covariance(transform(clean))
-            spectra = music_spectrum(cov, num_sources, geom, grid_deg, steering=steering)
+            spectra = music_spectrum(cov, num_sources, steering)
             mses[tag][lo : ts.stop] = doa_mse(pick_peak_rows(grid_deg, spectra, num_sources), truths)
     return {tag: TrialResult(mses=m) for tag, m in mses.items()}

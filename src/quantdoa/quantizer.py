@@ -15,6 +15,9 @@ from typing import Iterable
 
 import numpy as np
 
+# A_max of default_full_scale: every source is a unit-modulus phasor.
+SOURCE_AMPLITUDE = 1.0
+
 
 @dataclass(frozen=True)
 class QuantizerSpec:
@@ -64,11 +67,7 @@ def clipping_rate(data: np.ndarray, spec: QuantizerSpec) -> float:
     return float(np.mean(np.abs(parts) > spec.full_scale))
 
 
-def default_full_scale(
-    num_sources: int,
-    snr_db: float | Iterable[float],
-    amplitude: float = 1.0,
-) -> float:
+def default_full_scale(num_sources: int, snr_db: float | Iterable[float]) -> float:
     """Full scale covering the component range with negligible clipping.
 
     V = K*A_max + 4*sigma, where sigma is the worst-case (lowest SNR)
@@ -84,4 +83,4 @@ def default_full_scale(
         raise ValueError("need at least one SNR value")
     worst_var = float(np.max(10.0 ** (-snrs / 10.0)))
     sigma_component = np.sqrt(worst_var / 2.0)
-    return num_sources * amplitude + 4.0 * sigma_component
+    return num_sources * SOURCE_AMPLITUDE + 4.0 * sigma_component

@@ -19,6 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Whole-set redraws draw_source_angles makes before it gives up.
+MAX_ANGLE_TRIES = 10_000
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """ULA with ``num_sensors`` elements spaced ``spacing`` wavelengths apart."""
@@ -69,7 +73,6 @@ def draw_source_angles(
     angle_range: tuple[float, float],
     min_sep: float,
     rng: np.random.Generator,
-    max_tries: int = 10_000,
 ) -> np.ndarray:
     """Draw K i.i.d. uniform angles, rejection-resampled for separation.
 
@@ -88,11 +91,11 @@ def draw_source_angles(
             f"range [{lo}, {hi}] cannot hold {num_sources} angles "
             f"separated by {min_sep} degrees"
         )
-    for _ in range(max_tries):
+    for _ in range(MAX_ANGLE_TRIES):
         angles = np.sort(lo + (hi - lo) * rng.random(num_sources))
         if num_sources == 1 or (angles[1:] - angles[:-1]).min() >= min_sep:
             return angles
-    raise RuntimeError(f"angle rejection sampling failed after {max_tries} tries")
+    raise RuntimeError(f"angle rejection sampling failed after {MAX_ANGLE_TRIES} tries")
 
 
 def synthesize(

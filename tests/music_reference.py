@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from quantdoa.music import doa_mse, music_spectrum, pick_peaks, sample_covariance
-from quantdoa.signal_model import ArrayGeometry
+from quantdoa.signal_model import ArrayGeometry, steering_matrix
 
 
 @dataclass
@@ -37,7 +37,9 @@ def estimate_doa(
 ) -> MusicResult:
     """Covariance -> subspace -> spectrum -> peaks, in one call."""
     cov = sample_covariance(snapshots)
-    spectrum = music_spectrum(cov, num_sources, geom, grid_deg, steering=steering)
+    if steering is None:
+        steering = steering_matrix(grid_deg, geom)
+    spectrum = music_spectrum(cov, num_sources, steering)
     angles = pick_peaks(grid_deg, spectrum, num_sources)
     mse = None if truth_deg is None else doa_mse(angles, truth_deg)
     return MusicResult(grid_deg=grid_deg, spectrum=spectrum, angles_deg=angles, mse=mse)

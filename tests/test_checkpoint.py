@@ -12,6 +12,7 @@ from quantdoa.checkpoint import (
     parameter_payload_bytes,
     save_checkpoint,
 )
+from quantdoa.dataset import DatasetFormatError, load_dataset
 
 
 DATA = Path(__file__).parent / "data"
@@ -178,6 +179,23 @@ class TestInconsistentLayerTable:
         write_table(path, [(0, 4, 6, 0), (2, 6, 6, 0), (1, 6, 6, 0), (3, 6, 4, 0)])
         with pytest.raises(CheckpointError, match="layer kinds"):
             load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "name, load, error",
+    [
+        ("v1_residual_bn.qdnn", load_checkpoint, CheckpointError),
+        ("v1_seed7_train.qdst", load_dataset, DatasetFormatError),
+    ],
+)
+def test_unsupported_version_rejected(name, load, error, tmp_path):
+    blob = bytearray((DATA / name).read_bytes())
+    blob[4:6] = struct.pack("<H", 2)  # the u16 version after the magic
+    blob[-4:] = struct.pack("<I", zlib.crc32(blob[:-4]) & 0xFFFFFFFF)
+    path = tmp_path / name
+    path.write_bytes(bytes(blob))
+    with pytest.raises(error, match="unsupported .* version 2"):
+        load(path)
 
 
 class TestCommittedV1Files:

@@ -146,6 +146,32 @@ class TestValidationErrors:
         assert code == 1
         assert "unknown config path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["--seed", -1],
+        ["--set", "seed=-1"],
+        ["--set", "seed=36893488147419103232"],
+    ])
+    def test_seed_outside_64_bits_exit_1(self, tmp_path, capsys, args):
+        assert run(["generate", "--out", tmp_path] + args + TINY) == 1
+        assert "seed must fit in an unsigned 64-bit integer" in capsys.readouterr().err
+        assert not (tmp_path / "train.qdst").exists()
+
+    def test_negative_seed_in_config_file_exit_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text("seed: -5\n")
+        assert run(["generate", "--config", cfg_path, "--out", tmp_path] + TINY) == 1
+        assert "seed must fit in an unsigned 64-bit integer" in capsys.readouterr().err
+        assert not (tmp_path / "train.qdst").exists()
+
+    def test_music_min_sep_too_wide_exit_1_before_any_input_is_read(self, tmp_path, capsys):
+        assert run(["eval-doa", "--out", tmp_path, "--set", "music.min_sep=40"]) == 1
+        assert "cannot hold sources.count angles at music.min_sep" in capsys.readouterr().err
+
+    def test_spectrum_angles_outside_scan_grid_exit_1(self, pipeline_dir, capsys):
+        code = run(["spectrum", "--out", pipeline_dir, "--set", "music.grid_min=0.0"] + TINY)
+        assert code == 1
+        assert "outside the scan range [0.0, 30.0]" in capsys.readouterr().err
+
     def test_missing_config_file_exit_1(self, tmp_path):
         assert run(["generate", "--out", tmp_path, "--config", tmp_path / "nope.yaml"]) == 1
 

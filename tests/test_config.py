@@ -77,6 +77,23 @@ class TestValidation:
         cfg.sources.min_sep = 40.0
         assert any("min_sep" in e for e in cfg.validate())
 
+    def test_infeasible_music_separation(self):
+        cfg = desk_default()
+        cfg.music.min_sep = 40.0
+        assert any("at music.min_sep" in e for e in cfg.validate())
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**65])
+    def test_seed_outside_64_bits(self, seed):
+        cfg = desk_default()
+        cfg.seed = seed
+        assert any("seed must fit" in e for e in cfg.validate())
+
+    def test_seed_range_ends_are_valid(self):
+        for seed in (0, 2**64 - 1):
+            cfg = desk_default()
+            cfg.seed = seed
+            assert cfg.validate() == []
+
 
 class TestOverrides:
     def test_scalar_override(self):

@@ -161,7 +161,7 @@ class TestMusicSpectrum:
         theta = 7.37
         a = steering_matrix(theta, GEOM8)[:, 0]
         cov = np.outer(a, a.conj()) + 1e-6 * np.eye(8)
-        spectrum = music_spectrum(cov, 1, GEOM8, GRID)
+        spectrum = music_spectrum(cov, 1, steering_matrix(GRID, GEOM8))
         nearest = GRID[np.argmin(np.abs(GRID - theta))]
         assert GRID[np.argmax(spectrum)] == pytest.approx(nearest)
 
@@ -171,23 +171,15 @@ class TestMusicSpectrum:
         a_neg = steering_matrix(-theta, GEOM8)[:, 0]
         cov = np.outer(a_pos, a_pos.conj()) + np.outer(a_neg, a_neg.conj()) + 1e-4 * np.eye(8)
         grid = scan_grid(-20, 20, 0.05)
-        spectrum = music_spectrum(cov, 2, GEOM8, grid)
+        spectrum = music_spectrum(cov, 2, steering_matrix(grid, GEOM8))
         np.testing.assert_allclose(spectrum, spectrum[::-1], rtol=1e-6)
 
     def test_finite_and_positive_even_noiseless(self):
         a = steering_matrix(0.0, GEOM8)[:, 0]
         cov = np.outer(a, a.conj())  # exactly singular
-        spectrum = music_spectrum(cov, 1, GEOM8, GRID)
+        spectrum = music_spectrum(cov, 1, steering_matrix(GRID, GEOM8))
         assert np.all(np.isfinite(spectrum))
         assert np.all(spectrum > 0)
-
-    def test_precomputed_steering_matches(self):
-        from quantdoa.signal_model import steering_matrix
-
-        cov = random_psd(8, 5)
-        s1 = music_spectrum(cov, 2, GEOM8, GRID)
-        s2 = music_spectrum(cov, 2, GEOM8, GRID, steering=steering_matrix(GRID, GEOM8))
-        np.testing.assert_array_equal(s1, s2)
 
 
 class TestStackedScan:
@@ -199,7 +191,7 @@ class TestStackedScan:
         steering = steering_matrix(GRID, GEOM8)
         covs = sample_covariance(data)
         subspaces = noise_subspace(covs, 3)
-        spectra = music_spectrum(covs, 3, GEOM8, GRID, steering=steering)
+        spectra = music_spectrum(covs, 3, steering)
         assert covs.shape == (6, 8, 8) and spectra.shape == (6, GRID.size)
         for i in range(data.shape[0]):
             # a denoised matrix arrives column-major; its scan must not differ
@@ -208,9 +200,7 @@ class TestStackedScan:
                 np.testing.assert_array_equal(covs[i], cov)
                 np.testing.assert_array_equal(covs[i], sample_covariance_2d(single))
                 np.testing.assert_array_equal(subspaces[i], noise_subspace(cov, 3))
-                np.testing.assert_array_equal(
-                    spectra[i], music_spectrum(cov, 3, GEOM8, GRID, steering=steering)
-                )
+                np.testing.assert_array_equal(spectra[i], music_spectrum(cov, 3, steering))
                 np.testing.assert_array_equal(spectra[i], music_spectrum_2d(cov, 3, steering))
 
     @pytest.mark.parametrize("m, k", [(8, 7), (4, 3), (8, 6), (8, 3), (6, 1)])
@@ -222,7 +212,7 @@ class TestStackedScan:
         data[5:] = quantize_complex(data[5:], QuantizerSpec(1, 1.0))
         steering = steering_matrix(GRID, geom)
         covs = sample_covariance(data)
-        spectra = music_spectrum(covs, k, geom, GRID, steering=steering)
+        spectra = music_spectrum(covs, k, steering)
         for cov, spectrum in zip(covs, spectra):
             np.testing.assert_array_equal(spectrum, music_spectrum_2d(cov, k, steering))
 

@@ -5,6 +5,8 @@ implementations that ran before the parameters moved into one flat
 vector.  The fused versions must reproduce them bit for bit.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,45 +81,43 @@ def test_fused_adam_matches_per_array_reference(recipe):
     model = net.init_model(widths, rng=np.random.default_rng(3), use_bn=use_bn)
     ref = model.copy()
     ref_params = ref.trainable_arrays()
-    ref_state = TrainState(
+    ref_state = SimpleNamespace(
         m=[np.zeros_like(p) for p in ref_params],
         v=[np.zeros_like(p) for p in ref_params],
+        step_count=0,
         learning_rate=lr,
     )
-    state = init_state([model.params], learning_rate=lr)
+    state = init_state(model.params, learning_rate=lr)
 
     def both(grad):
         # the reference sees the same gradient, split per array
         reference_adam_step(ref_params, model.views(grad), ref_state)
-        adam_step([model.params], [grad], state)
+        adam_step(model.params, grad, state)
 
     # past step 165, where float32 bias1 rounds to 1 and the fused step skips its divide
     train_steps(model, 200, batch, seed=4, step=both)
     assert state.step_count == ref_state.step_count == 200
     assert model.params.tobytes() == ref.params.tobytes()
-    assert state.m[0].tobytes() == b"".join(m.tobytes() for m in ref_state.m)
-    assert state.v[0].tobytes() == b"".join(v.tobytes() for v in ref_state.v)
+    assert state.m.tobytes() == b"".join(m.tobytes() for m in ref_state.m)
+    assert state.v.tobytes() == b"".join(v.tobytes() for v in ref_state.v)
 
 
 def test_nonfinite_gradient_leaves_buffer_moments_and_counter():
     model = net.init_model(RECIPES["desk"][0], rng=np.random.default_rng(5))
-    state = init_state([model.params])
-    train_steps(model, 3, 32, seed=6, step=lambda g: adam_step([model.params], [g], state))
-    before = [a.tobytes() for a in (model.params, state.m[0], state.v[0])]
+    state = init_state(model.params)
+    train_steps(model, 3, 32, seed=6, step=lambda g: adam_step(model.params, g, state))
+    before = [a.tobytes() for a in (model.params, state.m, state.v)]
     grad = np.zeros_like(model.params)
     grad[-1] = np.inf
     with pytest.raises(NonFiniteGradientError):
-        adam_step([model.params], [grad], state)
-    assert [a.tobytes() for a in (model.params, state.m[0], state.v[0])] == before
+        adam_step(model.params, grad, state)
+    assert [a.tobytes() for a in (model.params, state.m, state.v)] == before
     assert state.step_count == 3
 
 
 def test_state_without_scratch_arrays_names_the_cause():
-    p = np.zeros(3)
-    state = TrainState(m=[np.zeros(3)], v=[np.zeros(3)])  # built without init_state
-    with pytest.raises(ValueError, match="no scratch arrays.*init_state"):
-        adam_step([p], [np.ones(3)], state)
-    assert state.step_count == 0 and not p.any()
+    with pytest.raises(TypeError, match="scratch"):
+        TrainState(m=np.zeros(3), v=np.zeros(3))  # built without init_state
 
 
 def fresh_norm(dim, rng):
