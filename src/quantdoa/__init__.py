@@ -2,8 +2,8 @@
 
 from .signal_model import (
     ArrayGeometry,
-    NoiseSpec,
     draw_source_angles,
+    noise_variance,
     steering_matrix,
     synthesize,
 )

@@ -20,14 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import BatchNorm, Dense, DenoiserModel
+from .network import ACTIVATIONS, BatchNorm, Dense, DenoiserModel
 
 MAGIC = b"QDNN"
 FORMAT_VERSION = 1
 
 _RESIDUAL_INNER = 1
-_ACT_CODES = {"relu": 0, "tanh": 1, "sigmoid": 2}
-_ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
 
 class CheckpointError(Exception):
@@ -107,7 +105,7 @@ def save_checkpoint(model: DenoiserModel, path: str | Path) -> None:
     dtype = _payload_dtype(model.precision)
     chunks = [
         struct.pack("<BBB", 1 if model.precision == "fp16" else 0,
-                    _ACT_CODES[model.activation], 1 if model.input_bias else 0),
+                    ACTIVATIONS.index(model.activation), 1 if model.input_bias else 0),
         struct.pack("<I", model.depth),
     ]
     for code, layer, bn in zip(_kind_codes(model), model.dense, model.norms):
@@ -127,7 +125,7 @@ def load_checkpoint(path: str | Path) -> DenoiserModel:
     precision_flag, act_code, bias_flag = r.unpack("<BBB")
     if precision_flag not in (0, 1):
         raise CheckpointError(f"unknown precision flag {precision_flag}")
-    if act_code not in _ACT_NAMES:
+    if act_code >= len(ACTIVATIONS):
         raise CheckpointError(f"unknown activation code {act_code}")
     precision = "fp16" if precision_flag == 1 else "fp32"
     dtype = _payload_dtype(precision)
@@ -151,7 +149,7 @@ def load_checkpoint(path: str | Path) -> DenoiserModel:
         model = DenoiserModel(
             dense=dense,
             norms=norms,
-            activation=_ACT_NAMES[act_code],
+            activation=ACTIVATIONS[act_code],
             input_bias=bool(bias_flag),
             use_residual=_RESIDUAL_INNER in codes,
             precision=precision,

@@ -17,9 +17,10 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, ScenarioConfig, apply_overrides, desk_default, load_config
-from .dataset import build_dataset, load_dataset, save_dataset
+from .dataset import Dataset, build_dataset, load_dataset, save_dataset
 from .experiments import (
     DEFAULT_SPECTRUM_ANGLES,
+    AblationRow,
     ablation_points,
     ablation_suite,
     compression_report,
@@ -34,8 +35,6 @@ from .experiments import (
 )
 from .network import to_half_precision
 
-SUBCOMMANDS = ("generate", "train", "eval-recon", "eval-doa", "spectrum", "compress", "bench", "ablate")
-
 
 class _UsageError(Exception):
     pass
@@ -48,17 +47,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="quantdoa", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="|".join(SUBCOMMANDS))
-    for name, doc in (
-        ("generate", "build the train/test datasets"),
-        ("train", "train the denoiser on the generated datasets"),
-        ("eval-recon", "per-SNR reconstruction loss of a checkpoint"),
-        ("eval-doa", "paired MUSIC angle-MSE trials across pipelines"),
-        ("spectrum", "MUSIC spectra of several pipelines, one realization"),
-        ("compress", "fp16 conversion and loss comparison"),
-        ("bench", "training wall-clock across network widths"),
-        ("ablate", "train the fine-tuning variant grid"),
-    ):
+    sub = parser.add_subparsers(dest="command", metavar="|".join(COMMANDS))
+    for name, (doc, _) in COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", type=Path, default=None, help="YAML config file")
         p.add_argument(
@@ -88,12 +78,7 @@ def _build_parser() -> _Parser:
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    if args.config is not None:
-        if not Path(args.config).exists():
-            raise ConfigError(f"config file {args.config} does not exist")
-        config = load_config(args.config)
-    else:
-        config = desk_default()
+    config = desk_default() if args.config is None else load_config(args.config)
     if args.overrides:
         config = apply_overrides(config, args.overrides)
     if args.seed is not None:
@@ -121,12 +106,15 @@ def _cmd_generate(args, config: ScenarioConfig) -> None:
         print(f"wrote {out / f'{split}.qdst'} ({ds.count} records, V={ds.full_scale:.6g})")
 
 
+def _datasets(out: Path) -> tuple[Dataset, Dataset]:
+    """The train and test sets that ``generate`` wrote to ``out``."""
+    return (load_dataset(_require(out / "train.qdst", "training dataset")),
+            load_dataset(_require(out / "test.qdst", "test dataset")))
+
+
 def _cmd_train(args, config: ScenarioConfig) -> None:
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    train_set = load_dataset(_require(out / "train.qdst", "training dataset"))
-    test_set = load_dataset(_require(out / "test.qdst", "test dataset"))
-    result = train(config, train_set, test_set, progress=True)
+    result = train(config, *_datasets(out), progress=True)
     save_checkpoint(result.model, out / "model.qdnn")
     write_curves_csv(
         out / "train_curves.csv",
@@ -186,47 +174,42 @@ def _cmd_compress(args, config: ScenarioConfig) -> None:
     print(f"wrote {out / 'compression.csv'} and {out / 'model_fp16.qdnn'}")
 
 
-def _cmd_bench(args, config: ScenarioConfig) -> None:
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    train_set = load_dataset(_require(out / "train.qdst", "training dataset"))
-    test_set = load_dataset(_require(out / "test.qdst", "test dataset"))
-    variants = width_sweep_variants(config, args.widths)
-    rows = ablation_suite(config, variants, train_set, test_set)
+def _train_variants(
+    out: Path, config: ScenarioConfig, variants: list[tuple[str, list[str]]], timing_csv: str
+) -> list[AblationRow]:
+    """Train ``variants`` on the generated datasets and write their wall-clock table."""
+    rows = ablation_suite(config, variants, *_datasets(out))
     write_curves_csv(
-        out / "bench_timing.csv",
+        out / timing_csv,
         timing_points(rows),
         config,
         extra_header={"note": "wall-clock seconds; machine dependent"},
     )
-    print(f"wrote {out / 'bench_timing.csv'}")
+    return rows
+
+
+def _cmd_bench(args, config: ScenarioConfig) -> None:
+    _train_variants(args.out, config, width_sweep_variants(config, args.widths), "bench_timing.csv")
+    print(f"wrote {args.out / 'bench_timing.csv'}")
 
 
 def _cmd_ablate(args, config: ScenarioConfig) -> None:
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    train_set = load_dataset(_require(out / "train.qdst", "training dataset"))
-    test_set = load_dataset(_require(out / "test.qdst", "test dataset"))
-    rows = ablation_suite(config, default_ablation_variants(config), train_set, test_set)
+    rows = _train_variants(out, config, default_ablation_variants(config), "ablation_timing.csv")
     write_curves_csv(out / "ablation.csv", ablation_points(rows), config)
-    write_curves_csv(
-        out / "ablation_timing.csv",
-        timing_points(rows),
-        config,
-        extra_header={"note": "wall-clock seconds; machine dependent"},
-    )
     print(f"wrote {out / 'ablation.csv'} and {out / 'ablation_timing.csv'}")
 
 
-_HANDLERS = {
-    "generate": _cmd_generate,
-    "train": _cmd_train,
-    "eval-recon": _cmd_eval_recon,
-    "eval-doa": _cmd_eval_doa,
-    "spectrum": _cmd_spectrum,
-    "compress": _cmd_compress,
-    "bench": _cmd_bench,
-    "ablate": _cmd_ablate,
+# One entry per subcommand, in help order: name -> (help text, handler).
+COMMANDS = {
+    "generate": ("build the train/test datasets", _cmd_generate),
+    "train": ("train the denoiser on the generated datasets", _cmd_train),
+    "eval-recon": ("per-SNR reconstruction loss of a checkpoint", _cmd_eval_recon),
+    "eval-doa": ("paired MUSIC angle-MSE trials across pipelines", _cmd_eval_doa),
+    "spectrum": ("MUSIC spectra of several pipelines, one realization", _cmd_spectrum),
+    "compress": ("fp16 conversion and loss comparison", _cmd_compress),
+    "bench": ("training wall-clock across network widths", _cmd_bench),
+    "ablate": ("train the fine-tuning variant grid", _cmd_ablate),
 }
 
 
@@ -234,20 +217,11 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.command is None:
-        parser.print_help()
-        return 1
-    try:
-        config = _load_scenario(args)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        _HANDLERS[args.command](args, config)
-    except (ConfigError,) as exc:
+        if args.command is None:
+            parser.print_help()
+            return 1
+        COMMANDS[args.command][1](args, _load_scenario(args))
+    except (_UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure: missing inputs, bad files, ...

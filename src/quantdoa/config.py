@@ -17,6 +17,7 @@ from pathlib import Path
 
 import yaml
 
+from .network import ACTIVATIONS
 from .quantizer import QuantizerSpec, default_full_scale
 from .signal_model import ArrayGeometry
 
@@ -202,8 +203,8 @@ class ScenarioConfig:
                     "residual pairing needs an even hidden-layer count "
                     "(len(network.widths) must be odd)"
                 )
-        if n.activation not in ("relu", "tanh", "sigmoid"):
-            errs.append("network.activation must be relu, tanh, or sigmoid")
+        if n.activation not in ACTIVATIONS:
+            errs.append(f"network.activation must be one of {', '.join(ACTIVATIONS)}")
         if t.batch_size < 2:
             errs.append("train.batch_size must be >= 2 (batch norm needs it)")
         if not t.lr > 0:
@@ -300,11 +301,11 @@ def _coerce_leaf(value, typ, path: str):
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    text = Path(path).read_text()
-    tree = yaml.safe_load(text)
-    if tree is None:
-        tree = {}
-    return ScenarioConfig.from_dict(tree)
+    try:
+        tree = yaml.safe_load(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return ScenarioConfig.from_dict({} if tree is None else tree)
 
 
 def apply_overrides(config: ScenarioConfig, assignments: list[str]) -> ScenarioConfig:

@@ -27,7 +27,7 @@ import numpy as np
 from .checkpoint import FramedReader, write_framed
 from .config import DOMAIN_TEST_DATA, DOMAIN_TRAIN_DATA, ScenarioConfig, derived_seed
 from .quantizer import QuantizerSpec, quantize_complex
-from .signal_model import ArrayGeometry, NoiseSpec, synthesize_seeded, to_real_batch
+from .signal_model import ArrayGeometry, noise_variance, synthesize_seeded, to_real_batch
 
 MAGIC = b"QDST"
 FORMAT_VERSION = 1
@@ -101,7 +101,7 @@ def generate_records(
     Each record is one snapshot from ``synthesize_seeded``: only its
     seeded draws run per record.
     """
-    variances = [NoiseSpec(snr).noise_variance for snr in snr_db]
+    variances = [noise_variance(snr) for snr in snr_db]
     angles, clean = synthesize_seeded(record_seeds, variances, geom, num_sources, angle_range, min_sep, 1)
     clean = clean[..., 0].T
     return (
@@ -172,6 +172,8 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
 def load_dataset(path: str | Path) -> Dataset:
     r = FramedReader(path, MAGIC, FORMAT_VERSION, DatasetFormatError, "dataset")
     m, k, count = r.unpack("<IIQ")
+    if not 1 <= k < m:  # what a valid config lets the writer produce
+        raise DatasetFormatError(f"bad record shape M={m}, K={k}: need 1 <= K < M")
     (snr_len,) = r.unpack("<I")
     snr_list = np.frombuffer(r.take(8 * snr_len), dtype="<f8").tolist()
     bits, full_scale = r.unpack("<Bd")

@@ -32,7 +32,7 @@ from .dataset import Dataset
 from .music import TrialResult, run_trials, sample_covariance, music_spectrum, scan_grid
 from .optimizer import NonFiniteGradientError, adam_step, init_state
 from .quantizer import QuantizerSpec, quantize_complex
-from .signal_model import NoiseSpec, from_real_batch, steering_matrix, synthesize, to_real_batch
+from .signal_model import from_real_batch, noise_variance, steering_matrix, synthesize, to_real_batch
 
 # Default spectrum-demo scenario: two sources 1.31 degrees apart plus a
 # far-off third, the stress case for post-reconstruction resolution.
@@ -262,10 +262,12 @@ def spectrum_compare(
     lo, hi = config.music.grid_min, config.music.grid_max
     if any(not (lo <= a <= hi) for a in angles_deg):
         raise ConfigError(f"angles {angles_deg} fall outside the scan range [{lo}, {hi}]")
+    if not snr_db > -np.inf:  # the snr_db values validate() rejects: NaN and -inf
+        raise ConfigError(f"snr_db must not be NaN or -inf, got {snr_db}")
     trial_seed = derived_seed(config.seed, DOMAIN_SPECTRUM)
     rng = np.random.default_rng(trial_seed)
     geom = config.geometry()
-    clean = synthesize(angles_deg, geom, NoiseSpec(snr_db), config.music.num_snapshots, rng)
+    clean = synthesize(angles_deg, geom, noise_variance(snr_db), config.music.num_snapshots, rng)
     grid = scan_grid(lo, hi, config.music.grid_step)
     steering = steering_matrix(grid, geom)
     points: list[CurvePoint] = []
@@ -342,19 +344,21 @@ def ablation_suite(
     """Train every variant on one shared dataset; keep diverged runs.
 
     The base configuration is included exactly once even when the caller
-    omits it.
+    omits it.  Every variant is checked before any trains: a repeated
+    name or an invalid config raises ``ConfigError``.
     """
-    names = [name for name, _ in variants]
-    if "base" not in names:
+    if "base" not in dict(variants):
         variants = [("base", [])] + list(variants)
-    if len([n for n, _ in variants if n == "base"]) != 1:
-        raise ValueError("the base variant must appear exactly once")
-    rows: list[AblationRow] = []
-    for name, overrides in variants:
-        cfg = apply_overrides(config, overrides) if overrides else config.copy()
+    names = [name for name, _ in variants]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"each variant must appear exactly once; got {names}")
+    configs = {name: apply_overrides(config, ov) if ov else config.copy() for name, ov in variants}
+    for name, cfg in configs.items():
         errs = cfg.validate()
         if errs:
-            raise ValueError(f"variant {name!r} is invalid: {errs}")
+            raise ConfigError(f"variant {name!r} is invalid: {errs}")
+    rows: list[AblationRow] = []
+    for name, cfg in configs.items():
         result = train(cfg, train_set, test_set)
         rows.append(
             AblationRow(

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .signal_model import ArrayGeometry, NoiseSpec, steering_matrix, synthesize_seeded
+from .signal_model import ArrayGeometry, noise_variance, steering_matrix, synthesize_seeded
 
 SPECTRUM_REGULARIZER = 1e-12
 
@@ -240,7 +240,7 @@ def run_trials(
         raise ValueError("trials must be >= 1")
     grid_deg = np.asarray(grid_deg, dtype=float)
     steering = steering_matrix(grid_deg, geom)
-    variance = NoiseSpec(snr_db=snr_db).noise_variance
+    variance = noise_variance(snr_db)
     projection_bytes = (geom.num_sensors - num_sources) * grid_deg.size * steering.itemsize
     chunk = max(1, CHUNK_BYTES // projection_bytes)
     mses = {tag: np.empty(trials, dtype=float) for tag in transforms}

@@ -27,6 +27,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+# An activation's index here is its code in .qdnn checkpoints: reordering
+# or inserting names would misread every saved file.
 ACTIVATIONS = ("relu", "tanh", "sigmoid")
 
 BN_EPS = 1e-5

@@ -37,20 +37,14 @@ class ArrayGeometry:
             raise ValueError(f"spacing (d/lambda) must be > 0, got {self.spacing}")
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Additive complex Gaussian noise level, given as SNR in dB.
+def noise_variance(snr_db: float) -> float:
+    """Noise variance per complex sample (each real part carries half) at ``snr_db``.
 
     With unit-modulus sources the per-source per-sensor SNR is 1/sigma^2,
-    so sigma^2 = 10**(-snr_db/10).  ``snr_db = inf`` means noiseless.
+    so sigma^2 = 10**(-snr_db/10); ``snr_db = inf`` gives 0, noiseless.
+    Keep this scalar: numpy's array power differs in the last bit for some SNRs.
     """
-
-    snr_db: float
-
-    @property
-    def noise_variance(self) -> float:
-        """Variance per complex sample (each real component carries half)."""
-        return float(10.0 ** (-self.snr_db / 10.0))
+    return float(10.0 ** (-snr_db / 10.0))
 
 
 def steering_matrix(thetas_deg: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
@@ -101,25 +95,24 @@ def draw_source_angles(
 def synthesize(
     angles_deg: np.ndarray,
     geom: ArrayGeometry,
-    noise: NoiseSpec,
+    variance: float,
     num_snapshots: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """N snapshots (M, N) of K unit-modulus sources at ``angles_deg`` plus noise.
 
     Each s_k(n) has a uniform random phase; the noise is circular complex
-    Gaussian with ``noise.noise_variance`` per entry, half per real part.
-    Draws the phases, then the real and imaginary noise when it is > 0.
+    Gaussian with ``variance`` per entry, half per real part.  Draws the
+    phases, then the real and imaginary noise when ``variance`` is > 0.
     """
     if num_snapshots < 1:
         raise ValueError("num_snapshots must be >= 1")
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(np.size(angles_deg), num_snapshots))
-    var = noise.noise_variance
     draws = None
-    if var > 0.0:
+    if variance > 0.0:
         shape = (geom.num_sensors, num_snapshots)
         draws = (rng.standard_normal(shape), rng.standard_normal(shape))
-    return mix(steering_matrix(angles_deg, geom), np.exp(1j * phases), var, draws)
+    return mix(steering_matrix(angles_deg, geom), np.exp(1j * phases), variance, draws)
 
 
 def synthesize_seeded(
@@ -146,18 +139,18 @@ def synthesize_seeded(
 
 
 def mix(
-    steering: np.ndarray, amps: np.ndarray, noise_variance: np.ndarray | float,
+    steering: np.ndarray, amps: np.ndarray, variance: np.ndarray | float,
     draws: tuple[np.ndarray, np.ndarray] | None,
 ) -> np.ndarray:
     """Snapshots A s + sqrt(var/2) (e_re + j e_im), stacked over leading axes.
 
-    ``steering`` is (..., M, K), ``amps`` (..., K, N), ``noise_variance``
+    ``steering`` is (..., M, K), ``amps`` (..., K, N), ``variance``
     broadcasts to the leading axes and ``draws`` holds the standard normal
     real and imaginary parts, each (..., M, N).  Noise is added only where
     the variance is > 0, since adding a zero term turns -0.0 into +0.0.
     """
     data = steering @ amps
-    var = np.broadcast_to(noise_variance, data.shape[:-2])
+    var = np.broadcast_to(variance, data.shape[:-2])
     noisy = var > 0.0
     if noisy.any():
         re, im = draws

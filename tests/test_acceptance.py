@@ -39,8 +39,8 @@ from quantdoa.music import TrialResult, run_trials, scan_grid
 from quantdoa.quantizer import QuantizerSpec, quantize_complex, quantize_real
 from quantdoa.signal_model import (
     ArrayGeometry,
-    NoiseSpec,
     from_real_batch,
+    noise_variance,
     steering_matrix,
     to_real_batch,
 )
@@ -128,7 +128,7 @@ def draw_desk_snapshots(cfg: ScenarioConfig, start: int, count: int, rng) -> np.
     phasors = np.exp(2j * np.pi * rng.random((count, k)))
     steering = steering_matrix(angles.ravel(), geom).reshape(geom.num_sensors, count, k)
     clean = np.einsum("mnk,nk->mn", steering, phasors)
-    variances = np.array([NoiseSpec(snr).noise_variance for snr in cfg.snr_db])
+    variances = np.array([noise_variance(snr) for snr in cfg.snr_db])
     scale = np.sqrt(variances[(start + np.arange(count)) % variances.size] / 2.0)
     noise = rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
     return clean + scale * noise

@@ -53,6 +53,24 @@ class TestRoundTrip:
         assert loaded.activation == "tanh"
         assert not loaded.input_bias
 
+    @pytest.mark.parametrize("activation, code", [("relu", 0), ("tanh", 1), ("sigmoid", 2)])
+    def test_activation_code_pinned_in_byte_7(self, activation, code, tmp_path):
+        # byte 7 follows the magic, the u16 version and the precision byte
+        path = tmp_path / "m.qdnn"
+        save_checkpoint(make_model(activation=activation), path)
+        assert path.read_bytes()[7] == code
+        assert load_checkpoint(path).activation == activation
+
+    def test_unknown_activation_code_rejected(self, tmp_path):
+        path = tmp_path / "m.qdnn"
+        save_checkpoint(make_model(), path)
+        blob = bytearray(path.read_bytes())
+        blob[7] = 3
+        blob[-4:] = struct.pack("<I", zlib.crc32(blob[:-4]) & 0xFFFFFFFF)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="unknown activation code 3"):
+            load_checkpoint(path)
+
     def test_loaded_model_same_forward(self, tmp_path):
         model = make_model(seed=5)
         save_checkpoint(model, tmp_path / "m.qdnn")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quantdoa import experiments
 from quantdoa.checkpoint import load_checkpoint
 from quantdoa.cli import parse_and_dispatch
 from quantdoa.dataset import load_dataset
@@ -174,6 +175,37 @@ class TestValidationErrors:
 
     def test_missing_config_file_exit_1(self, tmp_path):
         assert run(["generate", "--out", tmp_path, "--config", tmp_path / "nope.yaml"]) == 1
+
+    @pytest.mark.parametrize("kind", ["yaml-syntax", "directory", "not-utf8"])
+    def test_unreadable_config_file_exit_1(self, tmp_path, capsys, kind):
+        cfg_path = tmp_path / "cfg.yaml"
+        if kind == "directory":
+            cfg_path.mkdir()
+        else:
+            cfg_path.write_bytes(b"seed: [1, 2\n" if kind == "yaml-syntax" else b"seed: \xff\xfe\n")
+        assert run(["generate", "--config", cfg_path, "--out", tmp_path / "out"]) == 1
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("snr", ["nan", "-inf"])
+    def test_spectrum_non_finite_snr_exit_1(self, pipeline_dir, capsys, snr):
+        assert run(["spectrum", "--out", pipeline_dir, f"--snr={snr}"] + TINY) == 1
+        assert "snr_db must not be NaN or -inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("widths, message", [
+        (["16", "0"], "variant 'width-0' is invalid"),
+        (["32", "32"], "exactly once"),  # 32 is the base width of TINY
+        (["16", "16"], "exactly once"),
+    ])
+    def test_bad_bench_variants_exit_1_before_any_training(
+        self, pipeline_dir, capsys, monkeypatch, widths, message
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a variant trained before all were checked")
+
+        monkeypatch.setattr(experiments, "train", no_training)
+        assert run(["bench", "--out", pipeline_dir, "--widths", *widths] + TINY) == 1
+        assert message in capsys.readouterr().err
 
     def test_unknown_subcommand_exit_1(self, capsys):
         assert run(["explode"]) == 1

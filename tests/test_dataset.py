@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import struct
@@ -17,7 +18,7 @@ from quantdoa.dataset import (
     save_dataset,
 )
 from quantdoa.quantizer import quantize_complex
-from quantdoa.signal_model import NoiseSpec, draw_source_angles, from_real_batch, synthesize
+from quantdoa.signal_model import draw_source_angles, from_real_batch, noise_variance, synthesize
 
 DATA = Path(__file__).parent / "data"
 FIELDS = ("inputs", "targets", "snr_db", "angles_deg", "record_seeds")
@@ -65,7 +66,7 @@ def per_record_reference(seed, cfg, snr_db):
     """The one-record-at-a-time generator that block generation replaced."""
     rng = np.random.default_rng(seed)
     angles = draw_source_angles(cfg.sources.count, cfg.angle_range(), cfg.sources.min_sep, rng)
-    column = synthesize(angles, cfg.geometry(), NoiseSpec(snr_db), 1, rng)[:, 0]
+    column = synthesize(angles, cfg.geometry(), noise_variance(snr_db), 1, rng)[:, 0]
     quantized = quantize_complex(column, cfg.quantizer_spec())
     return (
         np.concatenate([quantized.real, quantized.imag]).astype(np.float32),
@@ -242,6 +243,17 @@ class TestFileFormat:
         bits_at = 26 + 8 * len(small_train.snr_list)  # after the fixed header and the SNR list
         reseal(path, bits_at + (field == "full_scale"), fmt, value)
         with pytest.raises(DatasetFormatError, match=f"bad quantizer header: {field}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("m, k", [(0, 0), (1, 3), (8, 0), (4, 4)])
+    def test_impossible_record_shape_rejected(self, small_train, tmp_path, m, k):
+        # header and body agree, so only the 1 <= K < M rule can reject the file
+        n = small_train.count
+        rows = np.zeros((n, 2 * m), dtype=np.float32)
+        bad = dataclasses.replace(small_train, inputs=rows, targets=rows, angles_deg=np.zeros((n, k)))
+        path = tmp_path / "ds.qdst"
+        save_dataset(bad, path)
+        with pytest.raises(DatasetFormatError, match=f"bad record shape M={m}, K={k}"):
             load_dataset(path)
 
     def test_loaded_columns_are_contiguous_native_arrays(self, small_train, tmp_path):

@@ -28,9 +28,9 @@ from quantdoa.experiments import (
 from quantdoa.music import sample_covariance, scan_grid
 from quantdoa.quantizer import QuantizerSpec
 from quantdoa.signal_model import (
-    NoiseSpec,
     draw_source_angles,
     from_real_batch,
+    noise_variance,
     steering_matrix,
     synthesize,
     to_real_batch,
@@ -255,7 +255,7 @@ def per_trial_reference(model, cfg, tag, snr_index, snr, trials):
     for t in range(trials):
         rng = np.random.default_rng(base_seed ^ t)
         angles = draw_source_angles(k, cfg.angle_range(), cfg.eval_min_sep(), rng)
-        clean = synthesize(angles, geom, NoiseSpec(snr), cfg.music.num_snapshots, rng)
+        clean = synthesize(angles, geom, noise_variance(snr), cfg.music.num_snapshots, rng)
         observed = transform(clean)
         low_rank += np.linalg.matrix_rank(sample_covariance(observed)) <= k
         result = estimate_doa(observed, k, geom, grid, truth_deg=angles, steering=steering)

@@ -18,7 +18,7 @@ from quantdoa.music import (
     scan_grid,
 )
 from quantdoa.quantizer import QuantizerSpec, quantize_complex
-from quantdoa.signal_model import ArrayGeometry, NoiseSpec, steering_matrix, synthesize
+from quantdoa.signal_model import ArrayGeometry, noise_variance, steering_matrix, synthesize
 
 from music_reference import estimate_doa, ranked_peaks as ranked_peaks_runs
 
@@ -115,7 +115,7 @@ class TestSampleCovariance:
         # law of large numbers: R -> a a^H + sigma^2 I elementwise within 5%
         rng = np.random.default_rng(3)
         theta, snr = 9.0, 20.0
-        snap = synthesize(np.array([theta]), GEOM8, NoiseSpec(snr), 10_000, rng)
+        snap = synthesize(np.array([theta]), GEOM8, noise_variance(snr), 10_000, rng)
         cov = sample_covariance(snap)
         a = steering_matrix(theta, GEOM8)[:, 0]
         expected = np.outer(a, a.conj()) + 10 ** (-snr / 10) * np.eye(8)
@@ -435,13 +435,13 @@ class TestEndToEnd:
     def test_noiseless_single_source_within_grid_step(self):
         rng = np.random.default_rng(0)
         truth = np.array([-13.17])
-        snap = synthesize(truth, GEOM8, NoiseSpec(np.inf), 5, rng)
+        snap = synthesize(truth, GEOM8, noise_variance(np.inf), 5, rng)
         result = estimate_doa(snap, 1, GEOM8, GRID, truth_deg=truth)
         assert abs(result.angles_deg[0] - (-13.17)) <= 0.01
 
     def test_high_resolution_quantization_matches_unquantized(self):
         rng = np.random.default_rng(1)
-        snap = synthesize(np.array([-20.0, 5.0]), GEOM8, NoiseSpec(30.0), 5, rng)
+        snap = synthesize(np.array([-20.0, 5.0]), GEOM8, noise_variance(30.0), 5, rng)
         spec = QuantizerSpec(16, float(np.max(np.abs(snap.view(np.float64)))))
         quantized = quantize_complex(snap, spec)
         r_clean = estimate_doa(snap, 2, GEOM8, GRID)

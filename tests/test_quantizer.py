@@ -11,7 +11,7 @@ from quantdoa.quantizer import (
     quantize_complex,
     quantize_real,
 )
-from quantdoa.signal_model import ArrayGeometry, NoiseSpec, synthesize
+from quantdoa.signal_model import ArrayGeometry, noise_variance, synthesize
 
 B1V1 = QuantizerSpec(bits=1, full_scale=1.0)
 
@@ -143,5 +143,5 @@ class TestFullScale:
         geom = ArrayGeometry(50)
         rng = np.random.default_rng(21)
         spec = QuantizerSpec(1, default_full_scale(3, 10.0))
-        snap = synthesize(np.array([-20.0, 1.0, 25.0]), geom, NoiseSpec(10.0), 10_000, rng)
+        snap = synthesize(np.array([-20.0, 1.0, 25.0]), geom, noise_variance(10.0), 10_000, rng)
         assert clipping_rate(snap, spec) < 1e-3

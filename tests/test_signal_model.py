@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from quantdoa.music import noise_subspace, sample_covariance
 from quantdoa.signal_model import (
     ArrayGeometry,
-    NoiseSpec,
     draw_source_angles,
     from_real_batch,
     mix,
+    noise_variance,
     steering_matrix,
     synthesize,
     synthesize_seeded,
@@ -129,28 +129,28 @@ class TestSynthesize:
         # 1e5 complex entries: empirical variance of x - signal within 5%;
         # the same seed draws the same phases first, so the difference is the noise
         geom = ArrayGeometry(100)
-        noisy = synthesize(np.array([5.0]), geom, NoiseSpec(10.0), 1000, np.random.default_rng(7))
-        clean = synthesize(np.array([5.0]), geom, NoiseSpec(np.inf), 1000, np.random.default_rng(7))
+        noisy = synthesize(np.array([5.0]), geom, noise_variance(10.0), 1000, np.random.default_rng(7))
+        clean = synthesize(np.array([5.0]), geom, noise_variance(np.inf), 1000, np.random.default_rng(7))
         resid = noisy - clean
         emp_var = float(np.mean(np.abs(resid) ** 2))
         assert abs(emp_var - 0.1) < 0.05 * 0.1
 
     def test_unit_modulus_amplitudes_drawn(self):
         rng = np.random.default_rng(3)
-        snap = synthesize(np.array([-5.0, 10.0]), ArrayGeometry(2), NoiseSpec(np.inf), 4, rng)
+        snap = synthesize(np.array([-5.0, 10.0]), ArrayGeometry(2), noise_variance(np.inf), 4, rng)
         # noiseless two-unit-source mixture: |column 0 entry| <= 2
         assert np.all(np.abs(snap) <= 2.0 + 1e-12)
 
     def test_noiseless_single_source_rank_one(self):
         rng = np.random.default_rng(11)
-        snap = synthesize(np.array([13.0]), GEOM8, NoiseSpec(np.inf), 16, rng)
+        snap = synthesize(np.array([13.0]), GEOM8, noise_variance(np.inf), 16, rng)
         s = np.linalg.svd(snap, compute_uv=False)
         energy = s**2
         assert energy[0] / energy.sum() > 1.0 - 1e-10
 
     def test_rng_required_when_drawing(self):
         with pytest.raises(TypeError):
-            synthesize(np.array([0.0]), GEOM8, NoiseSpec(np.inf), 2)
+            synthesize(np.array([0.0]), GEOM8, noise_variance(np.inf), 2)
 
 
 class TestMix:
@@ -169,11 +169,11 @@ class TestMix:
 
     def test_synthesize_draws_match_mix(self):
         angles = np.array([-7.0, 12.0])
-        snap = synthesize(angles, GEOM8, NoiseSpec(20.0), 3, np.random.default_rng(4))
+        snap = synthesize(angles, GEOM8, noise_variance(20.0), 3, np.random.default_rng(4))
         rng = np.random.default_rng(4)
         amps = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(2, 3)))
         draws = (rng.standard_normal((8, 3)), rng.standard_normal((8, 3)))
-        expected = mix(steering_matrix(angles, GEOM8), amps, NoiseSpec(20.0).noise_variance, draws)
+        expected = mix(steering_matrix(angles, GEOM8), amps, noise_variance(20.0), draws)
         assert snap.tobytes() == expected.tobytes()
 
 
@@ -182,13 +182,13 @@ class TestSynthesizeSeeded:
     def test_rows_match_one_synthesize_call_per_seed(self, snr_db):
         seeds = [7, 2**40 + 3, 12345]
         angles, stack = synthesize_seeded(
-            seeds, [NoiseSpec(snr_db).noise_variance] * 3, GEOM8, 3, (-30.0, 30.0), 4.0, 5
+            seeds, [noise_variance(snr_db)] * 3, GEOM8, 3, (-30.0, 30.0), 4.0, 5
         )
         assert angles.shape == (3, 3) and stack.shape == (3, 8, 5)
         for seed, row_angles, row in zip(seeds, angles, stack):
             rng = np.random.default_rng(seed)
             truth = draw_source_angles(3, (-30.0, 30.0), 4.0, rng)
-            snap = synthesize(truth, GEOM8, NoiseSpec(snr_db), 5, rng)
+            snap = synthesize(truth, GEOM8, noise_variance(snr_db), 5, rng)
             assert row_angles.tobytes() == truth.tobytes()
             assert row.tobytes() == snap.tobytes()
 
