@@ -232,7 +232,3 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(parse_and_dispatch())
-
-
-if __name__ == "__main__":
-    main()

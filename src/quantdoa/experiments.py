@@ -218,6 +218,13 @@ def make_transform(tag: str, qspec_for, model: net.DenoiserModel | None = None):
     raise ValueError(f"unknown series tag {tag!r}")
 
 
+def _check_model_fits(model: net.DenoiserModel | None, config: ScenarioConfig) -> None:
+    two_m = 2 * config.array.num_sensors
+    if model is not None and (model.width_in, model.dense[-1].out_dim) != (two_m, two_m):
+        raise ConfigError(f"model widths {model.width_in} -> {model.dense[-1].out_dim} "
+                          f"do not fit 2*num_sensors = {two_m}")
+
+
 def eval_doa(
     model: net.DenoiserModel | None,
     config: ScenarioConfig,
@@ -226,6 +233,7 @@ def eval_doa(
     trials: int | None = None,
 ) -> tuple[list[CurvePoint], dict[tuple[str, float], TrialResult]]:
     """Paired MUSIC angle-error trials for every series at every SNR."""
+    _check_model_fits(model, config)
     snrs = [float(v) for v in (config.snr_db if snr_db is None else snr_db)]
     trials = config.music.trials if trials is None else trials
     grid = scan_grid(config.music.grid_min, config.music.grid_max, config.music.grid_step)
@@ -259,6 +267,7 @@ def spectrum_compare(
     series: tuple[str, ...] = ("unquantized", "raw-2bit", "raw-3bit", "recon-1bit"),
 ) -> tuple[list[CurvePoint], int]:
     """MUSIC spectra of several pipelines on one shared realization."""
+    _check_model_fits(model, config)
     lo, hi = config.music.grid_min, config.music.grid_max
     if any(not (lo <= a <= hi) for a in angles_deg):
         raise ConfigError(f"angles {angles_deg} fall outside the scan range [{lo}, {hi}]")

@@ -12,10 +12,9 @@ spectrum finite in exactly noiseless scenarios.  The per-trial quality
 metric is the mean squared angle error after rank pairing.  Snapshots
 are plain complex ndarrays: Y is (M, N), one column per snapshot.
 
-Every step accepts leading batch axes, and ``run_trials`` runs each
-step once per stacked chunk of trials: only the seeded draws run per
-trial.  Every matrix in a stack goes through the same arithmetic as a
-lone one, so a stacked scan is bit-identical to one-at-a-time scans.
+Every step accepts leading batch axes and puts each matrix of a stack
+through the same arithmetic as a lone one, so the snapshot blocks and
+spectrum chunks of ``run_trials`` match one-at-a-time scans bit for bit.
 """
 
 from __future__ import annotations
@@ -29,9 +28,9 @@ from .signal_model import ArrayGeometry, noise_variance, steering_matrix, synthe
 
 SPECTRUM_REGULARIZER = 1e-12
 
-# Working-memory budget of one stacked scan: run_trials sizes its trial
-# chunks so the (T, M-K, G) complex projection stays near this size.
-CHUNK_BYTES = 2_000_000
+# Working-memory budget of run_trials: a chunk's (T, M-K, G) projection and
+# a block's (T, M, N) snapshots stay near it; a block holds at least one chunk.
+CHUNK_BYTES = 4_000_000
 
 # Transforms map clean complex snapshots, M x N or a stack (..., M, N)
 # of trials, to what the estimator should see, in the same shape.
@@ -233,8 +232,9 @@ def run_trials(
     Trial t draws its angles, source phases, and noise from a generator
     seeded with ``base_seed XOR t``, once for all ``transforms``, so the
     pipelines see identical signals and differ only in the transform;
-    repeated runs with the same seed repeat every trial.  Trials are
-    scanned in stacked chunks; results do not depend on the chunk size.
+    repeated runs with the same seed repeat every trial.  Each block of
+    trials is synthesized, transformed and scored once per series, and
+    scanned in chunks (see ``CHUNK_BYTES``); neither size moves a result.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -243,13 +243,16 @@ def run_trials(
     variance = noise_variance(snr_db)
     projection_bytes = (geom.num_sensors - num_sources) * grid_deg.size * steering.itemsize
     chunk = max(1, CHUNK_BYTES // projection_bytes)
+    block = max(chunk, CHUNK_BYTES // (geom.num_sensors * num_snapshots * steering.itemsize))
     mses = {tag: np.empty(trials, dtype=float) for tag in transforms}
-    for lo in range(0, trials, chunk):
-        ts = range(lo, min(lo + chunk, trials))
+    for lo in range(0, trials, block):
+        ts = range(lo, min(lo + block, trials))
         truths, clean = synthesize_seeded([base_seed ^ t for t in ts], [variance] * len(ts), geom,
                                           num_sources, angle_range, min_sep, num_snapshots)
         for tag, transform in transforms.items():
-            cov = sample_covariance(transform(clean))
-            spectra = music_spectrum(cov, num_sources, steering)
-            mses[tag][lo : ts.stop] = doa_mse(pick_peak_rows(grid_deg, spectra, num_sources), truths)
+            observed, picks = transform(clean), np.empty_like(truths)
+            for i in range(0, len(ts), chunk):
+                spectra = music_spectrum(sample_covariance(observed[i : i + chunk]), num_sources, steering)
+                picks[i : i + chunk] = pick_peak_rows(grid_deg, spectra, num_sources)
+            mses[tag][lo : ts.stop] = doa_mse(picks, truths)
     return {tag: TrialResult(mses=m) for tag, m in mses.items()}

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import quantdoa
 
 from quantdoa import experiments
 from quantdoa.checkpoint import load_checkpoint
@@ -213,10 +220,31 @@ class TestValidationErrors:
     def test_no_subcommand_exit_1(self):
         assert run([]) == 1
 
+    @pytest.mark.parametrize("command, work", [("eval-doa", "run_trials"), ("spectrum", "synthesize")])
+    def test_checkpoint_that_does_not_fit_the_array_exit_1_before_any_trial(
+        self, pipeline_dir, capsys, monkeypatch, command, work
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the checkpoint was checked")
+
+        monkeypatch.setattr(experiments, work, no_work)
+        smaller = ["--set", "array.num_sensors=6", "--set", "network.widths=[12, 32, 32, 32, 12]"]
+        assert run([command, "--out", pipeline_dir] + TINY + smaller) == 1
+        assert "model widths 16 -> 16 do not fit 2*num_sensors = 12" in capsys.readouterr().err
+
     def test_missing_inputs_exit_2(self, tmp_path, capsys):
         code = run(["train", "--out", tmp_path] + TINY)
         assert code == 2
         assert "run the producing step first" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def test_python_m_quantdoa_without_command_prints_usage_and_exits_1(self):
+        src = str(Path(quantdoa.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "quantdoa"], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert done.returncode == 1
+        assert done.stdout.startswith("usage: quantdoa")
 
 
 class TestConfigFile:

@@ -7,6 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantdoa import music
+from quantdoa.config import DOMAIN_TRIALS, derived_seed, desk_default
+from quantdoa.experiments import DOA_SERIES, make_transform
+from quantdoa.network import init_model
 from quantdoa.music import (
     doa_mse,
     music_spectrum,
@@ -20,7 +23,7 @@ from quantdoa.music import (
 from quantdoa.quantizer import QuantizerSpec, quantize_complex
 from quantdoa.signal_model import ArrayGeometry, noise_variance, steering_matrix, synthesize
 
-from music_reference import estimate_doa, ranked_peaks as ranked_peaks_runs
+from music_reference import estimate_doa, ranked_peaks as ranked_peaks_runs, run_trials_chunked
 
 GEOM8 = ArrayGeometry(8)
 GRID = scan_grid(-30.0, 30.0, 0.01)
@@ -513,3 +516,61 @@ class TestRunTrials:
         result = run_trials(snr_db=50.0, transforms={"id": lambda d: d}, **self._common())["id"]
         assert np.median(result.mses) <= result.mean + 1e-12
         assert result.stderr >= 0.0
+
+
+class TestSnrBlocks:
+    """``run_trials`` against the chunk-at-a-time engine it replaced, at the desk shape."""
+
+    @staticmethod
+    def _desk(trials=13, **transforms):
+        cfg = desk_default()
+        if not transforms:
+            model = init_model([16, 32, 32, 32, 16], rng=np.random.default_rng(7))
+            transforms = {tag: make_transform(tag, cfg.quantizer_spec, model) for tag in DOA_SERIES}
+        return dict(
+            geom=cfg.geometry(),
+            num_sources=cfg.sources.count,
+            angle_range=cfg.angle_range(),
+            min_sep=cfg.eval_min_sep(),
+            num_snapshots=cfg.music.num_snapshots,
+            grid_deg=scan_grid(cfg.music.grid_min, cfg.music.grid_max, cfg.music.grid_step),
+            transforms=transforms,
+            trials=trials,
+            base_seed=derived_seed(cfg.seed, DOMAIN_TRIALS),
+        )
+
+    # 13 trials leave a partial last chunk at both 4 (the old engine) and 8 trials.
+    @pytest.mark.parametrize("budget", [1, music.CHUNK_BYTES, 10**12])
+    @pytest.mark.parametrize("snr_db", [10.0, 50.0])
+    def test_matches_chunked_reference_bit_for_bit(self, budget, snr_db, monkeypatch):
+        kw = self._desk()
+        expected = run_trials_chunked(snr_db=snr_db, **kw)
+        monkeypatch.setattr(music, "CHUNK_BYTES", budget)
+        got = run_trials(snr_db=snr_db, **kw)
+        assert list(got) == list(DOA_SERIES)
+        for tag in DOA_SERIES:
+            np.testing.assert_array_equal(got[tag].mses, expected[tag].mses, err_msg=tag)
+
+    @pytest.mark.parametrize("trials, budget, block, chunk", [
+        (200, music.CHUNK_BYTES, 200, 8),
+        (13, 3 * 16 * 8 * 5, 3, 1),  # room for 3 trials of snapshots, not one projection
+    ])
+    def test_one_synthesis_and_transform_per_block(self, trials, budget, block, chunk, monkeypatch):
+        seen = {"synthesize": [], "id": [], "1bit": [], "covariance": []}
+
+        def spy(name, fn):
+            def wrapped(data, *args):
+                seen[name].append(len(data))
+                return fn(data, *args)
+            return wrapped
+
+        one_bit = lambda d: quantize_complex(d, QuantizerSpec(1, 3.1))
+        kw = self._desk(trials, id=spy("id", lambda d: d), **{"1bit": spy("1bit", one_bit)})
+        monkeypatch.setattr(music, "CHUNK_BYTES", budget)
+        monkeypatch.setattr(music, "synthesize_seeded", spy("synthesize", music.synthesize_seeded))
+        monkeypatch.setattr(music, "sample_covariance", spy("covariance", sample_covariance))
+        run_trials(snr_db=10.0, **kw)
+        blocks = [min(block, trials - lo) for lo in range(0, trials, block)]
+        assert seen["synthesize"] == seen["id"] == seen["1bit"] == blocks
+        assert max(seen["covariance"]) == chunk
+        assert sum(seen["covariance"]) == 2 * trials
