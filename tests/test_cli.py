@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import quantdoa
-
 from quantdoa import experiments
 from quantdoa.checkpoint import load_checkpoint
 from quantdoa.cli import parse_and_dispatch

@@ -522,9 +522,9 @@ class TestSnrBlocks:
     """``run_trials`` against the chunk-at-a-time engine it replaced, at the desk shape."""
 
     @staticmethod
-    def _desk(trials=13, **transforms):
+    def _desk(trials=13, transforms=None):
         cfg = desk_default()
-        if not transforms:
+        if transforms is None:
             model = init_model([16, 32, 32, 32, 16], rng=np.random.default_rng(7))
             transforms = {tag: make_transform(tag, cfg.quantizer_spec, model) for tag in DOA_SERIES}
         return dict(
@@ -565,7 +565,7 @@ class TestSnrBlocks:
             return wrapped
 
         one_bit = lambda d: quantize_complex(d, QuantizerSpec(1, 3.1))
-        kw = self._desk(trials, id=spy("id", lambda d: d), **{"1bit": spy("1bit", one_bit)})
+        kw = self._desk(trials, {"id": spy("id", lambda d: d), "1bit": spy("1bit", one_bit)})
         monkeypatch.setattr(music, "CHUNK_BYTES", budget)
         monkeypatch.setattr(music, "synthesize_seeded", spy("synthesize", music.synthesize_seeded))
         monkeypatch.setattr(music, "sample_covariance", spy("covariance", sample_covariance))
