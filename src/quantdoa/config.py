@@ -158,15 +158,15 @@ class ScenarioConfig:
         )
         if a.num_sensors < 2:
             errs.append("array.num_sensors must be >= 2")
-        if not a.spacing > 0:
-            errs.append("array.spacing must be > 0")
+        if not 0 < a.spacing < math.inf:
+            errs.append("array.spacing must be finite and > 0")
         if s.count < 1:
             errs.append("sources.count must be >= 1")
         if s.angle_max <= s.angle_min:
             errs.append("sources.angle_max must exceed sources.angle_min")
         if not (-90 < s.angle_min and s.angle_max < 90):
             errs.append("source angle range must lie inside (-90, 90) degrees")
-        if s.min_sep < 0:
+        if not s.min_sep >= 0:
             errs.append("sources.min_sep must be >= 0")
         elif s.angle_max - s.angle_min < (s.count - 1) * s.min_sep:
             errs.append("angle range cannot hold sources.count angles at sources.min_sep")
@@ -223,7 +223,7 @@ class ScenarioConfig:
             errs.append("music.num_snapshots must be >= 1")
         if m.trials < 1:
             errs.append("music.trials must be >= 1")
-        if m.min_sep is not None and m.min_sep < 0:
+        if m.min_sep is not None and not m.min_sep >= 0:
             errs.append("music.min_sep must be >= 0 when set")
         elif m.min_sep is not None and s.angle_max - s.angle_min < (s.count - 1) * m.min_sep:
             errs.append("angle range cannot hold sources.count angles at music.min_sep")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Whole-set redraws draw_source_angles makes before it gives up.
+# Whole-set angle tries one record makes before it gives up.
 MAX_ANGLE_TRIES = 10_000
 
 
@@ -33,8 +33,8 @@ class ArrayGeometry:
     def __post_init__(self) -> None:
         if self.num_sensors < 2:
             raise ValueError(f"num_sensors must be >= 2, got {self.num_sensors}")
-        if not self.spacing > 0:
-            raise ValueError(f"spacing (d/lambda) must be > 0, got {self.spacing}")
+        if not 0 < self.spacing < np.inf:
+            raise ValueError(f"spacing (d/lambda) must be finite and > 0, got {self.spacing}")
 
 
 def noise_variance(snr_db: float) -> float:
@@ -62,34 +62,49 @@ def steering_matrix(thetas_deg: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
     return np.exp(1j * phase)
 
 
+def _angle_bounds(num_sources: int, angle_range: tuple[float, float], min_sep: float) -> tuple[float, float]:
+    """``angle_range`` as floats, once it is known to hold K angles ``min_sep`` apart."""
+    lo, hi = float(angle_range[0]), float(angle_range[1])
+    if num_sources < 1:
+        raise ValueError("num_sources must be >= 1")
+    if hi <= lo:
+        raise ValueError(f"empty angle range [{lo}, {hi}]")
+    if not min_sep >= 0:
+        raise ValueError(f"min_sep must be >= 0, got {min_sep}")
+    if hi - lo < (num_sources - 1) * min_sep:
+        raise ValueError(f"range [{lo}, {hi}] cannot hold {num_sources} angles separated by {min_sep} degrees")
+    return lo, hi
+
+
+def _draw_angles(
+    rng: np.random.Generator, u: np.ndarray, num_sources: int, lo: float, hi: float, min_sep: float,
+) -> list[float]:
+    """Fill ``u`` with uniform doubles and accept its first K, sorted, as angles.
+
+    A rejected try shifts ``u`` left by K and draws K more at its end, so the
+    stream is consumed as by one ``rng.random(K)`` per try and then the rest of ``u``.
+    """
+    k, span = num_sources, hi - lo
+    rng.random(out=u)
+    for _ in range(MAX_ANGLE_TRIES):
+        angles = sorted([lo + span * x for x in u[:k].tolist()])
+        if all(b - a >= min_sep for a, b in zip(angles, angles[1:])):
+            return angles
+        u[:-k] = u[k:]
+        rng.random(out=u[-k:])
+    raise RuntimeError(f"angle rejection sampling failed after {MAX_ANGLE_TRIES} tries")
+
+
 def draw_source_angles(
-    num_sources: int,
-    angle_range: tuple[float, float],
-    min_sep: float,
-    rng: np.random.Generator,
+    num_sources: int, angle_range: tuple[float, float], min_sep: float, rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw K i.i.d. uniform angles, rejection-resampled for separation.
 
     Resamples the whole set until every pairwise gap is at least
     ``min_sep`` degrees, then returns the angles sorted ascending.
     """
-    lo, hi = float(angle_range[0]), float(angle_range[1])
-    if num_sources < 1:
-        raise ValueError("num_sources must be >= 1")
-    if hi <= lo:
-        raise ValueError(f"empty angle range [{lo}, {hi}]")
-    if min_sep < 0:
-        raise ValueError("min_sep must be >= 0")
-    if hi - lo < (num_sources - 1) * min_sep:
-        raise ValueError(
-            f"range [{lo}, {hi}] cannot hold {num_sources} angles "
-            f"separated by {min_sep} degrees"
-        )
-    for _ in range(MAX_ANGLE_TRIES):
-        angles = np.sort(lo + (hi - lo) * rng.random(num_sources))
-        if num_sources == 1 or (angles[1:] - angles[:-1]).min() >= min_sep:
-            return angles
-    raise RuntimeError(f"angle rejection sampling failed after {MAX_ANGLE_TRIES} tries")
+    lo, hi = _angle_bounds(num_sources, angle_range, min_sep)
+    return np.array(_draw_angles(rng, np.empty(num_sources), num_sources, lo, hi, min_sep))
 
 
 def synthesize(
@@ -121,21 +136,27 @@ def synthesize_seeded(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Angles (n, K) and snapshots (n, M, N); row i from ``default_rng(seeds[i])``.
 
-    Each row draws what :func:`synthesize` draws, in the same order:
-    angles, source phases, then the real and imaginary noise when its
-    variance is > 0.  Steering and mixing run once for the block.
+    Each row draws what :func:`synthesize` draws, in the same order, with
+    at most three generator calls: the seeding, one ``random`` for the
+    angle tries and the source phases, and one ``standard_normal`` for the
+    real then imaginary noise when its variance is > 0.  Argument checks,
+    phase scaling, steering and mixing run once for the block.
     """
-    angles = np.empty((len(seeds), num_sources))
-    phases = np.empty((len(seeds), num_sources, num_snapshots))
-    draws = np.zeros((2, len(seeds), geom.num_sensors, num_snapshots))
+    if len(seeds) != len(noise_variances):
+        raise ValueError(f"{len(seeds)} seeds but {len(noise_variances)} noise variances")
+    lo, hi = _angle_bounds(num_sources, angle_range, min_sep)
+    k, n = num_sources, len(seeds)
+    angles = np.empty((n, k))
+    u = np.empty((n, k + k * num_snapshots))
+    draws = np.zeros((n, 2, geom.num_sensors, num_snapshots))
     for i, (seed, variance) in enumerate(zip(seeds, noise_variances)):
         rng = np.random.default_rng(seed)
-        angles[i] = draw_source_angles(num_sources, angle_range, min_sep, rng)
-        phases[i] = rng.uniform(0.0, 2.0 * np.pi, size=phases.shape[1:])
+        angles[i] = _draw_angles(rng, u[i], k, lo, hi, min_sep)
         if variance > 0.0:
-            rng.standard_normal(out=draws[0, i])
-            rng.standard_normal(out=draws[1, i])
-    return angles, mix(steering_matrix(angles, geom), np.exp(1j * phases), noise_variances, draws)
+            rng.standard_normal(out=draws[i])
+    # (2 pi) * u is uniform(0.0, 2 pi) bit for bit: numpy adds the low end, 0.0.
+    phases = (2.0 * np.pi) * u[:, k:].reshape(n, k, num_snapshots)
+    return angles, mix(steering_matrix(angles, geom), np.exp(1j * phases), noise_variances, draws.swapaxes(0, 1))
 
 
 def mix(

@@ -148,6 +148,16 @@ class TestValidationErrors:
         assert "invalid configuration" in capsys.readouterr().err
         assert not (tmp_path / "train.qdst").exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ("array.spacing=.inf", "array.spacing must be finite and > 0"),
+        ("array.spacing=.nan", "array.spacing must be finite and > 0"),
+        ("sources.min_sep=.nan", "sources.min_sep must be >= 0"),
+    ])
+    def test_non_finite_geometry_exit_1(self, tmp_path, capsys, override, message):
+        assert run(["generate", "--out", tmp_path, "--set", override]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "train.qdst").exists()
+
     def test_unknown_override_key_exit_1(self, tmp_path, capsys):
         code = run(["generate", "--out", tmp_path, "--set", "data.size=10"])
         assert code == 1
@@ -173,6 +183,10 @@ class TestValidationErrors:
     def test_music_min_sep_too_wide_exit_1_before_any_input_is_read(self, tmp_path, capsys):
         assert run(["eval-doa", "--out", tmp_path, "--set", "music.min_sep=40"]) == 1
         assert "cannot hold sources.count angles at music.min_sep" in capsys.readouterr().err
+
+    def test_music_min_sep_nan_exit_1_before_any_input_is_read(self, tmp_path, capsys):
+        assert run(["eval-doa", "--out", tmp_path, "--set", "music.min_sep=.nan"]) == 1
+        assert "music.min_sep must be >= 0 when set" in capsys.readouterr().err
 
     def test_spectrum_angles_outside_scan_grid_exit_1(self, pipeline_dir, capsys):
         code = run(["spectrum", "--out", pipeline_dir, "--set", "music.grid_min=0.0"] + TINY)

@@ -82,6 +82,18 @@ class TestValidation:
         cfg.music.min_sep = 40.0
         assert any("at music.min_sep" in e for e in cfg.validate())
 
+    @pytest.mark.parametrize("field", ["sources", "music"])
+    def test_nan_min_sep_rejected(self, field):
+        cfg = desk_default()
+        getattr(cfg, field).min_sep = float("nan")
+        assert any(f"{field}.min_sep must be >= 0" in e for e in cfg.validate())
+
+    @pytest.mark.parametrize("spacing", [float("inf"), float("nan"), 0.0])
+    def test_spacing_must_be_finite_and_positive(self, spacing):
+        cfg = desk_default()
+        cfg.array.spacing = spacing
+        assert "array.spacing must be finite and > 0" in cfg.validate()
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**65])
     def test_seed_outside_64_bits(self, seed):
         cfg = desk_default()

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantdoa.music import noise_subspace, sample_covariance
 from quantdoa.signal_model import (
+    MAX_ANGLE_TRIES,
     ArrayGeometry,
     draw_source_angles,
     from_real_batch,
@@ -19,6 +20,16 @@ from quantdoa.signal_model import (
 GEOM8 = ArrayGeometry(num_sensors=8)
 
 
+def reference_angles(num_sources, angle_range, min_sep, rng):
+    """The one-record angle draw before the block loop: one ``rng.random(K)`` per try."""
+    lo, hi = angle_range
+    for _ in range(MAX_ANGLE_TRIES):
+        angles = np.sort(lo + (hi - lo) * rng.random(num_sources))
+        if num_sources == 1 or (angles[1:] - angles[:-1]).min() >= min_sep:
+            return angles
+    raise RuntimeError("reference draw ran out of tries")
+
+
 class TestGeometry:
     def test_defaults_half_wavelength(self):
         assert GEOM8.spacing == 0.5
@@ -31,6 +42,11 @@ class TestGeometry:
     def test_nonpositive_spacing_rejected(self):
         with pytest.raises(ValueError):
             ArrayGeometry(num_sensors=4, spacing=0.0)
+
+    @pytest.mark.parametrize("spacing", [np.inf, np.nan])
+    def test_non_finite_spacing_rejected(self, spacing):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            ArrayGeometry(num_sensors=4, spacing=spacing)
 
 
 class TestSteeringVector:
@@ -108,6 +124,13 @@ class TestDrawSourceAngles:
     def test_infeasible_request_rejected(self):
         with pytest.raises(ValueError):
             draw_source_angles(3, (0.0, 1.0), 1.0, np.random.default_rng(0))
+
+    def test_nan_min_sep_rejected_before_any_draw(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="min_sep"):
+            draw_source_angles(3, (-30, 30), np.nan, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestSynthesize:
@@ -191,6 +214,44 @@ class TestSynthesizeSeeded:
             snap = synthesize(truth, GEOM8, noise_variance(snr_db), 5, rng)
             assert row_angles.tobytes() == truth.tobytes()
             assert row.tobytes() == snap.tobytes()
+
+    @given(
+        k=st.integers(1, 4),
+        n=st.sampled_from([1, 5]),
+        lo=st.floats(-80.0, 0.0),
+        width=st.floats(1.0, 80.0),
+        crowding=st.floats(0.0, 0.75),
+        rows=st.lists(
+            st.tuples(st.integers(0, 2**64 - 1), st.sampled_from([0.0, 1e-3, 0.1, 2.0])),
+            min_size=1, max_size=6,
+        ),
+    )
+    # Four angles at 0.74 of the widest feasible gap: (1 - 0.74)**4, about 1 try in 220, is kept.
+    @example(k=4, n=5, lo=-30.0, width=60.0, crowding=0.74,
+             rows=[(3, 0.0), (2**63, 0.1), (17, 0.0), (99, 1e-3)])
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_reference_draws(self, k, n, lo, width, crowding, rows):
+        # min_sep up to 0.75 of the feasibility limit, where most records reject many tries
+        span = (lo, lo + width)
+        min_sep = crowding * width / max(k - 1, 1)
+        seeds, variances = [r[0] for r in rows], [r[1] for r in rows]
+        angles, stack = synthesize_seeded(seeds, variances, GEOM8, k, span, min_sep, n)
+        for seed, variance, row_angles, row in zip(seeds, variances, angles, stack):
+            truth = reference_angles(k, span, min_sep, rng := np.random.default_rng(seed))
+            snap = synthesize(truth, GEOM8, variance, n, rng)
+            assert row_angles.tobytes() == truth.tobytes()
+            assert row.tobytes() == snap.tobytes()
+            one = draw_source_angles(k, span, min_sep, np.random.default_rng(seed))
+            assert one.tobytes() == truth.tobytes()
+
+    def test_seed_and_variance_counts_must_match(self):
+        with pytest.raises(ValueError, match="3 seeds but 1 noise variances"):
+            synthesize_seeded([1, 2, 3], [0.1], GEOM8, 2, (-30.0, 30.0), 1.0, 1)
+
+    def test_out_of_tries_raises(self):
+        # two angles exactly one degree apart in a one-degree range: never drawn
+        with pytest.raises(RuntimeError, match=f"after {MAX_ANGLE_TRIES} tries"):
+            synthesize_seeded([4, 5], [0.0, 0.1], GEOM8, 2, (0.0, 1.0), 1.0, 3)
 
 
 class TestRealInterleaved:
