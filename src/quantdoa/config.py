@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,6 +31,10 @@ DOMAIN_INIT = 3
 DOMAIN_SHUFFLE = 4
 DOMAIN_TRIALS = 5
 DOMAIN_SPECTRUM = 6
+
+# YAML 1.1 resolves an exponent without a dot or an exponent sign, such as
+# 1e-4, to a string; float settings take these as numbers.
+_EXPONENT = re.compile(r"[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+")
 
 
 def derived_seed(master: int, domain: int) -> int:
@@ -174,8 +179,8 @@ class ScenarioConfig:
             errs.append("snr_db list must be non-empty")
         elif any(math.isnan(v) or v == -math.inf for v in self.snr_db):
             errs.append("snr_db values must not be NaN or -inf")
-        if q.bits < 1:
-            errs.append("quantizer.bits must be >= 1")
+        if not 1 <= q.bits <= 255:
+            errs.append("quantizer.bits must be from 1 to 255 (one byte of the .qdst header)")
         if q.full_scale is not None and not 0 < q.full_scale < math.inf:
             errs.append("quantizer.full_scale must be finite and > 0 when set")
         if d.train_count < 1 or d.test_count < 1:
@@ -207,8 +212,8 @@ class ScenarioConfig:
             errs.append(f"network.activation must be one of {', '.join(ACTIVATIONS)}")
         if t.batch_size < 2:
             errs.append("train.batch_size must be >= 2 (batch norm needs it)")
-        if not t.lr > 0:
-            errs.append("train.lr must be > 0")
+        if not 0 < t.lr < math.inf:
+            errs.append("train.lr must be finite and > 0")
         if t.epochs < 1:
             errs.append("train.epochs must be >= 1")
         if t.eval_interval < 1:
@@ -267,16 +272,14 @@ def _coerce_leaf(value, typ, path: str):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path} must be an integer, got {value!r}")
         return value
-    if typ is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path} must be a number, got {value!r}")
-        return float(value)
-    if typ == float | None:
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path} must be a number or null, got {value!r}")
-        return float(value)
+    if typ == float | None and value is None:
+        return None
+    if typ in (float, float | None):
+        number = _number(value)
+        if number is None:
+            kind = "a number" if typ is float else "a number or null"
+            raise ConfigError(f"{path} must be {kind}, got {value!r}")
+        return number
     if typ is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{path} must be true or false, got {value!r}")
@@ -292,12 +295,20 @@ def _coerce_leaf(value, typ, path: str):
             raise ConfigError(f"{path} must be a list of integers, got {value!r}")
         return list(value)
     if typ == list[float]:
-        if not isinstance(value, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-        ):
+        numbers = [_number(v) for v in value] if isinstance(value, list) else [None]
+        if None in numbers:
             raise ConfigError(f"{path} must be a list of numbers, got {value!r}")
-        return [float(v) for v in value]
+        return numbers
     raise ConfigError(f"unsupported config field type {typ} at {path}")
+
+
+def _number(value) -> float | None:
+    """A float setting's value: a YAML number or an exponent string, else None."""
+    if isinstance(value, str) and _EXPONENT.fullmatch(value):
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return float(value)
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

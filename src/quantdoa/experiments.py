@@ -39,6 +39,7 @@ from .signal_model import from_real_batch, noise_variance, steering_matrix, synt
 DEFAULT_SPECTRUM_ANGLES = (-18.9346, 8.6346, 9.9462)
 
 DOA_SERIES = ("unquantized", "raw-1bit", "raw-2bit", "raw-3bit", "raw-4bit", "recon-1bit")
+SPECTRUM_SERIES = ("unquantized", "raw-2bit", "raw-3bit", "recon-1bit")
 
 
 @dataclass
@@ -89,8 +90,10 @@ def train(
     """Shuffled mini-batch Adam on the reconstruction loss.
 
     Emits per-epoch train loss and periodic test loss (inference-mode
-    batch norm).  A non-finite loss or gradient aborts training and the
-    last epoch's finite model is retained, flagged as diverged.
+    batch norm).  A non-finite loss or gradient, or an epoch that ends with
+    non-finite parameters or test loss, aborts training; the last finite
+    epoch's model is retained, flagged as diverged, and the aborted epoch
+    writes no rows.
     """
     model = net.init_model(
         config.network.widths,
@@ -134,17 +137,22 @@ def train(
                 break
             epoch_loss += batch_loss * idx.size
             seen += idx.size
+        # the epoch's last step is seen by no forward inside the epoch
+        diverged = diverged or not np.isfinite(model.params).all()
+        evaluated = test_set is not None and (
+            (epoch + 1) % config.train.eval_interval == 0
+            or epoch == config.train.epochs - 1
+        )
+        if not diverged and evaluated:
+            test_loss = evaluate_loss(model, test_set)
+            diverged = not np.isfinite(test_loss)
         if diverged:
             model = retained
             break
         retained = model.copy()
         train_loss = epoch_loss / max(seen, 1)
         curves.append(CurvePoint("train-loss", float(epoch), train_loss))
-        if test_set is not None and (
-            (epoch + 1) % config.train.eval_interval == 0
-            or epoch == config.train.epochs - 1
-        ):
-            test_loss = evaluate_loss(model, test_set)
+        if evaluated:
             curves.append(CurvePoint("test-loss", float(epoch), test_loss))
             if progress:
                 print(f"epoch {epoch}: train {train_loss:.5f} test {test_loss:.5f}")
@@ -229,18 +237,14 @@ def eval_doa(
     model: net.DenoiserModel | None,
     config: ScenarioConfig,
     series: tuple[str, ...] = DOA_SERIES,
-    snr_db: list[float] | None = None,
-    trials: int | None = None,
 ) -> tuple[list[CurvePoint], dict[tuple[str, float], TrialResult]]:
-    """Paired MUSIC angle-error trials for every series at every SNR."""
+    """Paired MUSIC angle-error trials for every series at every SNR of ``config``."""
     _check_model_fits(model, config)
-    snrs = [float(v) for v in (config.snr_db if snr_db is None else snr_db)]
-    trials = config.music.trials if trials is None else trials
     grid = scan_grid(config.music.grid_min, config.music.grid_max, config.music.grid_step)
     transforms = {tag: make_transform(tag, config.quantizer_spec, model) for tag in series}
     points: list[CurvePoint] = []
     details: dict[tuple[str, float], TrialResult] = {}
-    for snr_index, snr in enumerate(snrs):
+    for snr_index, snr in enumerate(config.snr_db):
         results = run_trials(
             geom=config.geometry(),
             num_sources=config.sources.count,
@@ -250,7 +254,7 @@ def eval_doa(
             num_snapshots=config.music.num_snapshots,
             grid_deg=grid,
             transforms=transforms,
-            trials=trials,
+            trials=config.music.trials,
             base_seed=derived_seed(config.seed, DOMAIN_TRIALS) ^ (snr_index << 32),
         )
         for tag in series:
@@ -264,7 +268,6 @@ def spectrum_compare(
     config: ScenarioConfig,
     angles_deg: tuple[float, ...] = DEFAULT_SPECTRUM_ANGLES,
     snr_db: float = 50.0,
-    series: tuple[str, ...] = ("unquantized", "raw-2bit", "raw-3bit", "recon-1bit"),
 ) -> tuple[list[CurvePoint], int]:
     """MUSIC spectra of several pipelines on one shared realization."""
     _check_model_fits(model, config)
@@ -280,7 +283,7 @@ def spectrum_compare(
     grid = scan_grid(lo, hi, config.music.grid_step)
     steering = steering_matrix(grid, geom)
     points: list[CurvePoint] = []
-    for tag in series:
+    for tag in SPECTRUM_SERIES:
         transform = make_transform(tag, config.quantizer_spec, model)
         cov = sample_covariance(transform(clean))
         spectrum = music_spectrum(cov, len(angles_deg), steering)

@@ -36,10 +36,6 @@ class QuantizerSpec:
     def step(self) -> float:
         return 2.0 * self.full_scale / (2.0 ** self.bits)
 
-    @property
-    def num_levels(self) -> int:
-        return 2 ** self.bits + 1
-
     def levels(self) -> np.ndarray:
         """All representable outputs k*step, k = -2^(B-1) .. 2^(B-1)."""
         half = 2 ** (self.bits - 1)

@@ -137,7 +137,7 @@ def draw_desk_snapshots(cfg: ScenarioConfig, start: int, count: int, rng) -> np.
 def pattern_codes(quantized_rows: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
     """One integer per real-stacked quantized row: its level indices in base 2^B+1."""
     digits = np.rint(quantized_rows / spec.step).astype(np.int64) + 2 ** (spec.bits - 1)
-    return digits @ spec.num_levels ** np.arange(quantized_rows.shape[1], dtype=np.int64)
+    return digits @ (2 ** spec.bits + 1) ** np.arange(quantized_rows.shape[1], dtype=np.int64)
 
 
 @dataclass
@@ -335,7 +335,8 @@ def test_criterion_4_bit_depth_ordering(desk_setup):
     cfg, train_set, _, _ = desk_setup
     ev = doa_eval_config(cfg, train_set)
     series = ("raw-1bit", "raw-2bit", "raw-3bit", "raw-4bit", "unquantized")
-    _, details = eval_doa(None, ev, series=series, snr_db=[30.0, 50.0], trials=200)
+    ev.snr_db, ev.music.trials = [30.0, 50.0], 200
+    _, details = eval_doa(None, ev, series=series)
     ok = True
     lines = []
     for snr in (30.0, 50.0):
@@ -365,13 +366,8 @@ def test_criterion_4_bit_depth_ordering(desk_setup):
 def headline_eval(desk_setup):
     cfg, train_set, _, result = desk_setup
     ev = doa_eval_config(cfg, train_set)
-    _, details = eval_doa(
-        result.model,
-        ev,
-        series=("raw-1bit", "raw-2bit", "recon-1bit"),
-        snr_db=[50.0],
-        trials=200,
-    )
+    ev.snr_db, ev.music.trials = [50.0], 200
+    _, details = eval_doa(result.model, ev, series=("raw-1bit", "raw-2bit", "recon-1bit"))
     return {tag: details[(tag, 50.0)] for tag in ("raw-1bit", "raw-2bit", "recon-1bit")}
 
 
@@ -501,9 +497,8 @@ def test_criterion_5c_extended_recipe_strict(desk_setup):
     test_set = build_dataset(cfg, "test")
     result = train(cfg, train_set, test_set)
     ev = doa_eval_config(cfg, train_set)
-    _, details = eval_doa(
-        result.model, ev, series=("raw-2bit", "recon-1bit"), snr_db=[50.0], trials=200
-    )
+    ev.snr_db, ev.music.trials = [50.0], 200
+    _, details = eval_doa(result.model, ev, series=("raw-2bit", "recon-1bit"))
     recon, raw2 = details[("recon-1bit", 50.0)], details[("raw-2bit", 50.0)]
     ok = recon.mean < raw2.mean
     report(

@@ -180,6 +180,18 @@ class TestValidationErrors:
         assert "seed must fit in an unsigned 64-bit integer" in capsys.readouterr().err
         assert not (tmp_path / "train.qdst").exists()
 
+    @pytest.mark.parametrize("command, override, message", [
+        ("train", "train.lr=.inf", "train.lr must be finite and > 0"),
+        ("generate", "quantizer.bits=300", "quantizer.bits must be from 1 to 255"),
+        ("generate", "quantizer.bits=1100", "quantizer.bits must be from 1 to 255"),
+    ])
+    def test_out_of_range_setting_exit_1_before_any_file_is_written(
+        self, tmp_path, capsys, command, override, message
+    ):
+        assert run([command, "--out", tmp_path, "--set", override] + TINY) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_music_min_sep_too_wide_exit_1_before_any_input_is_read(self, tmp_path, capsys):
         assert run(["eval-doa", "--out", tmp_path, "--set", "music.min_sep=40"]) == 1
         assert "cannot hold sources.count angles at music.min_sep" in capsys.readouterr().err
@@ -249,6 +261,21 @@ class TestValidationErrors:
         code = run(["train", "--out", tmp_path] + TINY)
         assert code == 2
         assert "run the producing step first" in capsys.readouterr().err
+
+
+class TestSettingLimits:
+    def test_255_bits_generate_and_load(self, tmp_path):
+        assert run(["generate", "--out", tmp_path, "--set", "quantizer.bits=255"] + TINY) == 0
+        assert load_dataset(tmp_path / "train.qdst").bits == 255
+
+    def test_huge_lr_reports_divergence_and_saves_a_finite_model(self, tmp_path):
+        tiny = TINY + ["--set", "data.train_count=64", "--set", "train.epochs=2"]
+        assert run(["generate", "--out", tmp_path] + tiny) == 0
+        assert run(["train", "--out", tmp_path, "--set", "train.lr=1e30"] + tiny) == 0
+        points, header = read_curves_csv(tmp_path / "train_curves.csv")
+        assert header["diverged"] == "true"
+        assert all(np.isfinite(p.y) for p in points)
+        assert np.isfinite(load_checkpoint(tmp_path / "model.qdnn").params).all()
 
 
 class TestModuleEntryPoint:

@@ -106,6 +106,18 @@ class TestValidation:
             cfg.seed = seed
             assert cfg.validate() == []
 
+    @pytest.mark.parametrize("lr", [float("inf"), float("nan"), 0.0, -1e-3])
+    def test_lr_must_be_finite_and_positive(self, lr):
+        cfg = desk_default()
+        cfg.train.lr = lr
+        assert "train.lr must be finite and > 0" in cfg.validate()
+
+    @pytest.mark.parametrize("bits", [0, 256, 300, 1100])
+    def test_bits_outside_the_header_byte_rejected(self, bits):
+        cfg = desk_default()
+        cfg.quantizer.bits = bits
+        assert any("quantizer.bits must be from 1 to 255" in e for e in cfg.validate())
+
 
 class TestOverrides:
     def test_scalar_override(self):
@@ -143,6 +155,42 @@ class TestOverrides:
         cfg = desk_default()
         apply_overrides(cfg, ["train.lr=0.5"])
         assert cfg.train.lr == 1e-3
+
+    def test_exponent_strings_are_numbers(self):
+        cfg = apply_overrides(desk_default(), [
+            "train.lr=1e-4", "music.min_sep=2E0", "snr_db=[-2E+3, 1e1, 3.5e1]",
+        ])
+        assert cfg.train.lr == 1e-4
+        assert cfg.music.min_sep == 2.0
+        assert cfg.snr_db == [-2000.0, 10.0, 35.0]
+
+    def test_exponent_string_hashes_as_its_number(self):
+        spelled = apply_overrides(desk_default(), ["train.lr=1e-4"])
+        plain = apply_overrides(desk_default(), ["train.lr=0.0001"])
+        assert spelled.config_hash() == plain.config_hash()
+
+    @pytest.mark.parametrize(
+        "raw", ["nan", "inf", "-inf", "Infinity", "1e-4x", "e5", "1e", "'1.5'", "'1e-4 '"]
+    )
+    @pytest.mark.parametrize("key", ["train.lr", "music.min_sep", "snr_db"])
+    def test_other_strings_rejected(self, key, raw):
+        value = f"[{raw}]" if key == "snr_db" else raw
+        with pytest.raises(ConfigError, match="must be"):
+            apply_overrides(desk_default(), [f"{key}={value}"])
+
+    def test_yaml_nan_and_inf_keep_their_meaning(self):
+        cfg = apply_overrides(desk_default(), ["snr_db=[.inf, -.inf]", "music.min_sep=.nan"])
+        assert cfg.snr_db == [float("inf"), float("-inf")]
+        assert cfg.music.min_sep != cfg.music.min_sep
+
+    def test_config_file_exponent_and_hash(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("train:\n  lr: 1e-4\nsnr_db: [1e1, 5E+1]\n")
+        cfg = load_config(path)
+        assert (cfg.train.lr, cfg.snr_db) == (1e-4, [10.0, 50.0])
+        plain = desk_default()
+        plain.train.lr, plain.snr_db = 0.0001, [10.0, 50.0]
+        assert cfg.config_hash() == plain.config_hash()
 
 
 class TestStrictParsing:

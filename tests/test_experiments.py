@@ -105,6 +105,17 @@ class TestTrain:
             assert np.all(np.isfinite(arr))
         assert all(np.isfinite(p.y) for p in result.curves)
 
+    @pytest.mark.parametrize("lr", [1e30, float("inf")])
+    def test_divergence_at_the_end_of_an_epoch_rolls_back(self, lr):
+        cfg = tiny_config(data__train_count=64, train__epochs=2, train__lr=lr)
+        train_set = build_dataset(cfg, "train")
+        test_set = build_dataset(cfg, "test")
+        result = train(cfg, train_set, test_set)  # one step per epoch
+        assert result.diverged
+        assert np.isfinite(result.model.params).all()
+        assert all(np.isfinite(p.y) for p in result.curves)
+        assert np.isfinite(result.final_test_loss)
+
     def test_final_test_loss_is_the_last_epochs_test_loss(self, tiny_setup):
         _, _, test_set, result = tiny_setup
         last = [p for p in result.curves if p.series == "test-loss"][-1]
@@ -281,7 +292,8 @@ class TestEvalDoa:
         ev = cfg.copy()
         ev.music.min_sep = 4.0
         ev.quantizer.full_scale = train_set.full_scale
-        _, details = eval_doa(result.model, ev, snr_db=[10.0, 50.0], trials=50)
+        ev.snr_db, ev.music.trials = [10.0, 50.0], 50
+        _, details = eval_doa(result.model, ev)
         for tag in DOA_SERIES:
             blob = details[(tag, 10.0)].mses.tobytes() + details[(tag, 50.0)].mses.tobytes()
             assert hashlib.sha256(blob).hexdigest() == EVAL_DOA_DIGESTS[tag], tag
@@ -292,7 +304,8 @@ class TestEvalDoa:
         ev.music.min_sep = 4.0
         ev.quantizer.full_scale = train_set.full_scale
         snrs, trials = [10.0, 50.0], 30
-        _, details = eval_doa(result.model, ev, snr_db=snrs, trials=trials)
+        ev.snr_db, ev.music.trials = snrs, trials
+        _, details = eval_doa(result.model, ev)
         for snr_index, snr in enumerate(snrs):
             for tag in DOA_SERIES:
                 mses, low_rank = per_trial_reference(
@@ -307,9 +320,9 @@ class TestEvalDoa:
         ev = cfg.copy()
         ev.music.min_sep = 4.0
         ev.quantizer.full_scale = train_set.full_scale
+        ev.snr_db, ev.music.trials = [50.0], 10
         points, details = eval_doa(
-            result.model, ev, series=("unquantized", "raw-1bit", "recon-1bit"),
-            snr_db=[50.0], trials=10,
+            result.model, ev, series=("unquantized", "raw-1bit", "recon-1bit")
         )
         assert {p.series for p in points} == {"unquantized", "raw-1bit", "recon-1bit"}
         assert all(np.isfinite(p.y) for p in points)
@@ -319,8 +332,9 @@ class TestEvalDoa:
         cfg, train_set, _, result = tiny_setup
         ev = cfg.copy()
         ev.quantizer.full_scale = train_set.full_scale
-        _, d1 = eval_doa(result.model, ev, series=("unquantized",), snr_db=[30.0], trials=8)
-        _, d2 = eval_doa(result.model, ev, series=("unquantized",), snr_db=[30.0], trials=8)
+        ev.snr_db, ev.music.trials = [30.0], 8
+        _, d1 = eval_doa(result.model, ev, series=("unquantized",))
+        _, d2 = eval_doa(result.model, ev, series=("unquantized",))
         np.testing.assert_array_equal(
             d1[("unquantized", 30.0)].mses, d2[("unquantized", 30.0)].mses
         )
