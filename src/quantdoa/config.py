@@ -16,6 +16,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .network import ACTIVATIONS
@@ -39,6 +40,11 @@ _EXPONENT = re.compile(r"[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+")
 
 def derived_seed(master: int, domain: int) -> int:
     return (master + domain * _GOLDEN) & _MASK
+
+
+def derived_seeds(master: int, domain: int, count: int, stream: int = 0) -> np.ndarray:
+    """uint64 seeds ``derived_seed ^ (stream << 32) ^ i``, i < count: records or one SNR's trials."""
+    return np.uint64(derived_seed(master, domain) ^ (stream << 32)) ^ np.arange(count, dtype=np.uint64)
 
 
 class ConfigError(ValueError):
@@ -308,7 +314,10 @@ def _number(value) -> float | None:
         return float(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond float range reads as +-inf, as 1.0e+400 does
+        return math.inf if value > 0 else -math.inf
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

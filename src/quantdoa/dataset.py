@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import FramedReader, write_framed
-from .config import DOMAIN_TEST_DATA, DOMAIN_TRAIN_DATA, ScenarioConfig, derived_seed
+from .config import DOMAIN_TEST_DATA, DOMAIN_TRAIN_DATA, ScenarioConfig, derived_seeds
 from .quantizer import QuantizerSpec, quantize_complex
 from .signal_model import ArrayGeometry, noise_variance, synthesize_seeded, to_real_batch
 
@@ -113,11 +113,9 @@ def generate_records(
 
 def build_dataset(config: ScenarioConfig, split: str) -> Dataset:
     if split == "train":
-        count = config.data.train_count
-        base = derived_seed(config.seed, DOMAIN_TRAIN_DATA)
+        count, domain = config.data.train_count, DOMAIN_TRAIN_DATA
     elif split == "test":
-        count = config.data.test_count
-        base = derived_seed(config.seed, DOMAIN_TEST_DATA)
+        count, domain = config.data.test_count, DOMAIN_TEST_DATA
     else:
         raise ValueError(f"split must be 'train' or 'test', got {split!r}")
     geom, qspec = config.geometry(), config.quantizer_spec()
@@ -126,7 +124,7 @@ def build_dataset(config: ScenarioConfig, split: str) -> Dataset:
     targets = np.empty_like(inputs)
     angles = np.empty((count, config.sources.count))
     snrs = np.asarray(snr_list)[np.arange(count) % len(snr_list)]
-    seeds = np.uint64(base) ^ np.arange(count, dtype=np.uint64)
+    seeds = derived_seeds(config.seed, domain, count)
     for lo in range(0, count, BLOCK_RECORDS):
         block = slice(lo, min(lo + BLOCK_RECORDS, count))
         inputs[block], targets[block], angles[block] = generate_records(

@@ -27,6 +27,7 @@ from .config import (
     ScenarioConfig,
     apply_overrides,
     derived_seed,
+    derived_seeds,
 )
 from .dataset import Dataset
 from .music import TrialResult, run_trials, sample_covariance, music_spectrum, scan_grid
@@ -254,8 +255,7 @@ def eval_doa(
             num_snapshots=config.music.num_snapshots,
             grid_deg=grid,
             transforms=transforms,
-            trials=config.music.trials,
-            base_seed=derived_seed(config.seed, DOMAIN_TRIALS) ^ (snr_index << 32),
+            seeds=derived_seeds(config.seed, DOMAIN_TRIALS, config.music.trials, stream=snr_index),
         )
         for tag in series:
             details[(tag, snr)] = results[tag]

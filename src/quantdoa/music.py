@@ -224,20 +224,20 @@ def run_trials(
     num_snapshots: int,
     grid_deg: np.ndarray,
     transforms: dict[str, SignalTransform],
-    trials: int,
-    base_seed: int,
+    seeds: np.ndarray,
 ) -> dict[str, TrialResult]:
     """Monte-Carlo angle-error trials for several pipelines at one SNR.
 
     Trial t draws its angles, source phases, and noise from a generator
-    seeded with ``base_seed XOR t``, once for all ``transforms``, so the
-    pipelines see identical signals and differ only in the transform;
-    repeated runs with the same seed repeat every trial.  Each block of
-    trials is synthesized, transformed and scored once per series, and
-    scanned in chunks (see ``CHUNK_BYTES``); neither size moves a result.
+    seeded with ``seeds[t]`` (from ``config.derived_seeds``), once for all
+    ``transforms``, so the pipelines see identical signals and differ only
+    in the transform.  Each block of trials is synthesized, transformed and
+    scored once per series, and scanned in chunks (see ``CHUNK_BYTES``);
+    neither size moves a result.
     """
+    trials = len(seeds)
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ValueError("need at least one trial seed")
     grid_deg = np.asarray(grid_deg, dtype=float)
     steering = steering_matrix(grid_deg, geom)
     variance = noise_variance(snr_db)
@@ -246,13 +246,13 @@ def run_trials(
     block = max(chunk, CHUNK_BYTES // (geom.num_sensors * num_snapshots * steering.itemsize))
     mses = {tag: np.empty(trials, dtype=float) for tag in transforms}
     for lo in range(0, trials, block):
-        ts = range(lo, min(lo + block, trials))
-        truths, clean = synthesize_seeded([base_seed ^ t for t in ts], [variance] * len(ts), geom,
+        batch = seeds[lo : lo + block].tolist()
+        truths, clean = synthesize_seeded(batch, [variance] * len(batch), geom,
                                           num_sources, angle_range, min_sep, num_snapshots)
         for tag, transform in transforms.items():
             observed, picks = transform(clean), np.empty_like(truths)
-            for i in range(0, len(ts), chunk):
+            for i in range(0, len(batch), chunk):
                 spectra = music_spectrum(sample_covariance(observed[i : i + chunk]), num_sources, steering)
                 picks[i : i + chunk] = pick_peak_rows(grid_deg, spectra, num_sources)
-            mses[tag][lo : ts.stop] = doa_mse(picks, truths)
+            mses[tag][lo : lo + block] = doa_mse(picks, truths)
     return {tag: TrialResult(mses=m) for tag, m in mses.items()}

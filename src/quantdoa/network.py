@@ -154,15 +154,6 @@ class DenoiserModel:
                 arrays.extend([bn.gamma, bn.beta])
         return arrays
 
-    def all_arrays(self) -> list[np.ndarray]:
-        """Every stored array, running statistics included."""
-        arrays: list[np.ndarray] = []
-        for layer, bn in zip(self.dense, self.norms):
-            arrays.extend([layer.w, layer.b])
-            if bn is not None:
-                arrays.extend([bn.gamma, bn.beta, bn.running_mean, bn.running_var])
-        return arrays
-
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Views of a vector laid out like ``params``, one per trainable array."""
         return _split(flat, self.trainable_arrays())

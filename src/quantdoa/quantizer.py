@@ -15,6 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .signal_model import noise_variance
+
 # A_max of default_full_scale: every source is a unit-modulus phasor.
 SOURCE_AMPLITUDE = 1.0
 
@@ -77,6 +79,6 @@ def default_full_scale(num_sources: int, snr_db: float | Iterable[float]) -> flo
     snrs = np.atleast_1d(np.asarray(snr_db, dtype=float))
     if snrs.size == 0:
         raise ValueError("need at least one SNR value")
-    worst_var = float(np.max(10.0 ** (-snrs / 10.0)))
+    worst_var = float(np.max([noise_variance(s) for s in snrs.tolist()]))
     sigma_component = np.sqrt(worst_var / 2.0)
     return num_sources * SOURCE_AMPLITUDE + 4.0 * sigma_component

@@ -24,7 +24,7 @@ from scipy import stats
 from quantdoa import network as net
 from quantdoa.checkpoint import parameter_payload_bytes
 from quantdoa.cli import parse_and_dispatch
-from quantdoa.config import DOMAIN_TRIALS, ScenarioConfig, derived_seed, desk_default
+from quantdoa.config import DOMAIN_TRIALS, ScenarioConfig, derived_seeds, desk_default
 from quantdoa.dataset import build_dataset
 from quantdoa.experiments import (
     ablation_suite,
@@ -316,8 +316,7 @@ def test_criterion_3_music_exactness_noiseless():
         num_snapshots=5,
         grid_deg=grid,
         transforms={"unquantized": lambda d: d},
-        trials=100,
-        base_seed=31337,
+        seeds=derived_seeds(31337, 0, 100),  # domain 0 keeps 31337 as the base seed
     )["unquantized"]
     worst = float(np.sqrt(result.mses.max()))
     elapsed = time.perf_counter() - start
@@ -412,8 +411,7 @@ def ideal_eval(desk_setup, estimation_floor):
         snr_db=50.0,
         num_snapshots=ev.music.num_snapshots,
         grid_deg=scan_grid(ev.music.grid_min, ev.music.grid_max, ev.music.grid_step),
-        trials=200,
-        base_seed=derived_seed(ev.seed, DOMAIN_TRIALS),
+        seeds=derived_seeds(ev.seed, DOMAIN_TRIALS, 200),
     )
     results = run_trials(
         transforms={

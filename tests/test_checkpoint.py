@@ -14,6 +14,8 @@ from quantdoa.checkpoint import (
 )
 from quantdoa.dataset import DatasetFormatError, load_dataset
 
+from model_arrays import all_arrays
+
 
 DATA = Path(__file__).parent / "data"
 
@@ -40,7 +42,7 @@ class TestRoundTrip:
         assert loaded.activation == model.activation
         assert loaded.input_bias == model.input_bias
         assert loaded.use_residual == model.use_residual
-        for a, b in zip(model.all_arrays(), loaded.all_arrays()):
+        for a, b in zip(all_arrays(model), all_arrays(loaded)):
             np.testing.assert_array_equal(a, b)
 
     def test_variant_flags_survive(self, tmp_path):
@@ -104,7 +106,7 @@ class TestFileSize:
         save_checkpoint(half, tmp_path / "m.qdnn")
         loaded = load_checkpoint(tmp_path / "m.qdnn")
         assert loaded.precision == "fp16"
-        for a, b in zip(half.all_arrays(), loaded.all_arrays()):
+        for a, b in zip(all_arrays(half), all_arrays(loaded)):
             np.testing.assert_array_equal(a, b)
 
 

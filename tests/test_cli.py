@@ -184,11 +184,29 @@ class TestValidationErrors:
         ("train", "train.lr=.inf", "train.lr must be finite and > 0"),
         ("generate", "quantizer.bits=300", "quantizer.bits must be from 1 to 255"),
         ("generate", "quantizer.bits=1100", "quantizer.bits must be from 1 to 255"),
+        # ints beyond float range read as +-inf, as YAML reads 1.0e+400
+        pytest.param("generate", "train.lr=1" + "0" * 400, "train.lr must be finite and > 0",
+                     id="generate-train.lr=1e400-int"),
+        pytest.param("generate", "snr_db=[-1" + "0" * 400 + "]", "snr_db values must not be NaN or -inf",
+                     id="generate-snr_db=[-1e400-int]"),
+        ("generate", "array.num_sensors=1", "array.num_sensors must be >= 2"),
+        ("generate", "sources.count=0", "sources.count must be >= 1"),
+        ("generate", "sources.angle_max=-30.0", "sources.angle_max must exceed sources.angle_min"),
+        ("generate", "sources.angle_min=-90.0", "source angle range must lie inside (-90, 90) degrees"),
+        ("generate", "data.train_count=0", "data.train_count and data.test_count must be >= 1"),
+        ("generate", "network.widths=[16, 16]", "network.widths must list at least [in, hidden, out]"),
+        ("generate", "network.activation=gelu", "network.activation must be one of relu, tanh, sigmoid"),
+        ("generate", "train.batch_size=1", "train.batch_size must be >= 2"),
+        ("generate", "train.epochs=0", "train.epochs must be >= 1"),
+        ("generate", "train.eval_interval=0", "train.eval_interval must be >= 1"),
+        ("generate", "music.grid_step=0", "music.grid_step must be > 0"),
+        ("generate", "music.grid_max=-30.0", "music.grid_max must exceed music.grid_min"),
+        ("generate", "music.num_snapshots=0", "music.num_snapshots must be >= 1"),
     ])
     def test_out_of_range_setting_exit_1_before_any_file_is_written(
         self, tmp_path, capsys, command, override, message
     ):
-        assert run([command, "--out", tmp_path, "--set", override] + TINY) == 1
+        assert run([command, "--out", tmp_path] + TINY + ["--set", override]) == 1
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 

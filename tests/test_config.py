@@ -1,3 +1,5 @@
+import re
+
 import pytest
 import yaml
 
@@ -147,9 +149,18 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="key=value"):
             apply_overrides(desk_default(), ["train.lr"])
 
-    def test_type_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            apply_overrides(desk_default(), ["train.epochs=many"])
+    @pytest.mark.parametrize("override, message", [
+        ("train.epochs=many", "train.epochs must be an integer"),
+        ("network.use_bn=1", "network.use_bn must be true or false"),
+        ("network.activation=1", "network.activation must be a string"),
+        ("network.widths=[16, 32.5, 16]", "network.widths must be a list of integers"),
+        ("network.widths=[16, true, 16]", "network.widths must be a list of integers"),
+        ("train=5", "expected a mapping at train"),
+        ("train.lr=[1", "cannot parse override value"),
+    ], ids=["int", "bool", "str", "int-list-float", "int-list-bool", "section", "unparsable"])
+    def test_type_mismatch_rejected(self, override, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            apply_overrides(desk_default(), [override])
 
     def test_original_untouched(self):
         cfg = desk_default()

@@ -37,6 +37,7 @@ from quantdoa.signal_model import (
 )
 
 from curves import read_curves_csv
+from model_arrays import all_arrays
 from music_reference import estimate_doa
 
 
@@ -69,7 +70,7 @@ class TestTrain:
         assert [(p.series, p.x, p.y) for p in first.curves] == [
             (p.series, p.x, p.y) for p in second.curves
         ]
-        for a, b in zip(first.model.all_arrays(), second.model.all_arrays()):
+        for a, b in zip(all_arrays(first.model), all_arrays(second.model)):
             np.testing.assert_array_equal(a, b)
 
     def test_loss_improves_from_init(self, tiny_setup):
@@ -101,7 +102,7 @@ class TestTrain:
         test_set = build_dataset(cfg, "test")
         result = train(cfg, train_set, test_set)
         assert result.diverged
-        for arr in result.model.all_arrays():
+        for arr in all_arrays(result.model):
             assert np.all(np.isfinite(arr))
         assert all(np.isfinite(p.y) for p in result.curves)
 
@@ -178,7 +179,7 @@ def digest_data():
 @pytest.mark.parametrize("name", sorted(TRAINED_DIGESTS))
 def test_trained_parameters_match_pinned_digest(name, digest_data):
     result = train(digest_config(name), *digest_data)
-    blob = b"".join(a.tobytes() for a in result.model.all_arrays())
+    blob = b"".join(a.tobytes() for a in all_arrays(result.model))
     assert hashlib.sha256(blob).hexdigest() == TRAINED_DIGESTS[name]
 
 

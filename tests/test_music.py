@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantdoa import music
-from quantdoa.config import DOMAIN_TRIALS, derived_seed, desk_default
+from quantdoa.config import DOMAIN_TRIALS, derived_seed, derived_seeds, desk_default
 from quantdoa.experiments import DOA_SERIES, make_transform
 from quantdoa.network import init_model
 from quantdoa.music import (
@@ -461,8 +461,7 @@ class TestRunTrials:
             min_sep=4.0,
             num_snapshots=5,
             grid_deg=GRID,
-            trials=60,
-            base_seed=999,
+            seeds=derived_seeds(999, 0, 60),  # domain 0 keeps 999 as the base seed
         )
 
     def test_identity_high_snr_below_grid_step_squared(self):
@@ -494,7 +493,7 @@ class TestRunTrials:
         monkeypatch.setattr(music, "CHUNK_BYTES", budget)
         monkeypatch.setattr(music, "sample_covariance", recording)
         chunked = run_trials(snr_db=30.0, transforms=transforms, **kw)
-        assert set(stacks) == ({1} if budget == 1 else {kw["trials"]})
+        assert set(stacks) == ({1} if budget == 1 else {len(kw["seeds"])})
         for tag in transforms:
             np.testing.assert_array_equal(default[tag].mses, chunked[tag].mses)
 
@@ -535,8 +534,7 @@ class TestSnrBlocks:
             num_snapshots=cfg.music.num_snapshots,
             grid_deg=scan_grid(cfg.music.grid_min, cfg.music.grid_max, cfg.music.grid_step),
             transforms=transforms,
-            trials=trials,
-            base_seed=derived_seed(cfg.seed, DOMAIN_TRIALS),
+            seeds=derived_seeds(cfg.seed, DOMAIN_TRIALS, trials),
         )
 
     # 13 trials leave a partial last chunk at both 4 (the old engine) and 8 trials.
@@ -544,9 +542,11 @@ class TestSnrBlocks:
     @pytest.mark.parametrize("snr_db", [10.0, 50.0])
     def test_matches_chunked_reference_bit_for_bit(self, budget, snr_db, monkeypatch):
         kw = self._desk()
-        expected = run_trials_chunked(snr_db=snr_db, **kw)
+        seeds = kw.pop("seeds")
+        base_seed = derived_seed(desk_default().seed, DOMAIN_TRIALS)
+        expected = run_trials_chunked(snr_db=snr_db, trials=len(seeds), base_seed=base_seed, **kw)
         monkeypatch.setattr(music, "CHUNK_BYTES", budget)
-        got = run_trials(snr_db=snr_db, **kw)
+        got = run_trials(snr_db=snr_db, seeds=seeds, **kw)
         assert list(got) == list(DOA_SERIES)
         for tag in DOA_SERIES:
             np.testing.assert_array_equal(got[tag].mses, expected[tag].mses, err_msg=tag)

@@ -6,6 +6,8 @@ import pytest
 from quantdoa import network as net
 from quantdoa.checkpoint import load_checkpoint, save_checkpoint
 
+from model_arrays import all_arrays
+
 
 def make_model(widths=(4, 6, 6, 6, 4), seed=0, dtype=np.float64, **kwargs):
     return net.init_model(list(widths), rng=np.random.default_rng(seed), dtype=dtype, **kwargs)
@@ -135,9 +137,9 @@ class TestForward:
 
     def test_infer_mode_mutates_nothing(self):
         model = make_model(seed=11)
-        before = [a.copy() for a in model.all_arrays()]
+        before = [a.copy() for a in all_arrays(model)]
         net.forward(model, np.random.default_rng(2).standard_normal((8, 4)), "infer")
-        for a, b in zip(model.all_arrays(), before):
+        for a, b in zip(all_arrays(model), before):
             np.testing.assert_array_equal(a, b)
 
     def test_train_mode_updates_running_stats(self):
@@ -213,7 +215,7 @@ class TestInit:
 
     def test_same_seed_identical(self):
         m1, m2 = make_model(seed=5), make_model(seed=5)
-        for a, b in zip(m1.all_arrays(), m2.all_arrays()):
+        for a, b in zip(all_arrays(m1), all_arrays(m2)):
             np.testing.assert_array_equal(a, b)
 
     def test_mismatched_skip_widths_rejected(self):
@@ -314,7 +316,7 @@ class TestHalfPrecision:
         # normal-range fp16 rounding stays within 2^-10 relative
         model = make_model(seed=8, dtype=np.float32)
         half = net.to_half_precision(model)
-        for a, b in zip(model.all_arrays(), half.all_arrays()):
+        for a, b in zip(all_arrays(model), all_arrays(half)):
             mask = np.abs(a) > 6.2e-5  # above the fp16 subnormal range
             if np.any(mask):
                 rel = np.abs(b[mask] - a[mask]) / np.abs(a[mask])

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantdoa.config import desk_default
+from quantdoa.dataset import build_dataset
 from quantdoa.music import noise_subspace, sample_covariance
 from quantdoa.quantizer import (
     QuantizerSpec,
@@ -11,7 +13,7 @@ from quantdoa.quantizer import (
     quantize_complex,
     quantize_real,
 )
-from quantdoa.signal_model import ArrayGeometry, noise_variance, synthesize
+from quantdoa.signal_model import ArrayGeometry, from_real_batch, noise_variance, synthesize
 
 B1V1 = QuantizerSpec(bits=1, full_scale=1.0)
 
@@ -138,6 +140,10 @@ class TestFullScale:
     def test_worst_case_over_snr_list(self):
         assert default_full_scale(2, [10.0, 30.0, 50.0]) == default_full_scale(2, 10.0)
 
+    def test_worst_variance_is_noise_variance(self):
+        # at -7.5 dB numpy's array power is one ulp away from the scalar map
+        assert default_full_scale(3, [50.0, -7.5]) == 3.0 + 4.0 * np.sqrt(noise_variance(-7.5) / 2.0)
+
     def test_clipping_rate_is_small(self):
         # 1e6 synthesized components: measured clipping under 1e-3
         geom = ArrayGeometry(50)
@@ -145,3 +151,8 @@ class TestFullScale:
         spec = QuantizerSpec(1, default_full_scale(3, 10.0))
         snap = synthesize(np.array([-20.0, 1.0, 25.0]), geom, noise_variance(10.0), 10_000, rng)
         assert clipping_rate(snap, spec) < 1e-3
+
+    def test_desk_train_split_clipping_below_1e_3(self):
+        cfg = desk_default()
+        clean = from_real_batch(build_dataset(cfg, "train").targets)
+        assert clipping_rate(clean, cfg.quantizer_spec()) < 1e-3
