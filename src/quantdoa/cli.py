@@ -20,7 +20,7 @@ from .config import ConfigError, ScenarioConfig, apply_overrides, desk_default, 
 from .dataset import Dataset, build_dataset, load_dataset, save_dataset
 from .experiments import (
     DEFAULT_SPECTRUM_ANGLES,
-    AblationRow,
+    TrainResult,
     ablation_points,
     ablation_suite,
     compression_report,
@@ -33,7 +33,7 @@ from .experiments import (
     width_sweep_variants,
     write_curves_csv,
 )
-from .network import to_half_precision
+from .network import DenoiserModel, to_half_precision
 
 
 class _UsageError(Exception):
@@ -106,10 +106,17 @@ def _cmd_generate(args, config: ScenarioConfig) -> None:
         print(f"wrote {out / f'{split}.qdst'} ({ds.count} records, V={ds.full_scale:.6g})")
 
 
+def _test_set(out: Path) -> Dataset:
+    return load_dataset(_require(out / "test.qdst", "test dataset"))
+
+
 def _datasets(out: Path) -> tuple[Dataset, Dataset]:
     """The train and test sets that ``generate`` wrote to ``out``."""
-    return (load_dataset(_require(out / "train.qdst", "training dataset")),
-            load_dataset(_require(out / "test.qdst", "test dataset")))
+    return load_dataset(_require(out / "train.qdst", "training dataset")), _test_set(out)
+
+
+def _model(out: Path) -> DenoiserModel:
+    return load_checkpoint(_require(out / "model.qdnn", "model checkpoint"))
 
 
 def _cmd_train(args, config: ScenarioConfig) -> None:
@@ -130,26 +137,22 @@ def _cmd_train(args, config: ScenarioConfig) -> None:
 
 def _cmd_eval_recon(args, config: ScenarioConfig) -> None:
     out = args.out
-    model = load_checkpoint(_require(out / "model.qdnn", "model checkpoint"))
-    test_set = load_dataset(_require(out / "test.qdst", "test dataset"))
-    points = eval_reconstruction(model, test_set)
+    points = eval_reconstruction(_model(out), _test_set(out))
     write_curves_csv(out / "recon_loss.csv", points, config)
     print(f"wrote {out / 'recon_loss.csv'}")
 
 
 def _cmd_eval_doa(args, config: ScenarioConfig) -> None:
     out = args.out
-    model = load_checkpoint(_require(out / "model.qdnn", "model checkpoint"))
-    points, _ = eval_doa(model, config)
+    points, _ = eval_doa(_model(out), config)
     write_curves_csv(out / "doa_mse.csv", points, config)
     print(f"wrote {out / 'doa_mse.csv'}")
 
 
 def _cmd_spectrum(args, config: ScenarioConfig) -> None:
     out = args.out
-    model = load_checkpoint(_require(out / "model.qdnn", "model checkpoint"))
     points, trial_seed = spectrum_compare(
-        model, config, angles_deg=tuple(args.angles), snr_db=args.snr
+        _model(out), config, angles_deg=tuple(args.angles), snr_db=args.snr
     )
     write_curves_csv(
         out / "spectrum.csv",
@@ -166,9 +169,8 @@ def _cmd_spectrum(args, config: ScenarioConfig) -> None:
 
 def _cmd_compress(args, config: ScenarioConfig) -> None:
     out = args.out
-    model = load_checkpoint(_require(out / "model.qdnn", "model checkpoint"))
-    test_set = load_dataset(_require(out / "test.qdst", "test dataset"))
-    points = compression_report(model, test_set)
+    model = _model(out)
+    points = compression_report(model, _test_set(out))
     write_curves_csv(out / "compression.csv", points, config)
     save_checkpoint(to_half_precision(model), out / "model_fp16.qdnn")
     print(f"wrote {out / 'compression.csv'} and {out / 'model_fp16.qdnn'}")
@@ -176,16 +178,16 @@ def _cmd_compress(args, config: ScenarioConfig) -> None:
 
 def _train_variants(
     out: Path, config: ScenarioConfig, variants: list[tuple[str, list[str]]], timing_csv: str
-) -> list[AblationRow]:
+) -> dict[str, TrainResult]:
     """Train ``variants`` on the generated datasets and write their wall-clock table."""
-    rows = ablation_suite(config, variants, *_datasets(out))
+    results = ablation_suite(config, variants, *_datasets(out))
     write_curves_csv(
         out / timing_csv,
-        timing_points(rows),
+        timing_points(results),
         config,
         extra_header={"note": "wall-clock seconds; machine dependent"},
     )
-    return rows
+    return results
 
 
 def _cmd_bench(args, config: ScenarioConfig) -> None:
@@ -195,8 +197,8 @@ def _cmd_bench(args, config: ScenarioConfig) -> None:
 
 def _cmd_ablate(args, config: ScenarioConfig) -> None:
     out = args.out
-    rows = _train_variants(out, config, default_ablation_variants(config), "ablation_timing.csv")
-    write_curves_csv(out / "ablation.csv", ablation_points(rows), config)
+    results = _train_variants(out, config, default_ablation_variants(config), "ablation_timing.csv")
+    write_curves_csv(out / "ablation.csv", ablation_points(results), config)
     print(f"wrote {out / 'ablation.csv'} and {out / 'ablation_timing.csv'}")
 
 

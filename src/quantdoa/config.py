@@ -191,6 +191,8 @@ class ScenarioConfig:
             errs.append("quantizer.full_scale must be finite and > 0 when set")
         if d.train_count < 1 or d.test_count < 1:
             errs.append("data.train_count and data.test_count must be >= 1")
+        elif d.train_count < 2:
+            errs.append("data.train_count must be >= 2 (a training batch needs two records)")
         two_m = 2 * a.num_sensors
         w = n.widths
         if len(w) < 3:

@@ -65,10 +65,6 @@ class Dataset:
     def num_sources(self) -> int:
         return int(self.angles_deg.shape[1])
 
-    @property
-    def quantizer_spec(self) -> QuantizerSpec:
-        return QuantizerSpec(bits=self.bits, full_scale=self.full_scale)
-
     def snr_buckets(self) -> dict[float, np.ndarray]:
         """Record indices grouped by SNR, in first-seen order."""
         buckets: dict[float, np.ndarray] = {}

@@ -11,7 +11,7 @@ pipeline alone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +85,7 @@ def write_curves_csv(
 def train(
     config: ScenarioConfig,
     train_set: Dataset,
-    test_set: Dataset | None = None,
+    test_set: Dataset,
     progress: bool = False,
 ) -> TrainResult:
     """Shuffled mini-batch Adam on the reconstruction loss.
@@ -140,10 +140,7 @@ def train(
             seen += idx.size
         # the epoch's last step is seen by no forward inside the epoch
         diverged = diverged or not np.isfinite(model.params).all()
-        evaluated = test_set is not None and (
-            (epoch + 1) % config.train.eval_interval == 0
-            or epoch == config.train.epochs - 1
-        )
+        evaluated = (epoch + 1) % config.train.eval_interval == 0 or epoch == config.train.epochs - 1
         if not diverged and evaluated:
             test_loss = evaluate_loss(model, test_set)
             diverged = not np.isfinite(test_loss)
@@ -159,7 +156,7 @@ def train(
                 print(f"epoch {epoch}: train {train_loss:.5f} test {test_loss:.5f}")
     elapsed = time.perf_counter() - start
 
-    if diverged and test_set is not None:  # the last epoch is always evaluated, a rollback is not
+    if diverged:  # the last epoch is always evaluated, a rollback is not
         test_loss = evaluate_loss(model, test_set)
     return TrainResult(
         model=model,
@@ -264,13 +261,16 @@ def eval_doa(
 
 
 def spectrum_compare(
-    model: net.DenoiserModel | None,
+    model: net.DenoiserModel,
     config: ScenarioConfig,
     angles_deg: tuple[float, ...] = DEFAULT_SPECTRUM_ANGLES,
     snr_db: float = 50.0,
 ) -> tuple[list[CurvePoint], int]:
     """MUSIC spectra of several pipelines on one shared realization."""
     _check_model_fits(model, config)
+    if not 1 <= len(angles_deg) < config.array.num_sensors:
+        raise ConfigError(f"need 1 to {config.array.num_sensors - 1} angles for "
+                          f"{config.array.num_sensors} sensors, got {len(angles_deg)}")
     lo, hi = config.music.grid_min, config.music.grid_max
     if any(not (lo <= a <= hi) for a in angles_deg):
         raise ConfigError(f"angles {angles_deg} fall outside the scan range [{lo}, {hi}]")
@@ -316,23 +316,19 @@ def compression_report(model: net.DenoiserModel, ds: Dataset) -> list[CurvePoint
 # -- ablations and timing ----------------------------------------------------------
 
 
-@dataclass
-class AblationRow:
-    name: str
-    final_test_loss: float
-    diverged: bool
-    train_seconds: float
+def _width_chain(config: ScenarioConfig, hidden: int, layers: int) -> list[int]:
+    """``network.widths`` of a ``layers``-layer net with ``hidden``-wide hidden layers."""
+    two_m = 2 * config.array.num_sensors
+    return [two_m] + [hidden] * (layers - 1) + [two_m]
 
 
 def default_ablation_variants(config: ScenarioConfig) -> list[tuple[str, list[str]]]:
     """The fine-tuning grid: depth, width, BN, skip, activation."""
-    two_m = 2 * config.array.num_sensors
     hidden = config.network.widths[1]
     depth = len(config.network.widths) - 1
 
     def widths(n_hidden: int, n_layers: int) -> str:
-        chain = [two_m] + [n_hidden] * (n_layers - 1) + [two_m]
-        return f"network.widths={chain}"
+        return f"network.widths={_width_chain(config, n_hidden, n_layers)}"
 
     variants: list[tuple[str, list[str]]] = [("base", [])]
     for layers in (depth - 2, depth + 2):
@@ -352,56 +348,45 @@ def ablation_suite(
     variants: list[tuple[str, list[str]]],
     train_set: Dataset,
     test_set: Dataset,
-) -> list[AblationRow]:
+) -> dict[str, TrainResult]:
     """Train every variant on one shared dataset; keep diverged runs.
 
-    The base configuration is included exactly once even when the caller
-    omits it.  Every variant is checked before any trains: a repeated
-    name or an invalid config raises ``ConfigError``.
+    Results come back by name in variant order.  The base configuration
+    is included exactly once, first when the caller omits it.  Every
+    variant is checked before any trains: a repeated name or an invalid
+    config raises ``ConfigError``.
     """
     if "base" not in dict(variants):
         variants = [("base", [])] + list(variants)
     names = [name for name, _ in variants]
     if len(set(names)) < len(names):
         raise ConfigError(f"each variant must appear exactly once; got {names}")
-    configs = {name: apply_overrides(config, ov) if ov else config.copy() for name, ov in variants}
+    configs = {name: apply_overrides(config, ov) for name, ov in variants}
     for name, cfg in configs.items():
         errs = cfg.validate()
         if errs:
             raise ConfigError(f"variant {name!r} is invalid: {errs}")
-    rows: list[AblationRow] = []
-    for name, cfg in configs.items():
-        result = train(cfg, train_set, test_set)
-        rows.append(
-            AblationRow(
-                name=name,
-                final_test_loss=result.final_test_loss,
-                diverged=result.diverged,
-                train_seconds=result.train_seconds,
-            )
-        )
-    return rows
+    return {name: train(cfg, train_set, test_set) for name, cfg in configs.items()}
 
 
-def ablation_points(rows: list[AblationRow]) -> list[CurvePoint]:
+def ablation_points(results: dict[str, TrainResult]) -> list[CurvePoint]:
     """Loss table plus an explicit 0/1 divergence flag row per variant."""
     points = []
-    for row in rows:
-        points.append(CurvePoint(row.name, 0.0, row.final_test_loss))
-        points.append(CurvePoint(f"{row.name}/diverged", 0.0, 1.0 if row.diverged else 0.0))
+    for name, result in results.items():
+        points.append(CurvePoint(name, 0.0, result.final_test_loss))
+        points.append(CurvePoint(f"{name}/diverged", 0.0, 1.0 if result.diverged else 0.0))
     return points
 
 
-def timing_points(rows: list[AblationRow]) -> list[CurvePoint]:
-    return [CurvePoint(row.name, 0.0, row.train_seconds) for row in rows]
+def timing_points(results: dict[str, TrainResult]) -> list[CurvePoint]:
+    return [CurvePoint(name, 0.0, result.train_seconds) for name, result in results.items()]
 
 
 def width_sweep_variants(config: ScenarioConfig, widths: list[int]) -> list[tuple[str, list[str]]]:
-    two_m = 2 * config.array.num_sensors
     depth = len(config.network.widths) - 1
     out = []
     for n in widths:
-        chain = [two_m] + [n] * (depth - 1) + [two_m]
+        chain = _width_chain(config, n, depth)
         name = "base" if chain == config.network.widths else f"width-{n}"
         out.append((name, [f"network.widths={chain}"]))
     return out

@@ -137,10 +137,6 @@ class DenoiserModel:
     def width_in(self) -> int:
         return self.dense[0].in_dim
 
-    @property
-    def use_bn(self) -> bool:
-        return any(bn is not None for bn in self.norms)
-
     def closes_pair(self, i: int) -> bool:
         """Layer i is the outer layer of a residual pair and adds the skip."""
         return self.use_residual and 0 < i < self.depth - 1 and i % 2 == 0

@@ -38,11 +38,6 @@ class QuantizerSpec:
     def step(self) -> float:
         return 2.0 * self.full_scale / (2.0 ** self.bits)
 
-    def levels(self) -> np.ndarray:
-        """All representable outputs k*step, k = -2^(B-1) .. 2^(B-1)."""
-        half = 2 ** (self.bits - 1)
-        return np.arange(-half, half + 1, dtype=float) * self.step
-
 
 def quantize_real(values: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
     """Saturating round-to-nearest on a real array; ties away from zero."""

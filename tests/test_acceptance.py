@@ -45,6 +45,8 @@ from quantdoa.signal_model import (
     to_real_batch,
 )
 
+from accessors import quantizer_levels, quantizer_spec
+
 
 def paired_stderr(a: TrialResult, b: TrialResult) -> float:
     """Standard error of the per-trial difference a - b."""
@@ -218,7 +220,7 @@ def test_estimation_floor_matches_desk_test_set(desk_setup, estimation_floor):
     test_power = float(per_record.mean())
     stderr = float(np.std(per_record, ddof=1) / np.sqrt(per_record.size))
     z = (estimation_floor.noise_power - test_power) / stderr
-    ok = estimation_floor.spec == train_set.quantizer_spec and abs(z) < 3.0
+    ok = estimation_floor.spec == quantizer_spec(train_set) and abs(z) < 3.0
     report(
         "floor-fixture-vs-desk-test-set",
         ok,
@@ -227,7 +229,7 @@ def test_estimation_floor_matches_desk_test_set(desk_setup, estimation_floor):
         f"{estimation_floor.floor_ratio:.3f} over {estimation_floor.repeated_mass:.1%} "
         f"of {FLOOR_MC_DRAWS} draws",
     )
-    assert estimation_floor.spec == train_set.quantizer_spec
+    assert estimation_floor.spec == quantizer_spec(train_set)
     assert abs(z) < 3.0, f"MC noise power off the test set's by {z:.2f} standard errors"
 
 
@@ -288,7 +290,7 @@ def test_criterion_2_quantizer_exactness():
         bound_ok = bool(np.all(np.abs(q) <= spec.step / 2))
         alphabet = np.unique(y)
         alphabet_ok = alphabet.size == 2**bits + 1 and bool(
-            np.all(np.isin(alphabet, spec.levels()))
+            np.all(np.isin(alphabet, quantizer_levels(spec)))
         )
         counts, _ = np.histogram(q, bins=20, range=(-spec.step / 2, spec.step / 2))
         p_value = stats.chisquare(counts).pvalue
@@ -596,7 +598,7 @@ def test_criterion_8a_width_sweep_timing_monotone():
     variants = width_sweep_variants(cfg, [32, 64, 128])
     runs = [ablation_suite(cfg, variants, train_set, test_set) for _ in range(3)]
     times = [
-        min(r.train_seconds for rows in runs for r in rows if r.name == name)
+        min(results[name].train_seconds for results in runs)
         for name in ("width-32", "width-64", "base")
     ]
     ok = times[0] < times[1] < times[2]

@@ -14,6 +14,7 @@ from quantdoa.checkpoint import (
 )
 from quantdoa.dataset import DatasetFormatError, load_dataset
 
+from accessors import use_bn
 from model_arrays import all_arrays
 
 
@@ -50,7 +51,7 @@ class TestRoundTrip:
         path = tmp_path / "m.qdnn"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
-        assert not loaded.use_bn
+        assert not use_bn(loaded)
         assert not loaded.use_residual
         assert loaded.activation == "tanh"
         assert not loaded.input_bias
@@ -229,7 +230,7 @@ class TestCommittedV1Files:
     def test_loads_and_resaves_byte_for_byte(self, name, residual, bn, activation, input_bias, tmp_path):
         path = DATA / name
         model = load_checkpoint(path)
-        assert (model.use_residual, model.use_bn) == (residual, bn)
+        assert (model.use_residual, use_bn(model)) == (residual, bn)
         assert (model.activation, model.input_bias) == (activation, input_bias)
         save_checkpoint(model, tmp_path / "again.qdnn")
         assert (tmp_path / "again.qdnn").read_bytes() == path.read_bytes()

@@ -88,9 +88,14 @@ class TestPipeline:
         # width 32 equals the tiny config's own width, so it reports as "base"
         assert run(["bench", "--out", pipeline_dir, "--widths", 16, 32] + TINY) == 0
         points, header = read_curves_csv(pipeline_dir / "bench_timing.csv")
-        assert {p.series for p in points} == {"width-16", "base"}
+        assert [p.series for p in points] == ["width-16", "base"]
         assert all(p.y > 0 for p in points)
         assert "machine dependent" in header["note"]
+
+    def test_bench_without_the_base_width_trains_base_first(self, pipeline_dir):
+        assert run(["bench", "--out", pipeline_dir, "--widths", 16, 64] + TINY) == 0
+        points, _ = read_curves_csv(pipeline_dir / "bench_timing.csv")
+        assert [p.series for p in points] == ["base", "width-16", "width-64"]
 
     def test_ablate_writes_losses_and_flags(self, pipeline_dir):
         assert run(["ablate", "--out", pipeline_dir] + TINY) == 0
@@ -98,7 +103,11 @@ class TestPipeline:
         series = {p.series for p in points}
         assert "base" in series and "base/diverged" in series
         assert "no-bn" in series and "no-residual" in series
-        assert (pipeline_dir / "ablation_timing.csv").exists()
+        names = ["base", "layers-2", "layers-6", "neurons-8", "neurons-16", "neurons-64",
+                 "no-bn", "no-residual", "tanh"]
+        assert [p.series for p in points] == [s for n in names for s in (n, f"{n}/diverged")]
+        timing, _ = read_curves_csv(pipeline_dir / "ablation_timing.csv")
+        assert [p.series for p in timing] == names
 
     def test_spectrum_records_trial_seed(self, pipeline_dir):
         assert run([
@@ -194,6 +203,7 @@ class TestValidationErrors:
         ("generate", "sources.angle_max=-30.0", "sources.angle_max must exceed sources.angle_min"),
         ("generate", "sources.angle_min=-90.0", "source angle range must lie inside (-90, 90) degrees"),
         ("generate", "data.train_count=0", "data.train_count and data.test_count must be >= 1"),
+        ("train", "data.train_count=1", "data.train_count must be >= 2"),
         ("generate", "network.widths=[16, 16]", "network.widths must list at least [in, hidden, out]"),
         ("generate", "network.activation=gelu", "network.activation must be one of relu, tanh, sigmoid"),
         ("generate", "train.batch_size=1", "train.batch_size must be >= 2"),
@@ -222,6 +232,13 @@ class TestValidationErrors:
         code = run(["spectrum", "--out", pipeline_dir, "--set", "music.grid_min=0.0"] + TINY)
         assert code == 1
         assert "outside the scan range [0.0, 30.0]" in capsys.readouterr().err
+
+    def test_spectrum_as_many_angles_as_sensors_exit_1(self, pipeline_dir, tmp_path, capsys):
+        (tmp_path / "model.qdnn").write_bytes((pipeline_dir / "model.qdnn").read_bytes())
+        angles = [str(a) for a in range(-28, 28, 7)]  # 8 angles, 8 sensors
+        assert run(["spectrum", "--out", tmp_path, "--angles", *angles] + TINY) == 1
+        assert "need 1 to 7 angles for 8 sensors, got 8" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()
 
     def test_missing_config_file_exit_1(self, tmp_path):
         assert run(["generate", "--out", tmp_path, "--config", tmp_path / "nope.yaml"]) == 1

@@ -20,6 +20,8 @@ from quantdoa.dataset import (
 from quantdoa.quantizer import quantize_complex
 from quantdoa.signal_model import draw_source_angles, from_real_batch, noise_variance, synthesize
 
+from accessors import quantizer_spec
+
 DATA = Path(__file__).parent / "data"
 FIELDS = ("inputs", "targets", "snr_db", "angles_deg", "record_seeds")
 
@@ -111,7 +113,7 @@ class TestBuild:
         assert counts.tolist() == [2, 2, 2, 2, 2]
 
     def test_target_is_input_minus_quantization_noise(self, small_train):
-        spec = small_train.quantizer_spec
+        spec = quantizer_spec(small_train)
         for i in range(0, small_train.count, 7):
             clean = from_real_batch(small_train.targets[i : i + 1])[:, 0]
             q = quantize_complex(clean, spec) - clean
@@ -127,7 +129,7 @@ class TestBuild:
             angle_range=small_config.angle_range(),
             min_sep=small_config.sources.min_sep,
             snr_db=float(small_train.snr_db[i]),
-            qspec=small_train.quantizer_spec,
+            qspec=quantizer_spec(small_train),
         )
         np.testing.assert_array_equal(inp, small_train.inputs[i])
         np.testing.assert_array_equal(tgt, small_train.targets[i])
@@ -298,7 +300,7 @@ class TestBlockEquivalence:
                 angle_range=cfg.angle_range(),
                 min_sep=cfg.sources.min_sep,
                 snr_db=snr,
-                qspec=ds.quantizer_spec,
+                qspec=quantizer_spec(ds),
             )
             row = (ds.inputs[i], ds.targets[i], ds.angles_deg[i])
             for got, ref, want in zip(record, per_record_reference(seed, cfg, snr), row):

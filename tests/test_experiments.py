@@ -88,7 +88,7 @@ class TestTrain:
         cfg.data.train_count = 800
         cfg.train.epochs = 25
         train_set = build_dataset(cfg, "train")
-        result = train(cfg, train_set)
+        result = train(cfg, train_set, build_dataset(cfg, "test"))
         tl = np.array([p.y for p in result.curves if p.series == "train-loss"])
         window = 10
         ma = np.convolve(tl, np.ones(window) / window, mode="valid")
@@ -399,19 +399,26 @@ class TestAblation:
         return ablation_suite(cfg, variants, train_set, test_set)
 
     def test_base_included_exactly_once(self, rows):
-        assert [r.name for r in rows].count("base") == 1
+        assert list(rows).count("base") == 1
+
+    def test_base_first_then_variants_in_the_order_given(self, rows):
+        assert list(rows) == ["base", "no-bn", "width-16"]
+        assert [p.series for p in timing_points(rows)] == list(rows)
+        assert [p.series for p in ablation_points(rows)] == [
+            s for name in rows for s in (name, f"{name}/diverged")
+        ]
 
     def test_rows_carry_finite_losses_and_times(self, rows):
-        for row in rows:
+        for row in rows.values():
             assert np.isfinite(row.final_test_loss)
             assert row.train_seconds > 0
 
     def test_points_have_divergence_flags(self, rows):
         points = ablation_points(rows)
         names = {p.series for p in points}
-        for row in rows:
-            assert row.name in names
-            assert f"{row.name}/diverged" in names
+        for name in rows:
+            assert name in names
+            assert f"{name}/diverged" in names
         flags = {p.series: p.y for p in points if p.series.endswith("/diverged")}
         assert set(flags.values()) <= {0.0, 1.0}
 
