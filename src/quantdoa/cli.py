@@ -15,9 +15,11 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, ScenarioConfig, apply_overrides, desk_default, load_config
-from .dataset import Dataset, build_dataset, load_dataset, save_dataset
+from .dataset import Dataset, build_dataset, load_dataset, save_dataset, split_seeds
 from .experiments import (
     DEFAULT_SPECTRUM_ANGLES,
     TrainResult,
@@ -106,13 +108,25 @@ def _cmd_generate(args, config: ScenarioConfig) -> None:
         print(f"wrote {out / f'{split}.qdst'} ({ds.count} records, V={ds.full_scale:.6g})")
 
 
-def _test_set(out: Path) -> Dataset:
-    return load_dataset(_require(out / "test.qdst", "test dataset"))
+def _dataset(out: Path, split: str, config: ScenarioConfig) -> Dataset:
+    """The ``split`` set in ``out``, refused unless ``generate`` under ``config`` writes it."""
+    path = _require(out / f"{split}.qdst", f"{split} dataset")
+    ds, seeds = load_dataset(path), split_seeds(config, split)
+    found = (ds.num_sensors, ds.num_sources, ds.count, ds.snr_list, ds.bits, ds.full_scale)
+    wanted = (config.array.num_sensors, config.sources.count, seeds.size,
+              [float(v) for v in config.snr_db], config.quantizer.bits, config.resolved_full_scale())
+    names = ("M", "K", "record count", "snr_list", "bits", "full_scale")
+    diff = [f"{name} {f} (config: {w})" for name, f, w in zip(names, found, wanted) if f != w]
+    if not diff and not np.array_equal(ds.record_seeds, seeds):
+        diff.append(f"record seeds (config seed: {config.seed})")
+    if diff:
+        raise ConfigError(f"{path} was not generated under this config: {'; '.join(diff)}; rerun generate")
+    return ds
 
 
-def _datasets(out: Path) -> tuple[Dataset, Dataset]:
-    """The train and test sets that ``generate`` wrote to ``out``."""
-    return load_dataset(_require(out / "train.qdst", "training dataset")), _test_set(out)
+def _datasets(out: Path, config: ScenarioConfig) -> tuple[Dataset, Dataset]:
+    """The train and test sets that ``generate`` wrote to ``out`` under ``config``."""
+    return _dataset(out, "train", config), _dataset(out, "test", config)
 
 
 def _model(out: Path) -> DenoiserModel:
@@ -121,7 +135,7 @@ def _model(out: Path) -> DenoiserModel:
 
 def _cmd_train(args, config: ScenarioConfig) -> None:
     out = args.out
-    result = train(config, *_datasets(out), progress=True)
+    result = train(config, *_datasets(out, config), progress=True)
     save_checkpoint(result.model, out / "model.qdnn")
     write_curves_csv(
         out / "train_curves.csv",
@@ -137,7 +151,7 @@ def _cmd_train(args, config: ScenarioConfig) -> None:
 
 def _cmd_eval_recon(args, config: ScenarioConfig) -> None:
     out = args.out
-    points = eval_reconstruction(_model(out), _test_set(out))
+    points = eval_reconstruction(_model(out), _dataset(out, "test", config))
     write_curves_csv(out / "recon_loss.csv", points, config)
     print(f"wrote {out / 'recon_loss.csv'}")
 
@@ -170,7 +184,7 @@ def _cmd_spectrum(args, config: ScenarioConfig) -> None:
 def _cmd_compress(args, config: ScenarioConfig) -> None:
     out = args.out
     model = _model(out)
-    points = compression_report(model, _test_set(out))
+    points = compression_report(model, _dataset(out, "test", config))
     write_curves_csv(out / "compression.csv", points, config)
     save_checkpoint(to_half_precision(model), out / "model_fp16.qdnn")
     print(f"wrote {out / 'compression.csv'} and {out / 'model_fp16.qdnn'}")
@@ -180,7 +194,7 @@ def _train_variants(
     out: Path, config: ScenarioConfig, variants: list[tuple[str, list[str]]], timing_csv: str
 ) -> dict[str, TrainResult]:
     """Train ``variants`` on the generated datasets and write their wall-clock table."""
-    results = ablation_suite(config, variants, *_datasets(out))
+    results = ablation_suite(config, variants, *_datasets(out, config))
     write_curves_csv(
         out / timing_csv,
         timing_points(results),

@@ -107,20 +107,26 @@ def generate_records(
     )
 
 
-def build_dataset(config: ScenarioConfig, split: str) -> Dataset:
+def split_seeds(config: ScenarioConfig, split: str) -> np.ndarray:
+    """The record seeds of the ``split`` set, one per record in file order."""
     if split == "train":
         count, domain = config.data.train_count, DOMAIN_TRAIN_DATA
     elif split == "test":
         count, domain = config.data.test_count, DOMAIN_TEST_DATA
     else:
         raise ValueError(f"split must be 'train' or 'test', got {split!r}")
+    return derived_seeds(config.seed, domain, count)
+
+
+def build_dataset(config: ScenarioConfig, split: str) -> Dataset:
+    seeds = split_seeds(config, split)
+    count = seeds.size
     geom, qspec = config.geometry(), config.quantizer_spec()
     snr_list = [float(v) for v in config.snr_db]
     inputs = np.empty((count, 2 * geom.num_sensors), dtype=np.float32)
     targets = np.empty_like(inputs)
     angles = np.empty((count, config.sources.count))
     snrs = np.asarray(snr_list)[np.arange(count) % len(snr_list)]
-    seeds = derived_seeds(config.seed, domain, count)
     for lo in range(0, count, BLOCK_RECORDS):
         block = slice(lo, min(lo + BLOCK_RECORDS, count))
         inputs[block], targets[block], angles[block] = generate_records(

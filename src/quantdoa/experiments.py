@@ -30,7 +30,7 @@ from .config import (
     derived_seeds,
 )
 from .dataset import Dataset
-from .music import TrialResult, run_trials, sample_covariance, music_spectrum, scan_grid
+from .music import TrialResult, music_spectrum, noise_subspace, run_trials, sample_covariance, scan_grid
 from .optimizer import NonFiniteGradientError, adam_step, init_state
 from .quantizer import QuantizerSpec, quantize_complex
 from .signal_model import from_real_batch, noise_variance, steering_matrix, synthesize, to_real_batch
@@ -286,7 +286,7 @@ def spectrum_compare(
     for tag in SPECTRUM_SERIES:
         transform = make_transform(tag, config.quantizer_spec, model)
         cov = sample_covariance(transform(clean))
-        spectrum = music_spectrum(cov, len(angles_deg), steering)
+        spectrum = music_spectrum(noise_subspace(cov, len(angles_deg)), steering)
         points.extend(CurvePoint(tag, g, s) for g, s in zip(grid, spectrum))
     return points, trial_seed
 

@@ -13,8 +13,9 @@ metric is the mean squared angle error after rank pairing.  Snapshots
 are plain complex ndarrays: Y is (M, N), one column per snapshot.
 
 Every step accepts leading batch axes and puts each matrix of a stack
-through the same arithmetic as a lone one, so the snapshot blocks and
-spectrum chunks of ``run_trials`` match one-at-a-time scans bit for bit.
+through the same arithmetic as a lone one, so ``run_trials`` can take one
+covariance and one ``eigh`` per block of trials and scan the subspaces in
+spectrum chunks, and still match one-at-a-time scans bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .signal_model import ArrayGeometry, noise_variance, steering_matrix, synthe
 SPECTRUM_REGULARIZER = 1e-12
 
 # Working-memory budget of run_trials: a chunk's (T, M-K, G) projection and
-# a block's (T, M, N) snapshots stay near it; a block holds at least one chunk.
+# a block's (T, M, N) snapshots and (T, M, M) covariances and eigenvectors
+# stay near it; a block holds at least one chunk.
 CHUNK_BYTES = 4_000_000
 
 # Transforms map clean complex snapshots, M x N or a stack (..., M, N)
@@ -76,25 +78,27 @@ def noise_subspace(cov: np.ndarray, num_sources: int) -> np.ndarray:
     return vecs[..., : m - num_sources]
 
 
-def music_spectrum(cov: np.ndarray, num_sources: int, steering: np.ndarray) -> np.ndarray:
+def music_spectrum(subspace: np.ndarray, steering: np.ndarray) -> np.ndarray:
     """Pseudo-spectrum over a grid given by its steering matrix (one column per angle).
 
-    Larger means more source-like.  A stack of covariances (..., M, M)
-    gives a stack of spectra (..., G).
+    ``subspace`` is a noise basis (M, M-K) from ``noise_subspace``, or a
+    stack (..., M, M-K) giving a stack of spectra (..., G).  Larger means
+    more source-like.
     """
-    subspace = noise_subspace(cov, num_sources)
     rows = subspace.conj().swapaxes(-1, -2)
     if rows.shape[-2] > 1:  # one GEMM over the subspace rows of every matrix
         projection = (rows.reshape(-1, rows.shape[-1]) @ steering).reshape(*rows.shape[:-1], -1)
     else:
         # numpy sends one-row products to gemv, which rounds unlike gemm
         projection = rows @ steering
-    power = np.abs(projection)
-    power **= 2
-    # Row-by-row adds: the order np.sum(..., axis=-2) adds in.
-    spectrum = power[..., 0, :].copy() if rows.shape[-2] == 1 else np.add(power[..., 0, :], power[..., 1, :])
-    for row in range(2, rows.shape[-2]):
-        spectrum += power[..., row, :]
+    # |P_r|^2 summed one row at a time, in the order np.sum(..., axis=-2) adds.
+    spectrum = np.abs(projection[..., 0, :])
+    spectrum **= 2
+    scratch = np.empty_like(spectrum)
+    for row in range(1, rows.shape[-2]):
+        np.abs(projection[..., row, :], out=scratch)
+        scratch **= 2
+        spectrum += scratch
     spectrum += SPECTRUM_REGULARIZER
     return np.divide(1.0, spectrum, out=spectrum)
 
@@ -231,9 +235,10 @@ def run_trials(
     Trial t draws its angles, source phases, and noise from a generator
     seeded with ``seeds[t]`` (from ``config.derived_seeds``), once for all
     ``transforms``, so the pipelines see identical signals and differ only
-    in the transform.  Each block of trials is synthesized, transformed and
-    scored once per series, and scanned in chunks (see ``CHUNK_BYTES``);
-    neither size moves a result.
+    in the transform.  Each block of trials is synthesized and transformed
+    once per series, and its covariances and noise subspaces come from one
+    ``eigh`` call; the spectra are scanned in chunks (see ``CHUNK_BYTES``).
+    Neither size moves a result.
     """
     trials = len(seeds)
     if trials < 1:
@@ -243,16 +248,18 @@ def run_trials(
     variance = noise_variance(snr_db)
     projection_bytes = (geom.num_sensors - num_sources) * grid_deg.size * steering.itemsize
     chunk = max(1, CHUNK_BYTES // projection_bytes)
-    block = max(chunk, CHUNK_BYTES // (geom.num_sensors * num_snapshots * steering.itemsize))
+    trial_bytes = geom.num_sensors * max(num_snapshots, geom.num_sensors) * steering.itemsize
+    block = max(chunk, CHUNK_BYTES // trial_bytes)
     mses = {tag: np.empty(trials, dtype=float) for tag in transforms}
     for lo in range(0, trials, block):
         batch = seeds[lo : lo + block].tolist()
         truths, clean = synthesize_seeded(batch, [variance] * len(batch), geom,
                                           num_sources, angle_range, min_sep, num_snapshots)
         for tag, transform in transforms.items():
-            observed, picks = transform(clean), np.empty_like(truths)
-            for i in range(0, len(batch), chunk):
-                spectra = music_spectrum(sample_covariance(observed[i : i + chunk]), num_sources, steering)
-                picks[i : i + chunk] = pick_peak_rows(grid_deg, spectra, num_sources)
+            subspaces = noise_subspace(sample_covariance(transform(clean)), num_sources)
+            picks = np.empty_like(truths)
+            # No name keeps a chunk's spectra, so they are freed before the next projection.
+            for part in (slice(i, i + chunk) for i in range(0, len(batch), chunk)):
+                picks[part] = pick_peak_rows(grid_deg, music_spectrum(subspaces[part], steering), num_sources)
             mses[tag][lo : lo + block] = doa_mse(picks, truths)
     return {tag: TrialResult(mses=m) for tag, m in mses.items()}

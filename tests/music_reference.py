@@ -7,6 +7,9 @@ run-compression peak finder the package used before it looked only at
 rise-then-fall candidates, kept verbatim.  ``run_trials_chunked`` is
 the engine ``run_trials`` replaced, kept verbatim: it synthesizes,
 transforms and scores every 2 MB spectrum chunk on its own.
+``music_spectrum`` is the covariance-in spectrum both of them call, kept
+verbatim from before the package took noise subspaces and summed the
+squared magnitudes one subspace row at a time.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from quantdoa.music import (
+    SPECTRUM_REGULARIZER,
     SignalTransform,
     TrialResult,
     doa_mse,
-    music_spectrum,
+    noise_subspace,
     pick_peak_rows,
     pick_peaks,
     sample_covariance,
@@ -28,6 +32,29 @@ from quantdoa.signal_model import ArrayGeometry, noise_variance, steering_matrix
 
 # The chunk budget of the replaced engine: 4 trials a chunk at the desk shape.
 CHUNK_BYTES = 2_000_000
+
+
+def music_spectrum(cov: np.ndarray, num_sources: int, steering: np.ndarray) -> np.ndarray:
+    """Pseudo-spectrum over a grid given by its steering matrix (one column per angle).
+
+    Larger means more source-like.  A stack of covariances (..., M, M)
+    gives a stack of spectra (..., G).
+    """
+    subspace = noise_subspace(cov, num_sources)
+    rows = subspace.conj().swapaxes(-1, -2)
+    if rows.shape[-2] > 1:  # one GEMM over the subspace rows of every matrix
+        projection = (rows.reshape(-1, rows.shape[-1]) @ steering).reshape(*rows.shape[:-1], -1)
+    else:
+        # numpy sends one-row products to gemv, which rounds unlike gemm
+        projection = rows @ steering
+    power = np.abs(projection)
+    power **= 2
+    # Row-by-row adds: the order np.sum(..., axis=-2) adds in.
+    spectrum = power[..., 0, :].copy() if rows.shape[-2] == 1 else np.add(power[..., 0, :], power[..., 1, :])
+    for row in range(2, rows.shape[-2]):
+        spectrum += power[..., row, :]
+    spectrum += SPECTRUM_REGULARIZER
+    return np.divide(1.0, spectrum, out=spectrum)
 
 
 @dataclass

@@ -298,6 +298,37 @@ class TestValidationErrors:
         assert "run the producing step first" in capsys.readouterr().err
 
 
+class TestDatasetMatchesConfig:
+    """Commands that read the generated sets refuse sets their config would not generate."""
+
+    @staticmethod
+    def _files(out):
+        return {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
+
+    @pytest.mark.parametrize("mismatch, message", [
+        (["--set", "data.test_count=50"], "record count 60 (config: 50)"),
+        (["--seed", "9"], "record seeds (config seed: 9)"),
+        (["--set", "snr_db=[-10, 0, 10]"], "snr_list"),
+        (["--set", "quantizer.bits=2"], "bits 1 (config: 2)"),
+    ], ids=["count", "seed", "snr_list", "bits"])
+    @pytest.mark.parametrize("command", ["train", "eval-recon", "compress", "bench", "ablate"])
+    def test_mismatched_set_exit_1_before_any_file_is_written(
+        self, pipeline_dir, capsys, command, mismatch, message
+    ):
+        before = self._files(pipeline_dir)
+        assert run([command, "--out", pipeline_dir] + TINY + mismatch) == 1
+        err = capsys.readouterr().err
+        assert "was not generated under this config" in err and message in err
+        assert self._files(pipeline_dir) == before
+
+    def test_train_on_a_smaller_count_and_another_seed_exit_1(self, pipeline_dir, capsys):
+        before = self._files(pipeline_dir)
+        assert run(["train", "--out", pipeline_dir] + TINY + ["--set", "data.train_count=50", "--seed", "9"]) == 1
+        err = capsys.readouterr().err
+        assert "train.qdst was not generated under this config: record count 300 (config: 50)" in err
+        assert self._files(pipeline_dir) == before
+
+
 class TestSettingLimits:
     def test_255_bits_generate_and_load(self, tmp_path):
         assert run(["generate", "--out", tmp_path, "--set", "quantizer.bits=255"] + TINY) == 0

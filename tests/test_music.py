@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from quantdoa.quantizer import QuantizerSpec, quantize_complex
 from quantdoa.signal_model import ArrayGeometry, noise_variance, steering_matrix, synthesize
 
 from music_reference import estimate_doa, ranked_peaks as ranked_peaks_runs, run_trials_chunked
+from music_reference import music_spectrum as music_spectrum_cov
 
 GEOM8 = ArrayGeometry(8)
 GRID = scan_grid(-30.0, 30.0, 0.01)
@@ -164,7 +166,7 @@ class TestMusicSpectrum:
         theta = 7.37
         a = steering_matrix(theta, GEOM8)[:, 0]
         cov = np.outer(a, a.conj()) + 1e-6 * np.eye(8)
-        spectrum = music_spectrum(cov, 1, steering_matrix(GRID, GEOM8))
+        spectrum = music_spectrum(noise_subspace(cov, 1), steering_matrix(GRID, GEOM8))
         nearest = GRID[np.argmin(np.abs(GRID - theta))]
         assert GRID[np.argmax(spectrum)] == pytest.approx(nearest)
 
@@ -174,13 +176,13 @@ class TestMusicSpectrum:
         a_neg = steering_matrix(-theta, GEOM8)[:, 0]
         cov = np.outer(a_pos, a_pos.conj()) + np.outer(a_neg, a_neg.conj()) + 1e-4 * np.eye(8)
         grid = scan_grid(-20, 20, 0.05)
-        spectrum = music_spectrum(cov, 2, steering_matrix(grid, GEOM8))
+        spectrum = music_spectrum(noise_subspace(cov, 2), steering_matrix(grid, GEOM8))
         np.testing.assert_allclose(spectrum, spectrum[::-1], rtol=1e-6)
 
     def test_finite_and_positive_even_noiseless(self):
         a = steering_matrix(0.0, GEOM8)[:, 0]
         cov = np.outer(a, a.conj())  # exactly singular
-        spectrum = music_spectrum(cov, 1, steering_matrix(GRID, GEOM8))
+        spectrum = music_spectrum(noise_subspace(cov, 1), steering_matrix(GRID, GEOM8))
         assert np.all(np.isfinite(spectrum))
         assert np.all(spectrum > 0)
 
@@ -194,7 +196,7 @@ class TestStackedScan:
         steering = steering_matrix(GRID, GEOM8)
         covs = sample_covariance(data)
         subspaces = noise_subspace(covs, 3)
-        spectra = music_spectrum(covs, 3, steering)
+        spectra = music_spectrum(subspaces, steering)
         assert covs.shape == (6, 8, 8) and spectra.shape == (6, GRID.size)
         for i in range(data.shape[0]):
             # a denoised matrix arrives column-major; its scan must not differ
@@ -203,7 +205,7 @@ class TestStackedScan:
                 np.testing.assert_array_equal(covs[i], cov)
                 np.testing.assert_array_equal(covs[i], sample_covariance_2d(single))
                 np.testing.assert_array_equal(subspaces[i], noise_subspace(cov, 3))
-                np.testing.assert_array_equal(spectra[i], music_spectrum(cov, 3, steering))
+                np.testing.assert_array_equal(spectra[i], music_spectrum(noise_subspace(cov, 3), steering))
                 np.testing.assert_array_equal(spectra[i], music_spectrum_2d(cov, 3, steering))
 
     @pytest.mark.parametrize("m, k", [(8, 7), (4, 3), (8, 6), (8, 3), (6, 1)])
@@ -215,7 +217,7 @@ class TestStackedScan:
         data[5:] = quantize_complex(data[5:], QuantizerSpec(1, 1.0))
         steering = steering_matrix(GRID, geom)
         covs = sample_covariance(data)
-        spectra = music_spectrum(covs, k, steering)
+        spectra = music_spectrum(noise_subspace(covs, k), steering)
         for cov, spectrum in zip(covs, spectra):
             np.testing.assert_array_equal(spectrum, music_spectrum_2d(cov, k, steering))
 
@@ -226,6 +228,47 @@ class TestStackedScan:
         bad[1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             noise_subspace(bad, 1)
+
+
+class TestRowSpectrum:
+    """``music_spectrum`` on noise subspaces against the covariance-in spectrum it replaced."""
+
+    @staticmethod
+    def _covs(m, seed, count=9):
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((count, m, 5)) + 1j * rng.standard_normal((count, m, 5))
+        # 1-bit observations give rank-deficient covariances with exact ties
+        data[count // 2 :] = quantize_complex(data[count // 2 :], QuantizerSpec(1, 1.0))
+        return data, sample_covariance(data)
+
+    # M - K = 1 keeps the one-row product; (8, 3) is the desk shape
+    @pytest.mark.parametrize("m, k", [(8, 3), (8, 7), (4, 3), (8, 6), (6, 1), (8, 1)])
+    def test_stack_matches_reference_bit_for_bit(self, m, k):
+        _, covs = self._covs(m, 100 + m * 10 + k)
+        steering = steering_matrix(GRID, ArrayGeometry(m))
+        np.testing.assert_array_equal(
+            music_spectrum(noise_subspace(covs, k), steering), music_spectrum_cov(covs, k, steering))
+
+    @pytest.mark.parametrize("m, k", [(8, 3), (8, 7), (6, 2)])
+    def test_one_matrix_and_fortran_order_match_reference(self, m, k):
+        data, covs = self._covs(m, 200 + m * 10 + k)
+        steering = steering_matrix(GRID, ArrayGeometry(m))
+        for single, cov in zip(data, covs):
+            expected = music_spectrum_cov(cov, k, steering)
+            subspace = noise_subspace(cov, k)
+            fortran = noise_subspace(sample_covariance(np.asfortranarray(single)), k)
+            for basis in (subspace, np.asfortranarray(subspace), np.ascontiguousarray(subspace), fortran):
+                np.testing.assert_array_equal(music_spectrum(basis, steering), expected)
+
+    def test_chunks_of_a_block_subspace_match_reference(self):
+        # run_trials scans slices of one block-wide eigh output
+        _, covs = self._covs(8, 31, count=13)
+        steering = steering_matrix(GRID, GEOM8)
+        subspaces = noise_subspace(covs, 3)
+        for lo in range(0, 13, 4):
+            np.testing.assert_array_equal(
+                music_spectrum(subspaces[lo : lo + 4], steering),
+                music_spectrum_cov(covs[lo : lo + 4], 3, steering))
 
 
 class TestPickPeaks:
@@ -553,10 +596,10 @@ class TestSnrBlocks:
 
     @pytest.mark.parametrize("trials, budget, block, chunk", [
         (200, music.CHUNK_BYTES, 200, 8),
-        (13, 3 * 16 * 8 * 5, 3, 1),  # room for 3 trials of snapshots, not one projection
+        (13, 3 * 16 * 8 * 8, 3, 1),  # room for 3 trials of covariances, not one projection
     ])
     def test_one_synthesis_and_transform_per_block(self, trials, budget, block, chunk, monkeypatch):
-        seen = {"synthesize": [], "id": [], "1bit": [], "covariance": []}
+        seen = {"synthesize": [], "id": [], "1bit": [], "covariance": [], "subspace": [], "spectrum": []}
 
         def spy(name, fn):
             def wrapped(data, *args):
@@ -569,8 +612,31 @@ class TestSnrBlocks:
         monkeypatch.setattr(music, "CHUNK_BYTES", budget)
         monkeypatch.setattr(music, "synthesize_seeded", spy("synthesize", music.synthesize_seeded))
         monkeypatch.setattr(music, "sample_covariance", spy("covariance", sample_covariance))
+        monkeypatch.setattr(music, "noise_subspace", spy("subspace", noise_subspace))
+        monkeypatch.setattr(music, "music_spectrum", spy("spectrum", music_spectrum))
         run_trials(snr_db=10.0, **kw)
         blocks = [min(block, trials - lo) for lo in range(0, trials, block)]
         assert seen["synthesize"] == seen["id"] == seen["1bit"] == blocks
-        assert max(seen["covariance"]) == chunk
-        assert sum(seen["covariance"]) == 2 * trials
+        # one covariance and one subspace per series per block; spectra per chunk
+        assert seen["covariance"] == seen["subspace"] == [n for n in blocks for _ in range(2)]
+        assert max(seen["spectrum"]) == chunk
+        assert sum(seen["spectrum"]) == 2 * trials
+
+    def test_working_set_stays_within_its_array_budget(self):
+        # The peak of a desk run is one chunk's (T, M-K, G) projection, two
+        # (T, G) rows (the spectrum and the row being squared) and the
+        # steering matrix.  The 0.5 MiB margin covers the grid, the block's
+        # snapshots, subspaces and picks, and the peak picker's temporaries.
+        kw = self._desk(16)
+        m, k, g = kw["geom"].num_sensors, kw["num_sources"], kw["grid_deg"].size
+        chunk = music.CHUNK_BYTES // ((m - k) * g * 16)
+        assert chunk == 8  # two chunks, so one chunk's leftovers could meet the next
+        budget = chunk * (m - k) * g * 16 + 2 * chunk * g * 8 + m * g * 16 + 2**19
+        run_trials(snr_db=10.0, **kw)  # first-call imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            run_trials(snr_db=10.0, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, f"peak {peak / 2**20:.2f} MiB over a {budget / 2**20:.2f} MiB budget"
