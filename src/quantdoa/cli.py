@@ -35,7 +35,7 @@ from .experiments import (
     width_sweep_variants,
     write_curves_csv,
 )
-from .network import DenoiserModel, to_half_precision
+from .network import DenoiserModel
 
 
 class _UsageError(Exception):
@@ -72,8 +72,6 @@ def _build_parser() -> _Parser:
                 help="true source angles in degrees",
             )
             p.add_argument("--snr", type=float, default=50.0)
-        if name == "eval-doa":
-            p.add_argument("--trials", type=int, default=None)
         if name == "bench":
             p.add_argument("--widths", type=int, nargs="+", default=[32, 64, 128])
     return parser
@@ -85,8 +83,6 @@ def _load_scenario(args) -> ScenarioConfig:
         config = apply_overrides(config, args.overrides)
     if args.seed is not None:
         config.seed = args.seed
-    if getattr(args, "trials", None) is not None:
-        config.music.trials = args.trials
     errs = config.validate()
     if errs:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errs))
@@ -183,10 +179,9 @@ def _cmd_spectrum(args, config: ScenarioConfig) -> None:
 
 def _cmd_compress(args, config: ScenarioConfig) -> None:
     out = args.out
-    model = _model(out)
-    points = compression_report(model, _dataset(out, "test", config))
+    points, half = compression_report(_model(out), _dataset(out, "test", config))
     write_curves_csv(out / "compression.csv", points, config)
-    save_checkpoint(to_half_precision(model), out / "model_fp16.qdnn")
+    save_checkpoint(half, out / "model_fp16.qdnn")
     print(f"wrote {out / 'compression.csv'} and {out / 'model_fp16.qdnn'}")
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .music import grid_points
 from .network import ACTIVATIONS
 from .quantizer import QuantizerSpec, default_full_scale
 from .signal_model import ArrayGeometry
@@ -129,9 +130,6 @@ class ScenarioConfig:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
-    def copy(self) -> "ScenarioConfig":
-        return ScenarioConfig.from_dict(self.to_dict())
-
     # -- derived objects ----------------------------------------------------
 
     def geometry(self) -> ArrayGeometry:
@@ -232,6 +230,9 @@ class ScenarioConfig:
             errs.append("music.grid_max must exceed music.grid_min")
         if not (-90 < m.grid_min and m.grid_max < 90):
             errs.append("music grid must lie inside (-90, 90) degrees")
+        elif (m.grid_step > 0 and m.grid_max > m.grid_min
+              and grid_points(m.grid_min, m.grid_max, m.grid_step) < s.count):
+            errs.append(f"music grid has fewer than sources.count = {s.count} points")
         if m.num_snapshots < 1:
             errs.append("music.num_snapshots must be >= 1")
         if m.trials < 1:

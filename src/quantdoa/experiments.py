@@ -209,7 +209,8 @@ def make_transform(tag: str, qspec_for, model: net.DenoiserModel | None = None):
     """Resolve a series tag to a signal transform.
 
     Tags: "unquantized", "raw-{B}bit", "recon-{B}bit".  ``qspec_for`` is
-    a callable bits -> QuantizerSpec so all series share one full scale.
+    a callable bits -> QuantizerSpec so all series share one full scale;
+    a recon tag must name ``qspec_for()``, the ADC the model learned behind.
     """
     if tag == "unquantized":
         return lambda data: data
@@ -220,6 +221,8 @@ def make_transform(tag: str, qspec_for, model: net.DenoiserModel | None = None):
         if model is None:
             raise ValueError(f"series {tag!r} needs a denoiser model")
         spec = qspec_for(int(tag[6:-3]))
+        if spec != qspec_for():
+            raise ConfigError(f"series {tag!r} needs quantizer.bits = {spec.bits}, not {qspec_for().bits}")
         return lambda data: denoise_snapshots(model, quantize_complex(data, spec))
     raise ValueError(f"unknown series tag {tag!r}")
 
@@ -276,6 +279,7 @@ def spectrum_compare(
         raise ConfigError(f"angles {angles_deg} fall outside the scan range [{lo}, {hi}]")
     if not snr_db > -np.inf:  # the snr_db values validate() rejects: NaN and -inf
         raise ConfigError(f"snr_db must not be NaN or -inf, got {snr_db}")
+    transforms = {tag: make_transform(tag, config.quantizer_spec, model) for tag in SPECTRUM_SERIES}
     trial_seed = derived_seed(config.seed, DOMAIN_SPECTRUM)
     rng = np.random.default_rng(trial_seed)
     geom = config.geometry()
@@ -283,8 +287,7 @@ def spectrum_compare(
     grid = scan_grid(lo, hi, config.music.grid_step)
     steering = steering_matrix(grid, geom)
     points: list[CurvePoint] = []
-    for tag in SPECTRUM_SERIES:
-        transform = make_transform(tag, config.quantizer_spec, model)
+    for tag, transform in transforms.items():
         cov = sample_covariance(transform(clean))
         spectrum = music_spectrum(noise_subspace(cov, len(angles_deg)), steering)
         points.extend(CurvePoint(tag, g, s) for g, s in zip(grid, spectrum))
@@ -294,10 +297,8 @@ def spectrum_compare(
 # -- model compression ------------------------------------------------------------
 
 
-def compression_report(model: net.DenoiserModel, ds: Dataset) -> list[CurvePoint]:
-    """Reconstruction loss of the fp32 model vs its fp16 rounding."""
-    if model.precision != "fp32":
-        raise ValueError("compression_report expects the original fp32 model")
+def compression_report(model: net.DenoiserModel, ds: Dataset) -> tuple[list[CurvePoint], net.DenoiserModel]:
+    """Reconstruction loss of the fp32 model vs its fp16 rounding, and that rounding."""
     half = net.to_half_precision(model)
     full_loss = reconstruction_loss_by_snr(model, ds)
     half_loss = reconstruction_loss_by_snr(half, ds)
@@ -310,7 +311,7 @@ def compression_report(model: net.DenoiserModel, ds: Dataset) -> list[CurvePoint
         points.append(CurvePoint("rel-change", snr, rel))
     ratio = parameter_payload_bytes(half) / parameter_payload_bytes(model)
     points.append(CurvePoint("payload-ratio", 0.0, ratio))
-    return points
+    return points, half
 
 
 # -- ablations and timing ----------------------------------------------------------

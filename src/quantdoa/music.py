@@ -39,14 +39,18 @@ CHUNK_BYTES = 4_000_000
 SignalTransform = Callable[[np.ndarray], np.ndarray]
 
 
+def grid_points(lo: float, hi: float, step: float) -> float:
+    """Points of lo, lo + step, ... up to hi (1e-9 step of slack), a whole float: inf past float range."""
+    return np.floor((hi - lo) / step + 1e-9) + 1
+
+
 def scan_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """Angle grid lo, lo + step, ... up to hi, never past it (1e-9 step of slack)."""
+    """Angle grid lo, lo + step, ... of ``grid_points(lo, hi, step)`` points."""
     if not step > 0:
         raise ValueError("grid step must be > 0")
     if hi <= lo:
         raise ValueError(f"empty grid [{lo}, {hi}]")
-    n = int(np.floor((hi - lo) / step + 1e-9))
-    return lo + step * np.arange(n + 1)
+    return lo + step * np.arange(grid_points(lo, hi, step))
 
 
 def sample_covariance(data: np.ndarray) -> np.ndarray:
@@ -103,22 +107,26 @@ def music_spectrum(subspace: np.ndarray, steering: np.ndarray) -> np.ndarray:
     return np.divide(1.0, spectrum, out=spectrum)
 
 
-def _peaks(flat: np.ndarray, g: int) -> np.ndarray:
-    """Flat indices of the peaks (see ``ranked_peaks``) of the G-point rows of ``flat``.
+def ranked_peaks(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the peaks of a finite (T, G) stack; only comparisons touch the values.
 
-    Only a rise that stops rising can start a peak; rows where one starts
-    a plateau are run-compressed whole.  Indices ascend within each row.
+    A peak is a run of equal values above both neighbouring runs, at the
+    run's leftmost index; endpoint runs never count.  Peaks come by row,
+    then by descending value, ties toward the smaller index.  Only a rise that
+    stops rising can start a peak; rows where one starts a plateau are run-compressed whole.
     """
+    g = spectra.shape[1]
+    flat = spectra.ravel()
     up = flat[1:] > flat[:-1]
     at = np.flatnonzero(up[:-1] > up[1:]) + 1  # flat[at - 1] < flat[at] >= flat[at + 1]
     col = at % g
     at = at[(col > 0) & (col < g - 1)]  # drop the row seams
     plateau = flat[at] == flat[at + 1]
     if plateau.any():
-        redo = np.zeros(flat.size // g, dtype=bool)
+        redo = np.zeros(spectra.shape[0], dtype=bool)
         redo[at[plateau] // g] = True
         rows = np.flatnonzero(redo)
-        sub = flat.reshape(-1, g)[rows]
+        sub = spectra[rows]
         # step is 1 where a row rises to the next point and -1 where it falls;
         # the last column, a change that does neither, keeps rows apart.
         step = np.full(sub.shape, 2, dtype=np.int8)
@@ -127,25 +135,12 @@ def _peaks(flat: np.ndarray, g: int) -> np.ndarray:
         kind = step.ravel()[change]
         r, c = np.divmod(change[:-1][(kind[:-1] == 1) & (kind[1:] == -1)] + 1, g)
         at = np.concatenate([at[~redo[at // g]], rows[r] * g + c])
-    return at
-
-
-def ranked_peaks(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the peaks of a finite (T, G) stack.
-
-    A peak is a run of equal values above both neighbouring runs, at the
-    run's leftmost index; endpoint runs never count.  Peaks come by row,
-    then by descending value, ties toward the smaller index.  Only
-    comparisons touch the values.
-    """
-    g = spectra.shape[1]
-    at = _peaks(spectra.ravel(), g)
-    order = np.lexsort((-spectra.ravel()[at], at // g))  # stable: ties keep index order
+    order = np.lexsort((-flat[at], at // g))  # stable: ties keep index order
     return np.divmod(at[order], g)
 
 
 def pick_peaks(grid_deg: np.ndarray, spectrum: np.ndarray, num_sources: int) -> np.ndarray:
-    """The K largest peaks (see ``ranked_peaks``), padded with the largest other values.
+    """The first K peaks ``ranked_peaks`` ranks, padded with the largest other values.
 
     Ties break toward the smaller index.  Returned angles are sorted ascending.
     """
@@ -157,8 +152,7 @@ def pick_peaks(grid_deg: np.ndarray, spectrum: np.ndarray, num_sources: int) -> 
         raise ValueError(f"cannot pick {num_sources} peaks from {grid_deg.size} points")
     if not np.all(np.isfinite(spectrum)):
         raise ValueError("spectrum must be finite")
-    at = _peaks(spectrum, spectrum.size)
-    chosen = list(at[np.argsort(-spectrum[at], kind="stable")][:num_sources])
+    chosen = list(ranked_peaks(spectrum[None])[1][:num_sources])
     left = spectrum.copy()
     left[chosen] = -np.inf
     while len(chosen) < num_sources:

@@ -24,7 +24,7 @@ from scipy import stats
 from quantdoa import network as net
 from quantdoa.checkpoint import parameter_payload_bytes
 from quantdoa.cli import parse_and_dispatch
-from quantdoa.config import DOMAIN_TRIALS, ScenarioConfig, derived_seeds, desk_default
+from quantdoa.config import DOMAIN_TRIALS, ScenarioConfig, apply_overrides, derived_seeds, desk_default
 from quantdoa.dataset import build_dataset
 from quantdoa.experiments import (
     ablation_suite,
@@ -89,7 +89,7 @@ def m32_setup():
 
 def doa_eval_config(cfg, train_set):
     """Criterion-4 style evaluation: min_sep 4 deg, training full scale."""
-    ev = cfg.copy()
+    ev = apply_overrides(cfg, [])
     ev.music.min_sep = 4.0
     ev.quantizer.full_scale = train_set.full_scale
     return ev
@@ -624,7 +624,7 @@ def test_criterion_8b_skip_connection_value_at_depth_12():
     train_set = build_dataset(cfg, "train")
     test_set = build_dataset(cfg, "test")
     with_skip = train(cfg, train_set, test_set)
-    no_skip_cfg = cfg.copy()
+    no_skip_cfg = apply_overrides(cfg, [])
     no_skip_cfg.network.use_residual = False
     without_skip = train(no_skip_cfg, train_set, test_set)
     assert not with_skip.diverged
@@ -658,7 +658,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         for command in ("generate", "train", "eval-recon"):
             assert parse_and_dispatch([command, "--out", str(out)] + args) == 0
         assert parse_and_dispatch(
-            ["eval-doa", "--out", str(out), "--trials", "6"] + args
+            ["eval-doa", "--out", str(out), "--set", "music.trials=6"] + args
         ) == 0
     names = [
         "train.qdst", "test.qdst", "model.qdnn",
@@ -680,7 +680,7 @@ def test_criterion_10_spectrum_scenario(m32_setup):
     from quantdoa.music import pick_peaks
 
     cfg, train_set, result = m32_setup
-    ev = cfg.copy()
+    ev = apply_overrides(cfg, [])
     ev.quantizer.full_scale = train_set.full_scale
     truth = np.array([-18.9346, 8.6346, 9.9462])
     points, _ = spectrum_compare(result.model, ev, snr_db=50.0)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import quantdoa
 from quantdoa import experiments
-from quantdoa.checkpoint import load_checkpoint
+from quantdoa.checkpoint import load_checkpoint, save_checkpoint
 from quantdoa.cli import parse_and_dispatch
 from quantdoa.dataset import load_dataset
 
@@ -59,20 +60,30 @@ class TestPipeline:
 
     def test_eval_doa_has_recon_series(self, pipeline_dir):
         assert run([
-            "eval-doa", "--out", pipeline_dir, "--trials", 4,
+            "eval-doa", "--out", pipeline_dir,
             "--set", "snr_db=[50.0]", "--set", "music.min_sep=6.0",
-        ] + TINY) == 0
+        ] + TINY + ["--set", "music.trials=4"]) == 0
         points, _ = read_curves_csv(pipeline_dir / "doa_mse.csv")
         series = {p.series for p in points}
         assert "recon-1bit" in series
         assert {"unquantized", "raw-1bit", "raw-2bit", "raw-3bit", "raw-4bit"} <= series
 
-    def test_trials_flag_writes_what_the_config_override_writes(self, pipeline_dir):
-        outputs = []
-        for flag in (["--trials", 4], ["--set", "music.trials=4"]):
-            assert run(["eval-doa", "--out", pipeline_dir] + TINY + flag) == 0
-            outputs.append((pipeline_dir / "doa_mse.csv").read_bytes())
-        assert outputs[0] == outputs[1]
+    def test_trials_flag_is_a_usage_error_that_writes_nothing(self, pipeline_dir, tmp_path, capsys):
+        (tmp_path / "model.qdnn").write_bytes((pipeline_dir / "model.qdnn").read_bytes())
+        assert run(["eval-doa", "--out", tmp_path, "--trials", 4] + TINY) == 1
+        assert "unrecognized arguments: --trials 4" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["model.qdnn"]
+
+    def test_compress_rounds_to_fp16_once(self, pipeline_dir, tmp_path):
+        (tmp_path / "test.qdst").write_bytes((pipeline_dir / "test.qdst").read_bytes())
+        model = load_checkpoint(pipeline_dir / "model.qdnn")
+        model.dense[0].w[0, 0] = 1e6
+        save_checkpoint(model, tmp_path / "model.qdnn")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["compress", "--out", tmp_path] + TINY) == 0
+        saturated = [w for w in caught if "exceeded the fp16 range" in str(w.message)]
+        assert [w.category for w in saturated] == [RuntimeWarning]
 
     def test_eval_recon_and_compress(self, pipeline_dir):
         assert run(["eval-recon", "--out", pipeline_dir] + TINY) == 0
@@ -148,7 +159,7 @@ class TestValidationErrors:
         assert "music grid must lie inside (-90, 90)" in capsys.readouterr().err
 
     def test_zero_trials_flag_exit_1_before_any_input_is_read(self, tmp_path, capsys):
-        assert run(["eval-doa", "--out", tmp_path, "--trials", 0]) == 1
+        assert run(["eval-doa", "--out", tmp_path, "--set", "music.trials=0"]) == 1
         assert "music.trials must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", ["snr_db=[-.inf, 10.0]", "quantizer.full_scale=.inf"])
@@ -211,6 +222,7 @@ class TestValidationErrors:
         ("generate", "train.eval_interval=0", "train.eval_interval must be >= 1"),
         ("generate", "music.grid_step=0", "music.grid_step must be > 0"),
         ("generate", "music.grid_max=-30.0", "music.grid_max must exceed music.grid_min"),
+        ("eval-doa", "music.grid_step=100", "music grid has fewer than sources.count = 3 points"),
         ("generate", "music.num_snapshots=0", "music.num_snapshots must be >= 1"),
     ])
     def test_out_of_range_setting_exit_1_before_any_file_is_written(
@@ -232,6 +244,14 @@ class TestValidationErrors:
         code = run(["spectrum", "--out", pipeline_dir, "--set", "music.grid_min=0.0"] + TINY)
         assert code == 1
         assert "outside the scan range [0.0, 30.0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, artifact", [("eval-doa", "doa_mse.csv"), ("spectrum", "spectrum.csv")])
+    def test_recon_series_behind_another_adc_exit_1(self, pipeline_dir, tmp_path, capsys, command, artifact):
+        # the checkpoint was trained on 1-bit inputs; recon-1bit must not score it behind a 2-bit ADC
+        (tmp_path / "model.qdnn").write_bytes((pipeline_dir / "model.qdnn").read_bytes())
+        assert run([command, "--out", tmp_path, "--set", "quantizer.bits=2"] + TINY) == 1
+        assert "series 'recon-1bit' needs quantizer.bits = 1, not 2" in capsys.readouterr().err
+        assert not (tmp_path / artifact).exists()
 
     def test_spectrum_as_many_angles_as_sensors_exit_1(self, pipeline_dir, tmp_path, capsys):
         (tmp_path / "model.qdnn").write_bytes((pipeline_dir / "model.qdnn").read_bytes())

@@ -74,6 +74,18 @@ class TestValidation:
         cfg.music.grid_min, cfg.music.grid_max = -90.0, 90.0
         assert any("music grid" in e for e in cfg.validate())
 
+    @pytest.mark.parametrize("step, short", [(30.0, False), (30.5, True), (100.0, True), (5e-324, False)])
+    def test_grid_needs_a_point_per_source(self, step, short):
+        cfg = desk_default()
+        cfg.music.grid_step = step  # -30..30 by 30 holds exactly sources.count = 3 points
+        errs = [e for e in cfg.validate() if "fewer than sources.count" in e]
+        assert errs == (["music grid has fewer than sources.count = 3 points"] if short else [])
+
+    def test_inverted_grid_is_reported_once(self):
+        cfg = desk_default()
+        cfg.music.grid_min, cfg.music.grid_max = 10.0, -10.0
+        assert [e for e in cfg.validate() if "grid" in e] == ["music.grid_max must exceed music.grid_min"]
+
     def test_infeasible_separation(self):
         cfg = desk_default()
         cfg.sources.min_sep = 40.0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from quantdoa import dataset
-from quantdoa.config import desk_default
+from quantdoa.config import apply_overrides, desk_default
 from quantdoa.dataset import (
     DatasetFormatError,
     build_dataset,
@@ -105,7 +105,7 @@ def small_train(small_config):
 
 class TestBuild:
     def test_even_snr_split(self, small_config):
-        cfg = small_config.copy()
+        cfg = apply_overrides(small_config, [])
         cfg.data.train_count = 10
         ds = build_dataset(cfg, "train")
         values, counts = np.unique(ds.snr_db, return_counts=True)
@@ -174,7 +174,7 @@ class TestFileFormat:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_seed_changes_bytes(self, small_config, tmp_path):
-        cfg2 = small_config.copy()
+        cfg2 = apply_overrides(small_config, [])
         cfg2.seed += 1
         p1, p2 = tmp_path / "a.qdst", tmp_path / "b.qdst"
         save_dataset(build_dataset(small_config, "train"), p1)

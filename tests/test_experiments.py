@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quantdoa import network as net
-from quantdoa.config import DOMAIN_TRIALS, derived_seed, desk_default
+from quantdoa.config import DOMAIN_TRIALS, apply_overrides, derived_seed, desk_default
 from quantdoa.dataset import build_dataset
 from quantdoa.experiments import (
     CurvePoint,
@@ -290,7 +290,7 @@ EVAL_DOA_DIGESTS = {
 class TestEvalDoa:
     def test_mses_match_pinned_digests(self, tiny_setup):
         cfg, train_set, _, result = tiny_setup
-        ev = cfg.copy()
+        ev = apply_overrides(cfg, [])
         ev.music.min_sep = 4.0
         ev.quantizer.full_scale = train_set.full_scale
         ev.snr_db, ev.music.trials = [10.0, 50.0], 50
@@ -301,7 +301,7 @@ class TestEvalDoa:
 
     def test_matches_per_trial_reference(self, tiny_setup):
         cfg, train_set, _, result = tiny_setup
-        ev = cfg.copy()
+        ev = apply_overrides(cfg, [])
         ev.music.min_sep = 4.0
         ev.quantizer.full_scale = train_set.full_scale
         snrs, trials = [10.0, 50.0], 30
@@ -318,7 +318,7 @@ class TestEvalDoa:
 
     def test_all_series_present_and_finite(self, tiny_setup):
         cfg, train_set, _, result = tiny_setup
-        ev = cfg.copy()
+        ev = apply_overrides(cfg, [])
         ev.music.min_sep = 4.0
         ev.quantizer.full_scale = train_set.full_scale
         ev.snr_db, ev.music.trials = [50.0], 10
@@ -331,7 +331,7 @@ class TestEvalDoa:
 
     def test_paired_and_deterministic(self, tiny_setup):
         cfg, train_set, _, result = tiny_setup
-        ev = cfg.copy()
+        ev = apply_overrides(cfg, [])
         ev.quantizer.full_scale = train_set.full_scale
         ev.snr_db, ev.music.trials = [30.0], 8
         _, d1 = eval_doa(result.model, ev, series=("unquantized",))
@@ -366,7 +366,7 @@ class TestSpectrumCompare:
 class TestCompression:
     def test_payload_ratio_half_and_small_change(self, tiny_setup):
         _, _, test_set, result = tiny_setup
-        points = compression_report(result.model, test_set)
+        points, _ = compression_report(result.model, test_set)
         ratio = [p for p in points if p.series == "payload-ratio"]
         assert len(ratio) == 1 and ratio[0].y == 0.5
         rel = [p.y for p in points if p.series == "rel-change"]
@@ -378,7 +378,7 @@ class TestCompression:
         for layer in model.dense:
             layer.w[...] = 0.0
             layer.b[...] = 0.0
-        points = compression_report(model, test_set)
+        points, _ = compression_report(model, test_set)
         f32 = {p.x: p.y for p in points if p.series == "fp32-loss"}
         f16 = {p.x: p.y for p in points if p.series == "fp16-loss"}
         assert f32 == f16
