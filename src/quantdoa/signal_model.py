@@ -22,6 +22,10 @@ import numpy as np
 # Whole-set angle tries one record makes before it gives up.
 MAX_ANGLE_TRIES = 10_000
 
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
+INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R, PCG64_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
+
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -130,27 +134,63 @@ def synthesize(
     return mix(steering_matrix(angles_deg, geom), np.exp(1j * phases), variance, draws)
 
 
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash step on uint32 arrays, given its running constant before and after it advances."""
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def pcg64_states(seeds: list[int]) -> list[dict]:
+    """``np.random.PCG64(seed).state`` for each seed, hashed as one block.
+
+    Copies ``SeedSequence(seed).generate_state(4, uint64)`` (a seed below
+    2**64 fills the pool as [low word, high word, 0, 0]) and PCG64's
+    ``set_seed``.  Integer arithmetic only, so no BLAS kernel touches it.
+    """
+    if bad := [s for s in seeds if not isinstance(s, (int, np.integer)) or not 0 <= s < 2**64]:
+        raise ValueError(f"seeds must be integers in [0, 2**64), got {bad[0]!r}")
+    s = np.array(seeds, dtype=np.uint64)
+    # The running constant of each hash call: 4 fill the pool and 12 mix it, then 8 draw from it.
+    a = np.array([INIT_A * MULT_A**c % 2**32 for c in range(17)], dtype=np.uint32)
+    b = np.array([INIT_B * MULT_B**c % 2**32 for c in range(9)], dtype=np.uint32)
+    pool = _hashmix(np.stack([s & 0xFFFFFFFF, s >> 32, 0 * s, 0 * s]).astype(np.uint32), a[:4, None], a[1:5, None])
+    for c, (i, j) in enumerate([(i, j) for i in range(4) for j in range(4) if i != j], start=4):
+        mixed = np.uint32(MIX_MULT_L) * pool[j] - np.uint32(MIX_MULT_R) * _hashmix(pool[i], a[c], a[c + 1])
+        pool[j] = mixed ^ (mixed >> np.uint32(16))
+    words = _hashmix(pool[np.arange(8) % 4], b[:8, None], b[1:, None]).astype(np.uint64)
+    # generate_state pairs the words little-endian: init high, init low, sequence high, sequence low.
+    init_hi, init_lo, seq_hi, seq_lo = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
+    incs = [((hi << 64 | lo) << 1 | 1) % 2**128 for hi, lo in zip(seq_hi, seq_lo)]
+    return [{"bit_generator": "PCG64", "state": {"state": ((inc + (hi << 64 | lo)) * PCG64_MULT + inc) % 2**128,
+             "inc": inc}, "has_uint32": 0, "uinteger": 0} for inc, hi, lo in zip(incs, init_hi, init_lo)]
+
+
 def synthesize_seeded(
     seeds: list[int], noise_variances: list[float], geom: ArrayGeometry, num_sources: int,
     angle_range: tuple[float, float], min_sep: float, num_snapshots: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Angles (n, K) and snapshots (n, M, N); row i from ``default_rng(seeds[i])``.
 
-    Each row draws what :func:`synthesize` draws, in the same order, with
-    at most three generator calls: the seeding, one ``random`` for the
-    angle tries and the source phases, and one ``standard_normal`` for the
-    real then imaginary noise when its variance is > 0.  Argument checks,
-    phase scaling, steering and mixing run once for the block.
+    Each row draws what :func:`synthesize` draws, in the same order, from
+    one block generator set to the row's :func:`pcg64_states` entry: one
+    ``random`` for the angle tries and the source phases, and one
+    ``standard_normal`` for the real then imaginary noise when its variance
+    is > 0.  Argument checks, phase scaling, steering and mixing run once
+    for the block.  A first state unlike numpy's own raises ``RuntimeError``.
     """
     if len(seeds) != len(noise_variances):
         raise ValueError(f"{len(seeds)} seeds but {len(noise_variances)} noise variances")
     lo, hi = _angle_bounds(num_sources, angle_range, min_sep)
+    states = pcg64_states(seeds)
+    rng = np.random.Generator(bits := np.random.PCG64(seeds[0] if len(seeds) else 0))
+    if states and states[0] != bits.state:
+        raise RuntimeError("numpy seeds PCG64 differently from pcg64_states")
     k, n = num_sources, len(seeds)
     angles = np.empty((n, k))
     u = np.empty((n, k + k * num_snapshots))
     draws = np.zeros((n, 2, geom.num_sensors, num_snapshots))
-    for i, (seed, variance) in enumerate(zip(seeds, noise_variances)):
-        rng = np.random.default_rng(seed)
+    for i, (state, variance) in enumerate(zip(states, noise_variances)):
+        bits.state = state
         angles[i] = _draw_angles(rng, u[i], k, lo, hi, min_sep)
         if variance > 0.0:
             rng.standard_normal(out=draws[i])

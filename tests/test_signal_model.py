@@ -3,6 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quantdoa import signal_model
+from quantdoa.config import DOMAIN_TRIALS, derived_seeds, desk_default
+from quantdoa.dataset import split_seeds
 from quantdoa.music import noise_subspace, sample_covariance
 from quantdoa.signal_model import (
     MAX_ANGLE_TRIES,
@@ -11,6 +14,7 @@ from quantdoa.signal_model import (
     from_real_batch,
     mix,
     noise_variance,
+    pcg64_states,
     steering_matrix,
     synthesize,
     synthesize_seeded,
@@ -252,6 +256,68 @@ class TestSynthesizeSeeded:
         # two angles exactly one degree apart in a one-degree range: never drawn
         with pytest.raises(RuntimeError, match=f"after {MAX_ANGLE_TRIES} tries"):
             synthesize_seeded([4, 5], [0.0, 0.1], GEOM8, 2, (0.0, 1.0), 1.0, 3)
+
+
+class TestBlockSeeding:
+    """``pcg64_states`` against numpy's own PCG64 seeding, and ``synthesize_seeded``'s seed checks."""
+
+    EDGE_SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1, np.uint64(2**64 - 1), np.int64(5)]
+
+    @staticmethod
+    def draw(seeds, snr_db=20.0):
+        return synthesize_seeded(seeds, [noise_variance(snr_db)] * len(seeds), GEOM8, 3, (-30.0, 30.0), 4.0, 2)
+
+    def test_edge_seeds_match_numpy(self):
+        for seed, state in zip(self.EDGE_SEEDS, pcg64_states(self.EDGE_SEEDS), strict=True):
+            assert state == np.random.PCG64(seed).state, seed
+
+    def test_every_desk_record_and_trial_seed_matches_numpy(self):
+        cfg = desk_default()
+        assert cfg.seed == 20240801
+        trials = [derived_seeds(cfg.seed, DOMAIN_TRIALS, cfg.music.trials, stream=s) for s in range(len(cfg.snr_db))]
+        seeds = np.concatenate([split_seeds(cfg, "train"), split_seeds(cfg, "test"), *trials]).tolist()
+        assert len(seeds) == 7000
+        for seed, state in zip(seeds, pcg64_states(seeds), strict=True):
+            assert state == np.random.PCG64(seed).state, seed
+
+    def test_empty_block(self):
+        assert pcg64_states([]) == []
+
+    def test_doctored_first_state_trips_the_block_check(self, monkeypatch):
+        def doctored(seeds):
+            states = pcg64_states(seeds)
+            states[0]["state"]["state"] ^= 1
+            return states
+        monkeypatch.setattr(signal_model, "pcg64_states", doctored)
+        with pytest.raises(RuntimeError, match="seeds PCG64 differently"):
+            self.draw([11, 12])
+
+    def test_no_default_rng_call(self, monkeypatch):
+        seeds = [3, 2**40 + 1, 2**64 - 1]
+        expected = self.draw(seeds)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("synthesize_seeded called default_rng")
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        angles, stack = self.draw(seeds)
+        assert angles.tobytes() == expected[0].tobytes()
+        assert stack.tobytes() == expected[1].tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, np.float64(2.0), "7", None])
+    def test_seed_outside_uint64_rejected_before_any_draw(self, bad, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a generator was made before the seed check")
+        monkeypatch.setattr(np.random, "PCG64", refuse)
+        with pytest.raises(ValueError, match=r"seeds must be integers in \[0, 2\*\*64\)"):
+            self.draw([5, bad])
+
+    @pytest.mark.parametrize("snr_db", [10.0, np.inf])
+    def test_largest_seed_matches_default_rng(self, snr_db):
+        angles, stack = self.draw([2**64 - 1], snr_db)
+        rng = np.random.default_rng(2**64 - 1)
+        truth = draw_source_angles(3, (-30.0, 30.0), 4.0, rng)
+        assert angles[0].tobytes() == truth.tobytes()
+        assert stack[0].tobytes() == synthesize(truth, GEOM8, noise_variance(snr_db), 2, rng).tobytes()
 
 
 class TestRealInterleaved:
