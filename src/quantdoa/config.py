@@ -22,7 +22,7 @@ import yaml
 from .music import grid_points
 from .network import ACTIVATIONS
 from .quantizer import QuantizerSpec, default_full_scale
-from .signal_model import ArrayGeometry
+from .signal_model import MAX_ANGLE_TRIES, ArrayGeometry
 
 # Stream offsets for deriving independent sub-seeds from the master seed.
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -38,6 +38,10 @@ DOMAIN_SPECTRUM = 6
 # 1e-4, to a string; float settings take these as numbers.
 _EXPONENT = re.compile(r"[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+")
 
+# Lowest SNR, about -737.5 dB, whose per-component noise deviation sigma = 10**(-snr/20)/sqrt(2)
+# keeps 64*sigma below float32's maximum, so the float32 records of signal plus noise stay finite.
+_MIN_SNR_DB = -20 * math.log10(float(np.finfo(np.float32).max) / 64 * math.sqrt(2))
+
 
 def derived_seed(master: int, domain: int) -> int:
     return (master + domain * _GOLDEN) & _MASK
@@ -52,24 +56,37 @@ class ConfigError(ValueError):
     """Invalid configuration contents or override path."""
 
 
+def _leaf(default, ok, says: str, *edges):
+    """A field whose set value must pass ``ok`` (it flips at ``edges``), else validate() says "<path> <says>"."""
+    return field(default=default, metadata={"ok": ok, "says": says, "edges": edges})
+
+
+def _min(default, low: int, why: str = ""):
+    return _leaf(default, lambda v: v >= low, f"must be >= {low}{why}", low)
+
+
+def _positive(default, when: str = ""):
+    return _leaf(default, lambda v: 0 < v < math.inf, f"must be finite and > 0{when}", 0.0, math.inf)
+
+
 @dataclass
 class ArraySection:
-    num_sensors: int = 8
-    spacing: float = 0.5
+    num_sensors: int = _min(8, 2)
+    spacing: float = _positive(0.5)
 
 
 @dataclass
 class SourcesSection:
-    count: int = 3
+    count: int = _min(3, 1)
     angle_min: float = -30.0
     angle_max: float = 30.0
-    min_sep: float = 1.0
+    min_sep: float = _min(1.0, 0)
 
 
 @dataclass
 class QuantizerSection:
-    bits: int = 1
-    full_scale: float | None = None  # None derives V from sources and SNR
+    bits: int = _leaf(1, lambda v: 1 <= v <= 255, "must be from 1 to 255 (one byte of the .qdst header)", 1, 255)
+    full_scale: float | None = _positive(None, " when set")  # None derives V from sources and SNR
 
 
 @dataclass
@@ -83,31 +100,31 @@ class NetworkSection:
     widths: list[int] = field(default_factory=lambda: [16, 128, 128, 128, 128, 128, 16])
     use_bn: bool = True
     use_residual: bool = True
-    activation: str = "relu"
+    activation: str = _leaf("relu", ACTIVATIONS.__contains__, f"must be one of {', '.join(ACTIVATIONS)}", *ACTIVATIONS)
     input_bias: bool = True
 
 
 @dataclass
 class TrainSection:
-    batch_size: int = 256
-    lr: float = 1e-3
-    epochs: int = 50
-    eval_interval: int = 1
+    batch_size: int = _min(256, 2, " (batch norm needs it)")
+    lr: float = _positive(1e-3)
+    epochs: int = _min(50, 1)
+    eval_interval: int = _min(1, 1)
 
 
 @dataclass
 class MusicSection:
     grid_min: float = -30.0
     grid_max: float = 30.0
-    grid_step: float = 0.01
-    num_snapshots: int = 5
-    trials: int = 200
-    min_sep: float | None = None  # None falls back to sources.min_sep
+    grid_step: float = _leaf(0.01, lambda v: v > 0, "must be > 0", 0.0)
+    num_snapshots: int = _min(5, 1)
+    trials: int = _min(200, 1)
+    min_sep: float | None = _min(None, 0, " when set")  # None falls back to sources.min_sep
 
 
 @dataclass
 class ScenarioConfig:
-    seed: int = 20240801
+    seed: int = _leaf(20240801, lambda v: 0 <= v <= _MASK, "must fit in an unsigned 64-bit integer", 0, _MASK)
     snr_db: list[float] = field(default_factory=lambda: [10.0, 20.0, 30.0, 40.0, 50.0])
     array: ArraySection = field(default_factory=ArraySection)
     sources: SourcesSection = field(default_factory=SourcesSection)
@@ -141,10 +158,7 @@ class ScenarioConfig:
         return default_full_scale(self.sources.count, self.snr_db)
 
     def quantizer_spec(self, bits: int | None = None) -> QuantizerSpec:
-        return QuantizerSpec(
-            bits=self.quantizer.bits if bits is None else bits,
-            full_scale=self.resolved_full_scale(),
-        )
+        return QuantizerSpec(self.quantizer.bits if bits is None else bits, self.resolved_full_scale())
 
     def angle_range(self) -> tuple[float, float]:
         return (self.sources.angle_min, self.sources.angle_max)
@@ -157,75 +171,49 @@ class ScenarioConfig:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """All invariant violations, as human-readable messages."""
-        errs: list[str] = []
-        if not 0 <= self.seed <= _MASK:
-            errs.append("seed must fit in an unsigned 64-bit integer")
-        a, s, q, d, n, t, m = (
-            self.array, self.sources, self.quantizer, self.data,
-            self.network, self.train, self.music,
-        )
-        if a.num_sensors < 2:
-            errs.append("array.num_sensors must be >= 2")
-        if not 0 < a.spacing < math.inf:
-            errs.append("array.spacing must be finite and > 0")
-        if s.count < 1:
-            errs.append("sources.count must be >= 1")
+        """All invariant violations, as human-readable messages: broken leaf limits, then cross-field rules."""
+        errs = _leaf_errors(self)
+        a, s, q, d, n, m = self.array, self.sources, self.quantizer, self.data, self.network, self.music
+        if not _leaf_errors(a) and a.num_sensors - 1 > float(np.finfo(float).max) / (2 * math.pi * a.spacing):
+            errs.append("array.spacing overflows the steering phase 2*pi*spacing*(num_sensors - 1)")
         if s.angle_max <= s.angle_min:
             errs.append("sources.angle_max must exceed sources.angle_min")
         if not (-90 < s.angle_min and s.angle_max < 90):
             errs.append("source angle range must lie inside (-90, 90) degrees")
-        if not s.min_sep >= 0:
-            errs.append("sources.min_sep must be >= 0")
-        elif s.angle_max - s.angle_min < (s.count - 1) * s.min_sep:
-            errs.append("angle range cannot hold sources.count angles at sources.min_sep")
+        span = s.angle_max - s.angle_min
+        for name, sep in (("sources", s.min_sep), ("music", m.min_sep)):
+            if sep is None or not sep >= 0:
+                continue
+            if span < (s.count - 1) * sep:
+                errs.append(f"angle range cannot hold sources.count angles at {name}.min_sep")
+            # a try keeps the separation with chance P; MAX_ANGLE_TRIES * P >= 40 fails a record below e^-40
+            elif span > 0 and MAX_ANGLE_TRIES * (1 - (s.count - 1) * sep / span) ** s.count < 40:
+                errs.append(f"{name}.min_sep is met too rarely for {MAX_ANGLE_TRIES} angle draws")
         if not self.snr_db:
             errs.append("snr_db list must be non-empty")
         elif any(math.isnan(v) or v == -math.inf for v in self.snr_db):
             errs.append("snr_db values must not be NaN or -inf")
-        if not 1 <= q.bits <= 255:
-            errs.append("quantizer.bits must be from 1 to 255 (one byte of the .qdst header)")
-        if q.full_scale is not None and not 0 < q.full_scale < math.inf:
-            errs.append("quantizer.full_scale must be finite and > 0 when set")
+        elif min(self.snr_db) <= _MIN_SNR_DB:
+            errs.append(f"snr_db values must exceed {_MIN_SNR_DB:.1f} dB: float32 records overflow below it")
+        if q.full_scale is not None and not _leaf_errors(q) and not 0 < 2 * q.full_scale / 2.0**q.bits < math.inf:
+            errs.append("quantizer step 2*full_scale/2**bits must be finite and > 0")
         if d.train_count < 1 or d.test_count < 1:
             errs.append("data.train_count and data.test_count must be >= 1")
         elif d.train_count < 2:
             errs.append("data.train_count must be >= 2 (a training batch needs two records)")
-        two_m = 2 * a.num_sensors
-        w = n.widths
+        two_m, w = 2 * a.num_sensors, n.widths
         if len(w) < 3:
             errs.append("network.widths must list at least [in, hidden, out]")
         else:
-            if w[0] != two_m:
-                errs.append(
-                    f"network.widths must start at 2*num_sensors = {two_m}, got {w[0]}"
-                )
-            if w[-1] != two_m:
-                errs.append(
-                    f"network.widths must end at 2*num_sensors = {two_m}, got {w[-1]}"
-                )
+            for end, width in (("start", w[0]), ("end", w[-1])):
+                if width != two_m:
+                    errs.append(f"network.widths must {end} at 2*num_sensors = {two_m}, got {width}")
             if any(x < 1 for x in w):
                 errs.append("network.widths entries must be positive")
-            hidden = w[1:-1]
-            if len(set(hidden)) > 1:
+            if len(set(w[1:-1])) > 1:
                 errs.append("network.widths hidden entries must all be equal")
             if n.use_residual and (len(w) - 3) % 2 != 0:
-                errs.append(
-                    "residual pairing needs an even hidden-layer count "
-                    "(len(network.widths) must be odd)"
-                )
-        if n.activation not in ACTIVATIONS:
-            errs.append(f"network.activation must be one of {', '.join(ACTIVATIONS)}")
-        if t.batch_size < 2:
-            errs.append("train.batch_size must be >= 2 (batch norm needs it)")
-        if not 0 < t.lr < math.inf:
-            errs.append("train.lr must be finite and > 0")
-        if t.epochs < 1:
-            errs.append("train.epochs must be >= 1")
-        if t.eval_interval < 1:
-            errs.append("train.eval_interval must be >= 1")
-        if not m.grid_step > 0:
-            errs.append("music.grid_step must be > 0")
+                errs.append("residual pairing needs an even hidden-layer count (len(network.widths) must be odd)")
         if m.grid_max <= m.grid_min:
             errs.append("music.grid_max must exceed music.grid_min")
         if not (-90 < m.grid_min and m.grid_max < 90):
@@ -233,14 +221,6 @@ class ScenarioConfig:
         elif (m.grid_step > 0 and m.grid_max > m.grid_min
               and grid_points(m.grid_min, m.grid_max, m.grid_step) < s.count):
             errs.append(f"music grid has fewer than sources.count = {s.count} points")
-        if m.num_snapshots < 1:
-            errs.append("music.num_snapshots must be >= 1")
-        if m.trials < 1:
-            errs.append("music.trials must be >= 1")
-        if m.min_sep is not None and not m.min_sep >= 0:
-            errs.append("music.min_sep must be >= 0 when set")
-        elif m.min_sep is not None and s.angle_max - s.angle_min < (s.count - 1) * m.min_sep:
-            errs.append("angle range cannot hold sources.count angles at music.min_sep")
         if s.count >= a.num_sensors:
             errs.append("sources.count must be smaller than array.num_sensors for MUSIC")
         return errs
@@ -274,6 +254,18 @@ def _build_dataclass(cls, tree: dict, path: str):
         else:
             kwargs[name] = _coerce_leaf(value, typ, sub)
     return cls(**kwargs)
+
+
+def _leaf_errors(node, path: str = "") -> list[str]:
+    """The message "<path> <says>" of each set value under ``node`` that breaks its ``_leaf`` rule."""
+    errs = []
+    for f in dataclasses.fields(node):
+        value, sub = getattr(node, f.name), path + f.name
+        if dataclasses.is_dataclass(value):
+            errs += _leaf_errors(value, sub + ".")
+        elif value is not None and "ok" in f.metadata and not f.metadata["ok"](value):
+            errs.append(f"{sub} {f.metadata['says']}")
+    return errs
 
 
 def _coerce_leaf(value, typ, path: str):

@@ -1,16 +1,24 @@
+import dataclasses
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import typing
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import quantdoa
 from quantdoa import experiments
 from quantdoa.checkpoint import load_checkpoint, save_checkpoint
 from quantdoa.cli import parse_and_dispatch
+from quantdoa.config import ScenarioConfig, desk_default
 from quantdoa.dataset import load_dataset
 
 from curves import read_curves_csv
@@ -224,6 +232,13 @@ class TestValidationErrors:
         ("generate", "music.grid_max=-30.0", "music.grid_max must exceed music.grid_min"),
         ("eval-doa", "music.grid_step=100", "music grid has fewer than sources.count = 3 points"),
         ("generate", "music.num_snapshots=0", "music.num_snapshots must be >= 1"),
+        # each of these passed validation and then wrote NaN records or failed mid-run
+        ("generate", "array.spacing=1e307", "array.spacing overflows the steering phase"),
+        ("generate", "snr_db=[-1000.0]", "snr_db values must exceed -737.5 dB"),
+        ("generate", "snr_db=[-4000.0]", "snr_db values must exceed -737.5 dB"),
+        ("generate", "sources.min_sep=29.0", "sources.min_sep is met too rarely for 10000 angle draws"),
+        ("eval-doa", "music.min_sep=29.0", "music.min_sep is met too rarely for 10000 angle draws"),
+        ("generate", "quantizer.full_scale=1e308", "quantizer step 2*full_scale/2**bits must be finite and > 0"),
     ])
     def test_out_of_range_setting_exit_1_before_any_file_is_written(
         self, tmp_path, capsys, command, override, message
@@ -349,7 +364,71 @@ class TestDatasetMatchesConfig:
         assert self._files(pipeline_dir) == before
 
 
+def _edge_values(node, path=""):
+    """{path: values} for every leaf limit declared on a config field: each edge, its neighbours, and extremes."""
+    table, hints = {}, typing.get_type_hints(type(node))
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if dataclasses.is_dataclass(value):
+            table.update(_edge_values(value, f"{path}{f.name}."))
+        elif "edges" in f.metadata:
+            edges, typ = f.metadata["edges"], hints[f.name]
+            if typ is str:
+                values = [*edges, ""]
+            elif typ is int:
+                values = [e + d for e in edges for d in (-1, 0, 1)] + [0, -1, 10**307]
+            else:
+                values = [np.nextafter(float(e), to) for e in edges for to in (-math.inf, e, math.inf)]
+                values = [float(v) for v in values] + [0.0, -1.0, math.nan, math.inf, -math.inf, 1e307]
+            table[path + f.name] = values + ([None] if typ == float | None else [])
+    return table
+
+
+_EDGE_VALUES = _edge_values(ScenarioConfig())
+
+
+@st.composite
+def _leaf_settings(draw):
+    paths = draw(st.lists(st.sampled_from(sorted(_EDGE_VALUES)), min_size=1, max_size=2, unique=True))
+    return {p: draw(st.sampled_from(_EDGE_VALUES[p])) for p in paths}
+
+
 class TestSettingLimits:
+    def test_edge_table_reads_every_declared_leaf(self):
+        assert len(_EDGE_VALUES) == 16
+        assert {"seed", "array.spacing", "quantizer.full_scale", "music.min_sep"} <= set(_EDGE_VALUES)
+
+    @given(overrides=_leaf_settings())
+    @example(overrides={"array.spacing": 1e307})
+    @example(overrides={"snr_db": [-1000.0]})
+    @example(overrides={"snr_db": [-4000.0]})
+    @example(overrides={"snr_db": [-737.0]})
+    @example(overrides={"sources.min_sep": 29.0})
+    @example(overrides={"sources.min_sep": 25.0})
+    @example(overrides={"quantizer.full_scale": 1e308})
+    @settings(max_examples=60, deadline=None)
+    def test_generate_writes_finite_records_exactly_when_validate_accepts(self, overrides):
+        cfg = desk_default()
+        cfg.data.train_count, cfg.data.test_count, cfg.music.grid_step = 20, 10, 1.0
+        for path, value in overrides.items():
+            *sections, leaf = path.split(".")
+            node = cfg
+            for name in sections:
+                node = getattr(node, name)
+            setattr(node, leaf, value)
+        errs = cfg.validate()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path, out = Path(tmp) / "cfg.yaml", Path(tmp) / "out"
+            cfg_path.write_text(yaml.safe_dump(cfg.to_dict()))
+            code = run(["generate", "--config", cfg_path, "--out", out])
+            if errs:
+                assert (code, out.exists()) == (1, False)
+                return
+            assert code == 0
+            for split in ("train", "test"):
+                ds = load_dataset(out / f"{split}.qdst")
+                assert np.isfinite(ds.inputs).all() and np.isfinite(ds.targets).all()
+
     def test_255_bits_generate_and_load(self, tmp_path):
         assert run(["generate", "--out", tmp_path, "--set", "quantizer.bits=255"] + TINY) == 0
         assert load_dataset(tmp_path / "train.qdst").bits == 255

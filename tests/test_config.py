@@ -132,6 +132,35 @@ class TestValidation:
         cfg.quantizer.bits = bits
         assert any("quantizer.bits must be from 1 to 255" in e for e in cfg.validate())
 
+    @pytest.mark.parametrize("section, leaf, inside, outside, message", [
+        ("array", "spacing", 1e306, 1e307, "array.spacing overflows the steering phase"),
+        (None, "snr_db", [-737.0], [-738.0], "snr_db values must exceed -737.5 dB"),
+        ("sources", "min_sep", 25.0, 26.0, "sources.min_sep is met too rarely for 10000 angle draws"),
+        ("music", "min_sep", 25.0, 26.0, "music.min_sep is met too rarely for 10000 angle draws"),
+        ("quantizer", "full_scale", 8e307, 1e308, "quantizer step 2*full_scale/2**bits must be finite and > 0"),
+        ("quantizer", "full_scale", 5e-324, -5e-324, "quantizer.full_scale must be finite and > 0 when set"),
+    ])
+    def test_value_just_inside_a_limit_is_accepted(self, section, leaf, inside, outside, message):
+        cfg = desk_default()
+        node = cfg if section is None else getattr(cfg, section)
+        setattr(node, leaf, inside)
+        assert cfg.validate() == []
+        setattr(node, leaf, outside)
+        errs = cfg.validate()
+        assert len(errs) == 1 and message in errs[0]
+
+    def test_quantizer_step_must_not_underflow(self):
+        cfg = desk_default()
+        cfg.quantizer.full_scale = 5e-324  # the step 2V/2**bits is 5e-324 at one bit
+        assert cfg.validate() == []
+        cfg.quantizer.bits = 2
+        assert cfg.validate() == ["quantizer step 2*full_scale/2**bits must be finite and > 0"]
+
+    def test_one_source_takes_any_separation(self):
+        cfg = desk_default()
+        cfg.sources.count, cfg.sources.min_sep = 1, 1e300
+        assert cfg.validate() == []
+
 
 class TestOverrides:
     def test_scalar_override(self):
