@@ -32,19 +32,10 @@ class CheckpointError(Exception):
     """Corrupt or incompatible checkpoint file."""
 
 
-def _kind_code(model: DenoiserModel, i: int) -> int:
-    """Layer kind in the file: 0 input, 1/2 residual inner/outer, 3 output, 4 plain hidden."""
-    if i == 0:
-        return 0
-    if i == model.depth - 1:
-        return 3
-    if not model.use_residual:
-        return 4
-    return _RESIDUAL_INNER if i % 2 else 2
-
-
 def _kind_codes(model: DenoiserModel) -> list[int]:
-    return [_kind_code(model, i) for i in range(model.depth)]
+    """Layer kinds in the file: 0 input, 1/2 residual inner/outer, 3 output, 4 plain hidden."""
+    inner = _RESIDUAL_INNER if model.use_residual else 4
+    return [0, *(2 if model.closes_pair(i) else inner for i in range(1, model.depth - 1)), 3]
 
 
 def _payload_dtype(precision: str) -> np.dtype:
@@ -136,8 +127,6 @@ def load_checkpoint(path: str | Path) -> DenoiserModel:
     codes: list[int] = []
     for _ in range(layer_count):
         kind_code, in_dim, out_dim, has_bn = r.unpack("<BIIB")
-        if in_dim < 1 or out_dim < 1:
-            raise CheckpointError("non-positive layer dimension")
         codes.append(kind_code)
         w = r.array(in_dim * out_dim, dtype).reshape(in_dim, out_dim)
         dense.append(Dense(w=w, b=r.array(out_dim, dtype)))

@@ -125,8 +125,14 @@ def _datasets(out: Path, config: ScenarioConfig) -> tuple[Dataset, Dataset]:
     return _dataset(out, "train", config), _dataset(out, "test", config)
 
 
-def _model(out: Path) -> DenoiserModel:
-    return load_checkpoint(_require(out / "model.qdnn", "model checkpoint"))
+def _model(out: Path, config: ScenarioConfig) -> DenoiserModel:
+    """The checkpoint in ``out``, refused unless it maps 2*num_sensors to 2*num_sensors."""
+    model = load_checkpoint(_require(out / "model.qdnn", "model checkpoint"))
+    two_m = 2 * config.array.num_sensors
+    if (model.width_in, model.dense[-1].out_dim) != (two_m, two_m):
+        raise ConfigError(f"model widths {model.width_in} -> {model.dense[-1].out_dim} "
+                          f"do not fit 2*num_sensors = {two_m}")
+    return model
 
 
 def _cmd_train(args, config: ScenarioConfig) -> None:
@@ -147,14 +153,14 @@ def _cmd_train(args, config: ScenarioConfig) -> None:
 
 def _cmd_eval_recon(args, config: ScenarioConfig) -> None:
     out = args.out
-    points = eval_reconstruction(_model(out), _dataset(out, "test", config))
+    points = eval_reconstruction(_model(out, config), _dataset(out, "test", config))
     write_curves_csv(out / "recon_loss.csv", points, config)
     print(f"wrote {out / 'recon_loss.csv'}")
 
 
 def _cmd_eval_doa(args, config: ScenarioConfig) -> None:
     out = args.out
-    points, _ = eval_doa(_model(out), config)
+    points, _ = eval_doa(_model(out, config), config)
     write_curves_csv(out / "doa_mse.csv", points, config)
     print(f"wrote {out / 'doa_mse.csv'}")
 
@@ -162,7 +168,7 @@ def _cmd_eval_doa(args, config: ScenarioConfig) -> None:
 def _cmd_spectrum(args, config: ScenarioConfig) -> None:
     out = args.out
     points, trial_seed = spectrum_compare(
-        _model(out), config, angles_deg=tuple(args.angles), snr_db=args.snr
+        _model(out, config), config, angles_deg=tuple(args.angles), snr_db=args.snr
     )
     write_curves_csv(
         out / "spectrum.csv",
@@ -179,7 +185,7 @@ def _cmd_spectrum(args, config: ScenarioConfig) -> None:
 
 def _cmd_compress(args, config: ScenarioConfig) -> None:
     out = args.out
-    points, half = compression_report(_model(out), _dataset(out, "test", config))
+    points, half = compression_report(_model(out, config), _dataset(out, "test", config))
     write_curves_csv(out / "compression.csv", points, config)
     save_checkpoint(half, out / "model_fp16.qdnn")
     print(f"wrote {out / 'compression.csv'} and {out / 'model_fp16.qdnn'}")

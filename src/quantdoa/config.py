@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .music import grid_points
+from .music import MAX_GRID_POINTS, grid_points
 from .network import ACTIVATIONS
 from .quantizer import QuantizerSpec, default_full_scale
 from .signal_model import MAX_ANGLE_TRIES, ArrayGeometry
@@ -180,14 +180,14 @@ class ScenarioConfig:
             errs.append("sources.angle_max must exceed sources.angle_min")
         if not (-90 < s.angle_min and s.angle_max < 90):
             errs.append("source angle range must lie inside (-90, 90) degrees")
-        span = s.angle_max - s.angle_min
+        span, count = s.angle_max - s.angle_min, _number(s.count)  # a float: inf past float range
         for name, sep in (("sources", s.min_sep), ("music", m.min_sep)):
             if sep is None or not sep >= 0:
                 continue
-            if span < (s.count - 1) * sep:
+            if span < (count - 1) * sep:
                 errs.append(f"angle range cannot hold sources.count angles at {name}.min_sep")
             # a try keeps the separation with chance P; MAX_ANGLE_TRIES * P >= 40 fails a record below e^-40
-            elif span > 0 and MAX_ANGLE_TRIES * (1 - (s.count - 1) * sep / span) ** s.count < 40:
+            elif span > 0 and MAX_ANGLE_TRIES * (1 - (count - 1) * sep / span) ** count < 40:
                 errs.append(f"{name}.min_sep is met too rarely for {MAX_ANGLE_TRIES} angle draws")
         if not self.snr_db:
             errs.append("snr_db list must be non-empty")
@@ -218,9 +218,12 @@ class ScenarioConfig:
             errs.append("music.grid_max must exceed music.grid_min")
         if not (-90 < m.grid_min and m.grid_max < 90):
             errs.append("music grid must lie inside (-90, 90) degrees")
-        elif (m.grid_step > 0 and m.grid_max > m.grid_min
-              and grid_points(m.grid_min, m.grid_max, m.grid_step) < s.count):
-            errs.append(f"music grid has fewer than sources.count = {s.count} points")
+        elif m.grid_step > 0 and m.grid_max > m.grid_min:
+            points = grid_points(m.grid_min, m.grid_max, m.grid_step)
+            if points < count:
+                errs.append(f"music grid has fewer than sources.count = {s.count} points")
+            elif points > MAX_GRID_POINTS:
+                errs.append(f"music grid has more than {MAX_GRID_POINTS} points: raise music.grid_step")
         if s.count >= a.num_sensors:
             errs.append("sources.count must be smaller than array.num_sensors for MUSIC")
         return errs

@@ -227,20 +227,12 @@ def make_transform(tag: str, qspec_for, model: net.DenoiserModel | None = None):
     raise ValueError(f"unknown series tag {tag!r}")
 
 
-def _check_model_fits(model: net.DenoiserModel | None, config: ScenarioConfig) -> None:
-    two_m = 2 * config.array.num_sensors
-    if model is not None and (model.width_in, model.dense[-1].out_dim) != (two_m, two_m):
-        raise ConfigError(f"model widths {model.width_in} -> {model.dense[-1].out_dim} "
-                          f"do not fit 2*num_sensors = {two_m}")
-
-
 def eval_doa(
     model: net.DenoiserModel | None,
     config: ScenarioConfig,
     series: tuple[str, ...] = DOA_SERIES,
 ) -> tuple[list[CurvePoint], dict[tuple[str, float], TrialResult]]:
     """Paired MUSIC angle-error trials for every series at every SNR of ``config``."""
-    _check_model_fits(model, config)
     grid = scan_grid(config.music.grid_min, config.music.grid_max, config.music.grid_step)
     transforms = {tag: make_transform(tag, config.quantizer_spec, model) for tag in series}
     points: list[CurvePoint] = []
@@ -270,7 +262,6 @@ def spectrum_compare(
     snr_db: float = 50.0,
 ) -> tuple[list[CurvePoint], int]:
     """MUSIC spectra of several pipelines on one shared realization."""
-    _check_model_fits(model, config)
     if not 1 <= len(angles_deg) < config.array.num_sensors:
         raise ConfigError(f"need 1 to {config.array.num_sensors - 1} angles for "
                           f"{config.array.num_sensors} sensors, got {len(angles_deg)}")

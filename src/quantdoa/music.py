@@ -39,6 +39,11 @@ CHUNK_BYTES = 4_000_000
 SignalTransform = Callable[[np.ndarray], np.ndarray]
 
 
+# Most scan-grid points a config may ask for: each point costs a steering column
+# (M complex128 values, 128 MB at 8 sensors for 10**6 points) and a spectrum value.
+MAX_GRID_POINTS = 10**6
+
+
 def grid_points(lo: float, hi: float, step: float) -> float:
     """Points of lo, lo + step, ... up to hi (1e-9 step of slack), a whole float: inf past float range."""
     return np.floor((hi - lo) / step + 1e-9) + 1

@@ -105,17 +105,19 @@ class DenoiserModel:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.norms[0] is not None or self.norms[-1] is not None:
             raise ValueError("batch norm is allowed on hidden layers only")
+        for i, layer in enumerate(self.dense):
+            if layer.in_dim < 1 or layer.out_dim < 1:
+                raise ValueError(f"layer {i} maps width {layer.in_dim} to {layer.out_dim}; widths must be positive")
         for i in range(1, self.depth):
             fed, takes = self.dense[i - 1].out_dim, self.dense[i].in_dim
             if fed != takes:
                 raise ValueError(f"layer {i} takes width {takes}, but layer {i - 1} outputs {fed}")
-        if self.use_residual:
-            if (self.depth - 2) % 2 != 0:
-                raise ValueError("residual grouping requires an even hidden-layer count")
-            for i in range(2, self.depth - 1, 2):
-                skip, out = self.dense[i - 1].in_dim, self.dense[i].out_dim
-                if skip != out:
-                    raise ValueError(f"skip connection into layer {i} needs width {out}, got {skip}")
+        if self.use_residual and (self.depth - 2) % 2 != 0:
+            raise ValueError("residual grouping requires an even hidden-layer count")
+        for i in filter(self.closes_pair, range(self.depth)):
+            skip, out = self.dense[i - 1].in_dim, self.dense[i].out_dim
+            if skip != out:
+                raise ValueError(f"skip connection into layer {i} needs width {out}, got {skip}")
         self._pack()
 
     def _pack(self) -> None:
@@ -335,34 +337,22 @@ def init_model(
     each pair's boundary.
     """
     widths = [int(w) for w in widths]
-    if any(w < 1 for w in widths):
-        raise ValueError("all widths must be positive")
     depth = len(widths) - 1
-    dense: list[Dense] = []
-    norms: list[BatchNorm | None] = []
-    for i in range(depth):
-        fan_in, fan_out = widths[i], widths[i + 1]
-        scale = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-scale, scale, size=(fan_in, fan_out)).astype(dtype)
-        dense.append(Dense(w=w, b=np.zeros(fan_out, dtype=dtype)))
-        if use_bn and 0 < i < depth - 1:
-            norms.append(
-                BatchNorm(
-                    gamma=np.ones(fan_out, dtype=dtype),
-                    beta=np.zeros(fan_out, dtype=dtype),
-                    running_mean=np.zeros(fan_out, dtype=dtype),
-                    running_var=np.ones(fan_out, dtype=dtype),
-                )
-            )
-        else:
-            norms.append(None)
-    return DenoiserModel(
-        dense=dense,
-        norms=norms,
+    identity_bn = (np.ones, np.zeros, np.zeros, np.ones)  # gamma, beta, running mean, running variance
+    # Built in the call, so the model's packed copy is the only one left when the weights are drawn.
+    model = DenoiserModel(
+        dense=[Dense(w=np.zeros((n_in, n_out), dtype=dtype), b=np.zeros(n_out, dtype=dtype))
+               for n_in, n_out in zip(widths, widths[1:])],
+        norms=[BatchNorm(*(f(n_out, dtype) for f in identity_bn)) if use_bn and 0 < i < depth - 1 else None
+               for i, n_out in enumerate(widths[1:])],
         activation=activation,
         input_bias=input_bias,
         use_residual=use_residual,
     )
+    for layer in model.dense:  # drawn once the model has accepted the widths
+        scale = np.sqrt(6.0 / (layer.in_dim + layer.out_dim))
+        layer.w[...] = rng.uniform(-scale, scale, size=layer.w.shape)
+    return model
 
 
 def to_half_precision(model: DenoiserModel) -> DenoiserModel:

@@ -195,6 +195,16 @@ class TestInconsistentLayerTable:
         with pytest.raises(CheckpointError, match="at least an input and an output layer"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("layers", [
+        [(0, 0, 6, 0), (3, 6, 4, 0)],
+        [(0, 4, 6, 0), (3, 6, 0, 0)],
+    ], ids=["zero-in-dim", "zero-out-dim"])
+    def test_zero_width_layer(self, tmp_path, layers):
+        path = tmp_path / "m.qdnn"
+        write_table(path, layers)
+        with pytest.raises(CheckpointError, match="inconsistent layer table: .*widths must be positive"):
+            load_checkpoint(path)
+
     def test_kinds_out_of_layer_order(self, tmp_path):
         path = tmp_path / "m.qdnn"
         write_table(path, [(0, 4, 6, 0), (2, 6, 6, 0), (1, 6, 6, 0), (3, 6, 4, 0)])

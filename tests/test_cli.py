@@ -239,6 +239,9 @@ class TestValidationErrors:
         ("generate", "sources.min_sep=29.0", "sources.min_sep is met too rarely for 10000 angle draws"),
         ("eval-doa", "music.min_sep=29.0", "music.min_sep is met too rarely for 10000 angle draws"),
         ("generate", "quantizer.full_scale=1e308", "quantizer step 2*full_scale/2**bits must be finite and > 0"),
+        ("generate", "music.grid_step=1e-9", "music grid has more than 1000000 points"),
+        pytest.param("generate", "sources.count=1" + "0" * 400,
+                     "sources.count must be smaller than array.num_sensors", id="generate-sources.count=1e400-int"),
     ])
     def test_out_of_range_setting_exit_1_before_any_file_is_written(
         self, tmp_path, capsys, command, override, message
@@ -315,7 +318,12 @@ class TestValidationErrors:
     def test_no_subcommand_exit_1(self):
         assert run([]) == 1
 
-    @pytest.mark.parametrize("command, work", [("eval-doa", "run_trials"), ("spectrum", "synthesize")])
+    @pytest.mark.parametrize("command, work", [
+        ("eval-doa", "run_trials"),
+        ("spectrum", "synthesize"),
+        ("eval-recon", "reconstruction_loss_by_snr"),
+        ("compress", "reconstruction_loss_by_snr"),
+    ])
     def test_checkpoint_that_does_not_fit_the_array_exit_1_before_any_trial(
         self, pipeline_dir, capsys, monkeypatch, command, work
     ):
@@ -406,6 +414,8 @@ class TestSettingLimits:
     @example(overrides={"sources.min_sep": 29.0})
     @example(overrides={"sources.min_sep": 25.0})
     @example(overrides={"quantizer.full_scale": 1e308})
+    @example(overrides={"music.grid_step": 1e-9})
+    @example(overrides={"sources.count": 10**400})
     @settings(max_examples=60, deadline=None)
     def test_generate_writes_finite_records_exactly_when_validate_accepts(self, overrides):
         cfg = desk_default()

@@ -10,6 +10,7 @@ from quantdoa.config import (
     desk_default,
     load_config,
 )
+from quantdoa.music import MAX_GRID_POINTS
 
 
 class TestDefaults:
@@ -80,6 +81,20 @@ class TestValidation:
         cfg.music.grid_step = step  # -30..30 by 30 holds exactly sources.count = 3 points
         errs = [e for e in cfg.validate() if "fewer than sources.count" in e]
         assert errs == (["music grid has fewer than sources.count = 3 points"] if short else [])
+
+    @pytest.mark.parametrize("step, fits", [
+        (0.01, True),
+        (0.001, True),
+        (60 / (MAX_GRID_POINTS - 1), True),  # -30..30 holds exactly MAX_GRID_POINTS points
+        (60 / MAX_GRID_POINTS, False),
+        (1e-9, False),
+        (5e-324, False),
+    ])
+    def test_grid_point_count_is_capped(self, step, fits):
+        cfg = desk_default()
+        cfg.music.grid_step = step
+        errs = [e for e in cfg.validate() if "more than" in e]
+        assert errs == ([] if fits else [f"music grid has more than {MAX_GRID_POINTS} points: raise music.grid_step"])
 
     def test_inverted_grid_is_reported_once(self):
         cfg = desk_default()

@@ -230,6 +230,11 @@ class TestInit:
         model = make_model([4, 6, 6, 4], use_residual=False)
         assert model.depth == 3
 
+    @pytest.mark.parametrize("widths", [[16, 0, 16], [0, 0, 16]], ids=["16-0-16", "0-0-16"])
+    def test_zero_width_rejected(self, widths):
+        with pytest.raises(ValueError, match="widths must be positive"):
+            net.init_model(widths, np.random.default_rng(0))
+
     def test_broken_dimension_chain_rejected(self):
         dense = [net.Dense(np.zeros((4, 6)), np.zeros(6)), net.Dense(np.zeros((5, 4)), np.zeros(4))]
         with pytest.raises(ValueError, match="layer 1 takes width 5, but layer 0 outputs 6"):
