@@ -21,7 +21,7 @@ import yaml
 
 from .music import MAX_GRID_POINTS, grid_points
 from .network import ACTIVATIONS
-from .quantizer import QuantizerSpec, default_full_scale
+from .quantizer import RAW_SERIES_BITS, QuantizerSpec, default_full_scale
 from .signal_model import MAX_ANGLE_TRIES, ArrayGeometry
 
 # Stream offsets for deriving independent sub-seeds from the master seed.
@@ -195,8 +195,9 @@ class ScenarioConfig:
             errs.append("snr_db values must not be NaN or -inf")
         elif min(self.snr_db) <= _MIN_SNR_DB:
             errs.append(f"snr_db values must exceed {_MIN_SNR_DB:.1f} dB: float32 records overflow below it")
-        if q.full_scale is not None and not _leaf_errors(q) and not 0 < 2 * q.full_scale / 2.0**q.bits < math.inf:
-            errs.append("quantizer step 2*full_scale/2**bits must be finite and > 0")
+        widths, v = sorted({q.bits, *RAW_SERIES_BITS}), q.full_scale
+        if v is not None and not _leaf_errors(q) and not all(0 < 2 * v / 2.0**b < math.inf for b in widths):
+            errs.append(f"quantizer step 2*full_scale/2**bits must be finite and > 0 for bits in {widths}")
         if d.train_count < 1 or d.test_count < 1:
             errs.append("data.train_count and data.test_count must be >= 1")
         elif d.train_count < 2:
@@ -321,7 +322,7 @@ def _number(value) -> float | None:
 def load_config(path: str | Path) -> ScenarioConfig:
     try:
         tree = yaml.safe_load(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+    except (OSError, ValueError, yaml.YAMLError) as exc:  # ValueError: an int of over 4,300 digits, a bad date
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return ScenarioConfig.from_dict({} if tree is None else tree)
 
@@ -344,6 +345,6 @@ def apply_overrides(config: ScenarioConfig, assignments: list[str]) -> ScenarioC
             raise ConfigError(f"unknown config path {key!r}")
         try:
             node[leaf] = yaml.safe_load(raw)
-        except yaml.YAMLError as exc:
+        except (ValueError, yaml.YAMLError) as exc:
             raise ConfigError(f"cannot parse override value {raw!r}: {exc}") from exc
     return ScenarioConfig.from_dict(tree)

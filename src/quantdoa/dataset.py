@@ -97,7 +97,8 @@ def generate_records(
     Each record is one snapshot from ``synthesize_seeded``: only its
     seeded draws run per record.
     """
-    variances = [noise_variance(snr) for snr in snr_db]
+    by_snr = {snr: noise_variance(snr) for snr in set(snr_db)}  # one per SNR, not per record
+    variances = [by_snr[snr] for snr in snr_db]
     angles, clean = synthesize_seeded(record_seeds, variances, geom, num_sources, angle_range, min_sep, 1)
     clean = clean[..., 0].T
     return (

@@ -32,14 +32,14 @@ from .config import (
 from .dataset import Dataset
 from .music import TrialResult, music_spectrum, noise_subspace, run_trials, sample_covariance, scan_grid
 from .optimizer import NonFiniteGradientError, adam_step, init_state
-from .quantizer import QuantizerSpec, quantize_complex
+from .quantizer import RAW_SERIES_BITS, QuantizerSpec, quantize_complex
 from .signal_model import from_real_batch, noise_variance, steering_matrix, synthesize, to_real_batch
 
 # Default spectrum-demo scenario: two sources 1.31 degrees apart plus a
 # far-off third, the stress case for post-reconstruction resolution.
 DEFAULT_SPECTRUM_ANGLES = (-18.9346, 8.6346, 9.9462)
 
-DOA_SERIES = ("unquantized", "raw-1bit", "raw-2bit", "raw-3bit", "raw-4bit", "recon-1bit")
+DOA_SERIES = ("unquantized", *(f"raw-{b}bit" for b in RAW_SERIES_BITS), "recon-1bit")
 SPECTRUM_SERIES = ("unquantized", "raw-2bit", "raw-3bit", "recon-1bit")
 
 

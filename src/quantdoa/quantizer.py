@@ -19,6 +19,8 @@ from .signal_model import noise_variance
 
 # A_max of default_full_scale: every source is a unit-modulus phasor.
 SOURCE_AMPLITUDE = 1.0
+# ADC widths of eval-doa's raw series; config.validate() checks the step at each and at quantizer.bits.
+RAW_SERIES_BITS = (1, 2, 3, 4)
 
 
 @dataclass(frozen=True)

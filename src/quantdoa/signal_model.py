@@ -175,7 +175,7 @@ def synthesize_seeded(
     one block generator set to the row's :func:`pcg64_states` entry: one
     ``random`` for the angle tries and the source phases, and one
     ``standard_normal`` for the real then imaginary noise when its variance
-    is > 0.  Argument checks, phase scaling, steering and mixing run once
+    is > 0.  Argument checks, first angle tries, steering and mixing run once
     for the block.  A first state unlike numpy's own raises ``RuntimeError``.
     """
     if len(seeds) != len(noise_variances):
@@ -186,13 +186,19 @@ def synthesize_seeded(
     if states and states[0] != bits.state:
         raise RuntimeError("numpy seeds PCG64 differently from pcg64_states")
     k, n = num_sources, len(seeds)
-    angles = np.empty((n, k))
     u = np.empty((n, k + k * num_snapshots))
     draws = np.zeros((n, 2, geom.num_sensors, num_snapshots))
     for i, (state, variance) in enumerate(zip(states, noise_variances)):
         bits.state = state
-        angles[i] = _draw_angles(rng, u[i], k, lo, hi, min_sep)
+        rng.random(out=u[i])
         if variance > 0.0:
+            rng.standard_normal(out=draws[i])
+    # Every row's first angle try at once; rows it rejects (a NaN gap too) replay _draw_angles.
+    angles = np.sort(u[:, :k] * (hi - lo) + lo, axis=1)
+    for i in np.flatnonzero((~(np.diff(angles, axis=1) >= min_sep)).any(axis=1)).tolist():
+        bits.state = states[i]
+        angles[i] = _draw_angles(rng, u[i], k, lo, hi, min_sep)
+        if noise_variances[i] > 0.0:
             rng.standard_normal(out=draws[i])
     # (2 pi) * u is uniform(0.0, 2 pi) bit for bit: numpy adds the low end, 0.0.
     phases = (2.0 * np.pi) * u[:, k:].reshape(n, k, num_snapshots)

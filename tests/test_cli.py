@@ -250,6 +250,27 @@ class TestValidationErrors:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_full_scale_whose_raw_4bit_step_underflows_exit_1_from_each_command(self, tmp_path, capsys):
+        # 2*1e-323/2**4 rounds to 0. Before, generate and train exited 0 and eval-doa exited 2 on
+        # "covariance has non-finite entries" in its raw-4bit series.
+        for command in ("generate", "train", "eval-doa"):
+            assert run([command, "--out", tmp_path, "--set", "quantizer.full_scale=1e-323"] + TINY) == 1, command
+            err = capsys.readouterr().err
+            assert "quantizer step 2*full_scale/2**bits must be finite and > 0 for bits in [1, 2, 3, 4]" in err
+            assert list(tmp_path.iterdir()) == []
+
+    def test_int_of_more_than_4300_digits_exit_1_before_any_file_is_written(self, tmp_path, capsys):
+        # Python's int-from-string limit raises ValueError inside the YAML parser (exit 2 before)
+        digits = "1" + "0" * 5000
+        out = tmp_path / "out"
+        assert run(["generate", "--out", out, "--set", f"sources.count={digits}"] + TINY) == 1
+        assert "cannot parse override value" in capsys.readouterr().err
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(f"sources:\n  count: {digits}\n")
+        assert run(["generate", "--config", cfg_path, "--out", out] + TINY) == 1
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_music_min_sep_too_wide_exit_1_before_any_input_is_read(self, tmp_path, capsys):
         assert run(["eval-doa", "--out", tmp_path, "--set", "music.min_sep=40"]) == 1
         assert "cannot hold sources.count angles at music.min_sep" in capsys.readouterr().err

@@ -153,7 +153,9 @@ class TestValidation:
         ("sources", "min_sep", 25.0, 26.0, "sources.min_sep is met too rarely for 10000 angle draws"),
         ("music", "min_sep", 25.0, 26.0, "music.min_sep is met too rarely for 10000 angle draws"),
         ("quantizer", "full_scale", 8e307, 1e308, "quantizer step 2*full_scale/2**bits must be finite and > 0"),
-        ("quantizer", "full_scale", 5e-324, -5e-324, "quantizer.full_scale must be finite and > 0 when set"),
+        # 5 and 4 units of 2**-1074: the raw-4bit step 2V/16 rounds to 2**-1074 and to 0
+        ("quantizer", "full_scale", 2.5e-323, 2e-323, "quantizer step 2*full_scale/2**bits must be finite and > 0"),
+        ("quantizer", "full_scale", 2.5e-323, -5e-324, "quantizer.full_scale must be finite and > 0 when set"),
     ])
     def test_value_just_inside_a_limit_is_accepted(self, section, leaf, inside, outside, message):
         cfg = desk_default()
@@ -166,10 +168,11 @@ class TestValidation:
 
     def test_quantizer_step_must_not_underflow(self):
         cfg = desk_default()
-        cfg.quantizer.full_scale = 5e-324  # the step 2V/2**bits is 5e-324 at one bit
+        cfg.quantizer.full_scale = 2.5e-323  # the step 2V/2**bits is 5e-324 at four bits
         assert cfg.validate() == []
-        cfg.quantizer.bits = 2
-        assert cfg.validate() == ["quantizer step 2*full_scale/2**bits must be finite and > 0"]
+        cfg.quantizer.bits = 8
+        step = "quantizer step 2*full_scale/2**bits must be finite and > 0"
+        assert cfg.validate() == [f"{step} for bits in [1, 2, 3, 4, 8]"]
 
     def test_one_source_takes_any_separation(self):
         cfg = desk_default()
@@ -213,7 +216,8 @@ class TestOverrides:
         ("network.widths=[16, true, 16]", "network.widths must be a list of integers"),
         ("train=5", "expected a mapping at train"),
         ("train.lr=[1", "cannot parse override value"),
-    ], ids=["int", "bool", "str", "int-list-float", "int-list-bool", "section", "unparsable"])
+        ("seed=2024-13-45", "cannot parse override value"),  # YAML's date constructor raises ValueError
+    ], ids=["int", "bool", "str", "int-list-float", "int-list-bool", "section", "unparsable", "impossible-date"])
     def test_type_mismatch_rejected(self, override, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             apply_overrides(desk_default(), [override])

@@ -306,6 +306,18 @@ class TestBlockEquivalence:
             for got, ref, want in zip(record, per_record_reference(seed, cfg, snr), row):
                 assert got.tobytes() == ref.tobytes() == want.tobytes()
 
+    @pytest.fixture(scope="class")
+    def desk_rule_train(self):
+        return build_dataset(scenario(4, train=1100), "train")
+
+    @pytest.mark.parametrize("block", [1, 7, 10**6])
+    def test_block_size_does_not_change_arrays_at_the_desk_angle_rule(self, block, desk_rule_train, monkeypatch):
+        # 1,100 records: three default blocks, about a tenth of whose rows replay their angle draw
+        monkeypatch.setattr(dataset, "BLOCK_RECORDS", block)
+        ds = build_dataset(scenario(4, train=1100), "train")
+        for name in FIELDS:
+            assert getattr(ds, name).tobytes() == getattr(desk_rule_train, name).tobytes(), name
+
     @pytest.mark.parametrize("block", [1, 7, 601])
     def test_block_size_does_not_change_bytes(self, block, monkeypatch, tmp_path):
         monkeypatch.setattr(dataset, "BLOCK_RECORDS", block)

@@ -248,6 +248,23 @@ class TestSynthesizeSeeded:
             one = draw_source_angles(k, span, min_sep, np.random.default_rng(seed))
             assert one.tobytes() == truth.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_desk_block_of_600_rows_matches_default_rng(self, n):
+        # one block at the desk angle rule, where about 1 row in 10 rejects its first try and replays
+        cfg = desk_default()
+        span, min_sep, snrs = cfg.angle_range(), cfg.sources.min_sep, cfg.snr_db
+        seeds = split_seeds(cfg, "train")[:600].tolist()
+        variances = [noise_variance(snrs[i % len(snrs)]) for i in range(600)]
+        angles, stack = synthesize_seeded(seeds, variances, GEOM8, 3, span, min_sep, n)
+        replayed = 0
+        for seed, variance, row_angles, row in zip(seeds, variances, angles, stack, strict=True):
+            first = np.sort(span[0] + (span[1] - span[0]) * np.random.default_rng(seed).random(3))
+            replayed += bool(np.diff(first).min() < min_sep)
+            truth = reference_angles(3, span, min_sep, rng := np.random.default_rng(seed))
+            assert row_angles.tobytes() == truth.tobytes()
+            assert row.tobytes() == synthesize(truth, GEOM8, variance, n, rng).tobytes()
+        assert replayed > 0  # 52 of the 600 at the desk seeds
+
     def test_seed_and_variance_counts_must_match(self):
         with pytest.raises(ValueError, match="3 seeds but 1 noise variances"):
             synthesize_seeded([1, 2, 3], [0.1], GEOM8, 2, (-30.0, 30.0), 1.0, 1)
@@ -256,6 +273,13 @@ class TestSynthesizeSeeded:
         # two angles exactly one degree apart in a one-degree range: never drawn
         with pytest.raises(RuntimeError, match=f"after {MAX_ANGLE_TRIES} tries"):
             synthesize_seeded([4, 5], [0.0, 0.1], GEOM8, 2, (0.0, 1.0), 1.0, 3)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_gap_fails_every_try(self):
+        # the span overflows to inf, so every try holds inf angles whose gaps are NaN (the block
+        # pass warns on inf - inf); validate() keeps configs inside (-90, 90) degrees
+        with pytest.raises(RuntimeError, match=f"after {MAX_ANGLE_TRIES} tries"):
+            synthesize_seeded([4], [0.0], GEOM8, 2, (-1e308, 1e308), 1.0, 1)
 
 
 class TestBlockSeeding:
