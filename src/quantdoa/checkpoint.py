@@ -32,7 +32,7 @@ class CheckpointError(Exception):
     """Corrupt or incompatible checkpoint file."""
 
 
-def _kind_codes(model: DenoiserModel) -> list[int]:
+def kind_codes(model: DenoiserModel) -> list[int]:
     """Layer kinds in the file: 0 input, 1/2 residual inner/outer, 3 output, 4 plain hidden."""
     inner = _RESIDUAL_INNER if model.use_residual else 4
     return [0, *(2 if model.closes_pair(i) else inner for i in range(1, model.depth - 1)), 3]
@@ -96,17 +96,17 @@ def save_checkpoint(model: DenoiserModel, path: str | Path) -> None:
     dtype = _payload_dtype(model.precision)
     chunks = [
         struct.pack("<BBB", 1 if model.precision == "fp16" else 0,
-                    ACTIVATIONS.index(model.activation), 1 if model.input_bias else 0),
+                    list(ACTIVATIONS).index(model.activation), 1 if model.input_bias else 0),
         struct.pack("<I", model.depth),
     ]
-    for code, layer, bn in zip(_kind_codes(model), model.dense, model.norms):
+    for code, layer in zip(kind_codes(model), model.dense):
         chunks.append(
-            struct.pack("<BIIB", code, layer.in_dim, layer.out_dim, 1 if bn is not None else 0)
+            struct.pack("<BIIB", code, layer.in_dim, layer.out_dim, 1 if layer.bn is not None else 0)
         )
         chunks.append(np.ascontiguousarray(layer.w).astype(dtype).tobytes())
         chunks.append(layer.b.astype(dtype).tobytes())
-        if bn is not None:
-            for arr in (bn.gamma, bn.beta, bn.running_mean, bn.running_var):
+        if layer.bn is not None:
+            for arr in (layer.bn.gamma, layer.bn.beta, layer.bn.running_mean, layer.bn.running_var):
                 chunks.append(arr.astype(dtype).tobytes())
     write_framed(path, MAGIC, FORMAT_VERSION, chunks)
 
@@ -123,28 +123,26 @@ def load_checkpoint(path: str | Path) -> DenoiserModel:
     (layer_count,) = r.unpack("<I")  # DenoiserModel rejects fewer than two layers
 
     dense: list[Dense] = []
-    norms: list[BatchNorm | None] = []
     codes: list[int] = []
     for _ in range(layer_count):
         kind_code, in_dim, out_dim, has_bn = r.unpack("<BIIB")
         codes.append(kind_code)
         w = r.array(in_dim * out_dim, dtype).reshape(in_dim, out_dim)
-        dense.append(Dense(w=w, b=r.array(out_dim, dtype)))
+        b = r.array(out_dim, dtype)
         # gamma, beta, running_mean, running_var, in file order
-        norms.append(BatchNorm(*(r.array(out_dim, dtype) for _ in range(4))) if has_bn else None)
+        dense.append(Dense(w, b, BatchNorm(*(r.array(out_dim, dtype) for _ in range(4))) if has_bn else None))
     if r.remaining:
         raise CheckpointError("trailing bytes after the last layer")
     try:
         model = DenoiserModel(
             dense=dense,
-            norms=norms,
-            activation=ACTIVATIONS[act_code],
+            activation=list(ACTIVATIONS)[act_code],
             input_bias=bool(bias_flag),
             use_residual=_RESIDUAL_INNER in codes,
             precision=precision,
         )
     except ValueError as exc:
         raise CheckpointError(f"inconsistent layer table: {exc}") from exc
-    if codes != _kind_codes(model):
+    if codes != kind_codes(model):
         raise CheckpointError(f"layer kinds {codes} do not match the layer order")
     return model

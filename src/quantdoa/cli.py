@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import kind_codes, load_checkpoint, save_checkpoint
 from .config import ConfigError, ScenarioConfig, apply_overrides, desk_default, load_config
-from .dataset import Dataset, build_dataset, load_dataset, save_dataset, split_seeds
+from .dataset import BLOCK_RECORDS, Dataset, build_dataset, generate_records, load_dataset, save_dataset, split_seeds
 from .experiments import (
     DEFAULT_SPECTRUM_ANGLES,
     TrainResult,
@@ -29,6 +29,7 @@ from .experiments import (
     default_ablation_variants,
     eval_doa,
     eval_reconstruction,
+    initial_model,
     spectrum_compare,
     timing_points,
     train,
@@ -105,7 +106,13 @@ def _cmd_generate(args, config: ScenarioConfig) -> None:
 
 
 def _dataset(out: Path, split: str, config: ScenarioConfig) -> Dataset:
-    """The ``split`` set in ``out``, refused unless ``generate`` under ``config`` writes it."""
+    """The ``split`` set in ``out``, refused unless ``generate`` under ``config`` writes it.
+
+    The header and record seeds must match the config.  The header holds
+    no angle range, separation or array spacing, so the first record of
+    each SNR is then generated again and must match bit for bit: a
+    ``sources.min_sep`` change is caught only when it changes one of them.
+    """
     path = _require(out / f"{split}.qdst", f"{split} dataset")
     ds, seeds = load_dataset(path), split_seeds(config, split)
     found = (ds.num_sensors, ds.num_sources, ds.count, ds.snr_list, ds.bits, ds.full_scale)
@@ -115,6 +122,12 @@ def _dataset(out: Path, split: str, config: ScenarioConfig) -> Dataset:
     diff = [f"{name} {f} (config: {w})" for name, f, w in zip(names, found, wanted) if f != w]
     if not diff and not np.array_equal(ds.record_seeds, seeds):
         diff.append(f"record seeds (config seed: {config.seed})")
+    if not diff:
+        n = min(ds.count, len(ds.snr_list), BLOCK_RECORDS)  # SNRs round-robin: records 0..n-1
+        first = generate_records(seeds[:n].tolist(), ds.snr_list[:n], config.geometry(), config.sources.count,
+                                 config.angle_range(), config.sources.min_sep, config.quantizer_spec())
+        if not all(map(np.array_equal, first, (ds.inputs[:n], ds.targets[:n], ds.angles_deg[:n]))):
+            diff.append("the first record of each SNR (sources.angle_min, angle_max, min_sep or array.spacing)")
     if diff:
         raise ConfigError(f"{path} was not generated under this config: {'; '.join(diff)}; rerun generate")
     return ds
@@ -126,13 +139,27 @@ def _datasets(out: Path, config: ScenarioConfig) -> tuple[Dataset, Dataset]:
 
 
 def _model(out: Path, config: ScenarioConfig) -> DenoiserModel:
-    """The checkpoint in ``out``, refused unless it maps 2*num_sensors to 2*num_sensors."""
-    model = load_checkpoint(_require(out / "model.qdnn", "model checkpoint"))
+    """The checkpoint in ``out``, refused unless it maps 2*num_sensors to 2*num_sensors
+    and is laid out as the model ``train`` starts from under ``config.network``."""
+    path = _require(out / "model.qdnn", "model checkpoint")
+    model = load_checkpoint(path)
     two_m = 2 * config.array.num_sensors
     if (model.width_in, model.dense[-1].out_dim) != (two_m, two_m):
         raise ConfigError(f"model widths {model.width_in} -> {model.dense[-1].out_dim} "
                           f"do not fit 2*num_sensors = {two_m}")
+    names = ("widths", "batch norm at layers", "layer kinds", "activation", "input_bias")
+    found, wanted = _layout(model), _layout(initial_model(config))
+    diff = [f"{name} {f} (config: {w})" for name, f, w in zip(names, found, wanted) if f != w]
+    if diff:
+        raise ConfigError(f"{path} was not trained under this config: {'; '.join(diff)}; rerun train")
     return model
+
+
+def _layout(model: DenoiserModel) -> tuple:
+    """What a checkpoint records of a model's shape, beside its arrays."""
+    return ([model.width_in, *(layer.out_dim for layer in model.dense)],
+            [i for i, layer in enumerate(model.dense) if layer.bn is not None],
+            kind_codes(model), model.activation, model.input_bias)
 
 
 def _cmd_train(args, config: ScenarioConfig) -> None:

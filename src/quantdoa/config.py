@@ -56,6 +56,15 @@ class ConfigError(ValueError):
     """Invalid configuration contents or override path."""
 
 
+_SHOWN_CHARS = 60
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for an error message; past ``_SHOWN_CHARS`` characters, its start and its length."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN_CHARS else f"{text[:_SHOWN_CHARS]}... ({len(text)} characters)"
+
+
 def _leaf(default, ok, says: str, *edges):
     """A field whose set value must pass ``ok`` (it flips at ``edges``), else validate() says "<path> <says>"."""
     return field(default=default, metadata={"ok": ok, "says": says, "edges": edges})
@@ -208,7 +217,7 @@ class ScenarioConfig:
         else:
             for end, width in (("start", w[0]), ("end", w[-1])):
                 if width != two_m:
-                    errs.append(f"network.widths must {end} at 2*num_sensors = {two_m}, got {width}")
+                    errs.append(f"network.widths must {end} at 2*num_sensors = {_shown(two_m)}, got {_shown(width)}")
             if any(x < 1 for x in w):
                 errs.append("network.widths entries must be positive")
             if len(set(w[1:-1])) > 1:
@@ -222,7 +231,7 @@ class ScenarioConfig:
         elif m.grid_step > 0 and m.grid_max > m.grid_min:
             points = grid_points(m.grid_min, m.grid_max, m.grid_step)
             if points < count:
-                errs.append(f"music grid has fewer than sources.count = {s.count} points")
+                errs.append(f"music grid has fewer than sources.count = {_shown(s.count)} points")
             elif points > MAX_GRID_POINTS:
                 errs.append(f"music grid has more than {MAX_GRID_POINTS} points: raise music.grid_step")
         if s.count >= a.num_sensors:
@@ -245,7 +254,7 @@ def _build_dataclass(cls, tree: dict, path: str):
     unknown = set(tree) - set(hints)
     if unknown:
         raise ConfigError(
-            f"unknown config key(s) {sorted(unknown)} under {path or 'top level'}"
+            f"unknown config key(s) {_shown(sorted(unknown))} under {path or 'top level'}"
         )
     kwargs = {}
     for name, typ in hints.items():
@@ -275,7 +284,7 @@ def _leaf_errors(node, path: str = "") -> list[str]:
 def _coerce_leaf(value, typ, path: str):
     if typ is int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path} must be an integer, got {value!r}")
+            raise ConfigError(f"{path} must be an integer, got {_shown(value)}")
         return value
     if typ == float | None and value is None:
         return None
@@ -283,26 +292,26 @@ def _coerce_leaf(value, typ, path: str):
         number = _number(value)
         if number is None:
             kind = "a number" if typ is float else "a number or null"
-            raise ConfigError(f"{path} must be {kind}, got {value!r}")
+            raise ConfigError(f"{path} must be {kind}, got {_shown(value)}")
         return number
     if typ is bool:
         if not isinstance(value, bool):
-            raise ConfigError(f"{path} must be true or false, got {value!r}")
+            raise ConfigError(f"{path} must be true or false, got {_shown(value)}")
         return value
     if typ is str:
         if not isinstance(value, str):
-            raise ConfigError(f"{path} must be a string, got {value!r}")
+            raise ConfigError(f"{path} must be a string, got {_shown(value)}")
         return value
     if typ == list[int]:
         if not isinstance(value, list) or not all(
             isinstance(v, int) and not isinstance(v, bool) for v in value
         ):
-            raise ConfigError(f"{path} must be a list of integers, got {value!r}")
+            raise ConfigError(f"{path} must be a list of integers, got {_shown(value)}")
         return list(value)
     if typ == list[float]:
         numbers = [_number(v) for v in value] if isinstance(value, list) else [None]
         if None in numbers:
-            raise ConfigError(f"{path} must be a list of numbers, got {value!r}")
+            raise ConfigError(f"{path} must be a list of numbers, got {_shown(value)}")
         return numbers
     raise ConfigError(f"unsupported config field type {typ} at {path}")
 
@@ -332,19 +341,19 @@ def apply_overrides(config: ScenarioConfig, assignments: list[str]) -> ScenarioC
     tree = config.to_dict()
     for item in assignments:
         if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
+            raise ConfigError(f"override {_shown(item)} is not of the form key=value")
         key, raw = item.split("=", 1)
         parts = key.strip().split(".")
         node = tree
         for p in parts[:-1]:
             if not isinstance(node, dict) or p not in node:
-                raise ConfigError(f"unknown config path {key!r}")
+                raise ConfigError(f"unknown config path {_shown(key)}")
             node = node[p]
         leaf = parts[-1]
         if not isinstance(node, dict) or leaf not in node:
-            raise ConfigError(f"unknown config path {key!r}")
+            raise ConfigError(f"unknown config path {_shown(key)}")
         try:
             node[leaf] = yaml.safe_load(raw)
         except (ValueError, yaml.YAMLError) as exc:
-            raise ConfigError(f"cannot parse override value {raw!r}: {exc}") from exc
+            raise ConfigError(f"cannot parse override value {_shown(raw)}: {exc}") from exc
     return ScenarioConfig.from_dict(tree)

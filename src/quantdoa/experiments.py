@@ -82,6 +82,13 @@ def write_curves_csv(
 # -- training -------------------------------------------------------------------
 
 
+def initial_model(config: ScenarioConfig) -> net.DenoiserModel:
+    """The model :func:`train` starts from: ``config.network``'s layers, weights drawn from the init seed."""
+    n = config.network
+    rng = np.random.default_rng(derived_seed(config.seed, DOMAIN_INIT))
+    return net.init_model(n.widths, rng, n.use_bn, n.use_residual, n.activation, n.input_bias)
+
+
 def train(
     config: ScenarioConfig,
     train_set: Dataset,
@@ -96,14 +103,7 @@ def train(
     epoch's model is retained, flagged as diverged, and the aborted epoch
     writes no rows.
     """
-    model = net.init_model(
-        config.network.widths,
-        rng=np.random.default_rng(derived_seed(config.seed, DOMAIN_INIT)),
-        use_bn=config.network.use_bn,
-        use_residual=config.network.use_residual,
-        activation=config.network.activation,
-        input_bias=config.network.input_bias,
-    )
+    model = initial_model(config)
     state = init_state(model.params, learning_rate=config.train.lr)
     grad = np.empty_like(model.params)
     shuffle_rng = np.random.default_rng(derived_seed(config.seed, DOMAIN_SHUFFLE))

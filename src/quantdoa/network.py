@@ -27,44 +27,40 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# An activation's index here is its code in .qdnn checkpoints: reordering
-# or inserting names would misread every saved file.
-ACTIVATIONS = ("relu", "tanh", "sigmoid")
-
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # weight of the current batch in the running average
 
 _FP16_MAX = float(np.finfo(np.float16).max)
 
-
-def _activation_forward(name: str, z: np.ndarray) -> np.ndarray:
-    """The activation of ``z``, computed in place for relu and tanh."""
-    if name == "relu":
-        return np.maximum(0.0, z, out=z)
-    if name == "tanh":
-        return np.tanh(z, out=z)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    raise ValueError(f"unknown activation {name!r}; expected one of {ACTIVATIONS}")
-
-
-def _activation_backward(name: str, dout: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``dout`` times the activation's derivative, read off its output; scales ``dout`` in place."""
-    if name == "relu":  # relu(z) > 0 exactly where z > 0
-        return np.multiply(dout, out > 0, out=dout)
-    if name == "tanh":
-        return np.multiply(dout, 1.0 - out * out, out=dout)
-    if name == "sigmoid":
-        return np.multiply(np.multiply(dout, out, out=dout), 1.0 - out, out=dout)
-    raise ValueError(f"unknown activation {name!r}")
+# name -> (the activation of z, computed in place where numpy allows; dout
+# times the derivative read off the output, scaling dout in place: relu(z) > 0
+# exactly where z > 0).  A name's position here is its code in .qdnn
+# checkpoints: reordering or inserting entries would misread every saved file.
+ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(0.0, z, out=z), lambda dout, out: np.multiply(dout, out > 0, out=dout)),
+    "tanh": (lambda z: np.tanh(z, out=z), lambda dout, out: np.multiply(dout, 1.0 - out * out, out=dout)),
+    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)),
+                lambda dout, out: np.multiply(np.multiply(dout, out, out=dout), 1.0 - out, out=dout)),
+}
 
 
-@dataclass
+@dataclass(slots=True)
+class BatchNorm:
+    """Per-feature scale/shift plus running statistics for inference."""
+
+    gamma: np.ndarray
+    beta: np.ndarray
+    running_mean: np.ndarray
+    running_var: np.ndarray
+
+
+@dataclass(slots=True)
 class Dense:
-    """One fully connected layer: out = x @ w + b."""
+    """One fully connected layer, out = x @ w + b, and the batch norm that follows it, if any."""
 
     w: np.ndarray  # (in_dim, out_dim)
     b: np.ndarray  # (out_dim,)
+    bn: BatchNorm | None = None
 
     @property
     def in_dim(self) -> int:
@@ -76,19 +72,8 @@ class Dense:
 
 
 @dataclass
-class BatchNorm:
-    """Per-feature scale/shift plus running statistics for inference."""
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-
-
-@dataclass
 class DenoiserModel:
     dense: list[Dense]
-    norms: list[BatchNorm | None]
     activation: str = "relu"
     input_bias: bool = True
     use_residual: bool = True
@@ -97,13 +82,11 @@ class DenoiserModel:
     stats: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.dense) != len(self.norms):
-            raise ValueError("dense and norms lists must be parallel")
         if len(self.dense) < 2:
             raise ValueError("model needs at least an input and an output layer")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.norms[0] is not None or self.norms[-1] is not None:
+        if self.dense[0].bn is not None or self.dense[-1].bn is not None:
             raise ValueError("batch norm is allowed on hidden layers only")
         for i, layer in enumerate(self.dense):
             if layer.in_dim < 1 or layer.out_dim < 1:
@@ -122,14 +105,15 @@ class DenoiserModel:
 
     def _pack(self) -> None:
         """Copy the arrays into fresh ``params``/``stats`` buffers and rebind the layers to views."""
-        running = [a for bn in self.norms if bn is not None for a in (bn.running_mean, bn.running_var)]
+        running = [a for layer in self.dense if layer.bn is not None
+                   for a in (layer.bn.running_mean, layer.bn.running_var)]
         self.params = np.concatenate([a.ravel() for a in self.trainable_arrays()])
         self.stats = np.concatenate([np.empty(0, self.params.dtype)] + [a.ravel() for a in running])
         p, s = iter(self.views(self.params)), iter(_split(self.stats, running))
-        norms, self.dense, self.norms = self.norms, [], []
-        for bn in norms:
-            self.dense.append(Dense(next(p), next(p)))
-            self.norms.append(None if bn is None else BatchNorm(next(p), next(p), next(s), next(s)))
+        self.dense = [
+            Dense(next(p), next(p), None if layer.bn is None else BatchNorm(next(p), next(p), next(s), next(s)))
+            for layer in self.dense
+        ]
 
     @property
     def depth(self) -> int:
@@ -146,10 +130,10 @@ class DenoiserModel:
     def trainable_arrays(self) -> list[np.ndarray]:
         """The views into ``params``; :func:`backward` returns gradients in this order."""
         arrays: list[np.ndarray] = []
-        for layer, bn in zip(self.dense, self.norms):
+        for layer in self.dense:
             arrays.extend([layer.w, layer.b])
-            if bn is not None:
-                arrays.extend([bn.gamma, bn.beta])
+            if layer.bn is not None:
+                arrays.extend([layer.bn.gamma, layer.bn.beta])
         return arrays
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
@@ -240,23 +224,24 @@ def forward(model: DenoiserModel, x: np.ndarray, mode: str = "infer") -> tuple[n
         raise ValueError(f"input width {x.shape[1]} != model width {model.width_in}")
     train = mode == "train"
     last = model.depth - 1
+    activate = ACTIVATIONS[model.activation][0]
     cache: list[LayerCache] = []
     h = skip = x
-    for i, (layer, bn) in enumerate(zip(model.dense, model.norms)):
+    for i, layer in enumerate(model.dense):
         if model.closes_pair(i + 1):
             skip = h
         z = h @ layer.w
         if i > 0 or model.input_bias:
             z += layer.b
         bn_cache = None
-        if bn is not None:
+        if layer.bn is not None:
             if train:
-                z, bn_cache = batch_norm_train(z, bn)
+                z, bn_cache = batch_norm_train(z, layer.bn)
             else:
-                z = batch_norm_infer(z, bn)
+                z = batch_norm_infer(z, layer.bn)
         if model.closes_pair(i):
             z += skip
-        out = z if i == last else _activation_forward(model.activation, z)
+        out = z if i == last else activate(z)
         if train:
             cache.append(LayerCache(h, bn_cache, out))
         h = out
@@ -300,12 +285,13 @@ def backward(model: DenoiserModel, cache: list[LayerCache], target: np.ndarray, 
     slots = reversed(grads)  # per layer, last first: [beta, gamma,] b, w
     batch, width = output.shape
     last = model.depth - 1
+    derivative = ACTIVATIONS[model.activation][1]
     # d loss / d output for the batch-averaged, width-normalized loss
     grad = (2.0 / (batch * width)) * (output - target)
     d_skip: np.ndarray | None = None  # set by the outer layer of each pair
     for i in reversed(range(model.depth)):
         c, layer = cache[i], model.dense[i]
-        dz = grad if i == last else _activation_backward(model.activation, grad, c.out)
+        dz = grad if i == last else derivative(grad, c.out)
         if model.closes_pair(i):
             d_skip = dz
         if c.bn is not None:
@@ -341,10 +327,9 @@ def init_model(
     identity_bn = (np.ones, np.zeros, np.zeros, np.ones)  # gamma, beta, running mean, running variance
     # Built in the call, so the model's packed copy is the only one left when the weights are drawn.
     model = DenoiserModel(
-        dense=[Dense(w=np.zeros((n_in, n_out), dtype=dtype), b=np.zeros(n_out, dtype=dtype))
-               for n_in, n_out in zip(widths, widths[1:])],
-        norms=[BatchNorm(*(f(n_out, dtype) for f in identity_bn)) if use_bn and 0 < i < depth - 1 else None
-               for i, n_out in enumerate(widths[1:])],
+        dense=[Dense(np.zeros((n_in, n_out), dtype=dtype), np.zeros(n_out, dtype=dtype),
+                     BatchNorm(*(f(n_out, dtype) for f in identity_bn)) if use_bn and 0 < i < depth - 1 else None)
+               for i, (n_in, n_out) in enumerate(zip(widths, widths[1:]))],
         activation=activation,
         input_bias=input_bias,
         use_residual=use_residual,

@@ -20,4 +20,4 @@ def quantizer_spec(ds: Dataset) -> QuantizerSpec:
 
 
 def use_bn(model: DenoiserModel) -> bool:
-    return any(bn is not None for bn in model.norms)
+    return any(layer.bn is not None for layer in model.dense)

@@ -10,8 +10,8 @@ from quantdoa.network import DenoiserModel
 def all_arrays(model: DenoiserModel) -> list[np.ndarray]:
     """Every stored array, running statistics included."""
     arrays: list[np.ndarray] = []
-    for layer, bn in zip(model.dense, model.norms):
+    for layer in model.dense:
         arrays.extend([layer.w, layer.b])
-        if bn is not None:
+        if (bn := layer.bn) is not None:
             arrays.extend([bn.gamma, bn.beta, bn.running_mean, bn.running_var])
     return arrays

@@ -271,6 +271,30 @@ class TestValidationErrors:
         assert "cannot read config file" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("override", [
+        "sources.count=1" + "0" * 5000,
+        "train.epochs=[" + ", ".join(["1"] * 3001) + "]",
+        "network.use_bn=" + "y" * 3000,
+        "network={" + ", ".join(f"k{i}: 1" for i in range(600)) + "}",
+        "sources." + "x" * 3000 + "=1",
+        "x" * 3000,
+    ], ids=["parse", "leaf-type", "leaf-type-str", "unknown-key", "unknown-path", "not-key=value"])
+    def test_long_rejected_input_is_cut_to_one_short_line(self, tmp_path, capsys, override):
+        out = tmp_path / "out"
+        assert run(["generate", "--out", out, "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 300, err[:400]
+        assert "characters)" in err
+        assert not out.exists()
+
+    def test_long_value_in_a_validation_message_is_cut(self, tmp_path, capsys):
+        out, wide = tmp_path / "out", "1" + "0" * 3000
+        assert run(["generate", "--out", out, "--set", f"network.widths=[{wide}, 32, 32, 32, {wide}]"]) == 1
+        err = capsys.readouterr().err
+        assert "network.widths must start at 2*num_sensors = 16, got 1000" in err
+        assert err.count("(3001 characters)") == 2 and len(err) < 400, err[:500]
+        assert not out.exists()
+
     def test_music_min_sep_too_wide_exit_1_before_any_input_is_read(self, tmp_path, capsys):
         assert run(["eval-doa", "--out", tmp_path, "--set", "music.min_sep=40"]) == 1
         assert "cannot hold sources.count angles at music.min_sep" in capsys.readouterr().err
@@ -356,6 +380,38 @@ class TestValidationErrors:
         assert run([command, "--out", pipeline_dir] + TINY + smaller) == 1
         assert "model widths 16 -> 16 do not fit 2*num_sensors = 12" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, message", [
+        ("network.use_bn=false", "batch norm at layers [1, 2] (config: [])"),
+        ("network.use_residual=false", "layer kinds [0, 1, 2, 3] (config: [0, 4, 4, 3])"),
+        ("network.activation=tanh", "activation relu (config: tanh)"),
+        ("network.input_bias=false", "input_bias True (config: False)"),
+        ("network.widths=[16, 64, 64, 64, 16]", "widths [16, 32, 32, 32, 16] (config: [16, 64, 64, 64, 16])"),
+    ], ids=["use_bn", "use_residual", "activation", "input_bias", "hidden-width"])
+    @pytest.mark.parametrize("command, work", [
+        ("eval-doa", "run_trials"),
+        ("spectrum", "synthesize"),
+        ("eval-recon", "reconstruction_loss_by_snr"),
+        ("compress", "reconstruction_loss_by_snr"),
+    ])
+    def test_checkpoint_of_other_network_settings_exit_1_before_any_work(
+        self, pipeline_dir, capsys, monkeypatch, command, work, override, message
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the checkpoint was checked")
+
+        monkeypatch.setattr(experiments, work, no_work)
+        before = TestDatasetMatchesConfig._files(pipeline_dir)
+        assert run([command, "--out", pipeline_dir] + TINY + ["--set", override]) == 1
+        err = capsys.readouterr().err
+        assert "model.qdnn was not trained under this config" in err and message in err
+        assert TestDatasetMatchesConfig._files(pipeline_dir) == before
+
+    def test_depth_2_checkpoint_reloads_under_use_residual(self, tmp_path):
+        depth_2 = TINY + ["--set", "network.widths=[16, 32, 16]"]
+        for command in ("generate", "train", "eval-recon"):
+            assert run([command, "--out", tmp_path] + depth_2) == 0
+        assert not load_checkpoint(tmp_path / "model.qdnn").use_residual
+
     def test_missing_inputs_exit_2(self, tmp_path, capsys):
         code = run(["train", "--out", tmp_path] + TINY)
         assert code == 2
@@ -374,7 +430,11 @@ class TestDatasetMatchesConfig:
         (["--seed", "9"], "record seeds (config seed: 9)"),
         (["--set", "snr_db=[-10, 0, 10]"], "snr_list"),
         (["--set", "quantizer.bits=2"], "bits 1 (config: 2)"),
-    ], ids=["count", "seed", "snr_list", "bits"])
+        (["--set", "sources.angle_min=-20"], "the first record of each SNR"),
+        (["--set", "sources.angle_max=20"], "the first record of each SNR"),
+        (["--set", "array.spacing=0.4"], "the first record of each SNR"),
+        (["--set", "sources.min_sep=10"], "the first record of each SNR"),
+    ], ids=["count", "seed", "snr_list", "bits", "angle_min", "angle_max", "spacing", "min_sep"])
     @pytest.mark.parametrize("command", ["train", "eval-recon", "compress", "bench", "ablate"])
     def test_mismatched_set_exit_1_before_any_file_is_written(
         self, pipeline_dir, capsys, command, mismatch, message

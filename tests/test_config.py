@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -22,6 +23,12 @@ class TestDefaults:
         assert a.config_hash() == b.config_hash()
         b.train.lr = 2e-3
         assert a.config_hash() != b.config_hash()
+
+    def test_readme_key_tree_is_the_desk_default(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"^```yaml\n(.*?)^```", readme, re.S | re.M)
+        assert len(blocks) == 1
+        assert yaml.safe_load(blocks[0]) == desk_default().to_dict()
 
     def test_round_trip_through_dict(self):
         cfg = desk_default()

@@ -144,9 +144,9 @@ class TestForward:
 
     def test_train_mode_updates_running_stats(self):
         model = make_model(seed=12)
-        before = [bn.running_mean.copy() for bn in model.norms if bn is not None]
+        before = [layer.bn.running_mean.copy() for layer in model.dense if layer.bn is not None]
         net.forward(model, np.random.default_rng(2).standard_normal((8, 4)), "train")
-        after = [bn.running_mean for bn in model.norms if bn is not None]
+        after = [layer.bn.running_mean for layer in model.dense if layer.bn is not None]
         assert any(not np.array_equal(a, b) for a, b in zip(after, before))
 
     def test_width_mismatch_rejected(self):
@@ -198,7 +198,7 @@ class TestLoss:
 class TestInit:
     def test_bn_identity_at_init(self):
         model = make_model()
-        for bn in model.norms:
+        for bn in (layer.bn for layer in model.dense):
             if bn is None:
                 continue
             np.testing.assert_array_equal(bn.gamma, np.ones_like(bn.gamma))
@@ -238,7 +238,7 @@ class TestInit:
     def test_broken_dimension_chain_rejected(self):
         dense = [net.Dense(np.zeros((4, 6)), np.zeros(6)), net.Dense(np.zeros((5, 4)), np.zeros(4))]
         with pytest.raises(ValueError, match="layer 1 takes width 5, but layer 0 outputs 6"):
-            net.DenoiserModel(dense, [None, None], use_residual=False)
+            net.DenoiserModel(dense, use_residual=False)
 
 
 def shares(a, b):
@@ -254,7 +254,7 @@ class TestParameterBuffer:
         assert model.params.size == sum(a.size for a in trainable)
         for a, view in zip(trainable, model.views(model.params)):
             assert shares(a, model.params) and np.array_equal(a, view)
-        for bn in model.norms:
+        for bn in (layer.bn for layer in model.dense):
             if bn is not None:
                 assert shares(bn.running_mean, model.stats) and shares(bn.running_var, model.stats)
 
@@ -301,7 +301,7 @@ class TestParameterBuffer:
     def test_construction_copies_the_given_arrays(self):
         w0, w1 = np.ones((4, 6)), np.ones((6, 4))
         model = net.DenoiserModel(
-            [net.Dense(w0, np.zeros(6)), net.Dense(w1, np.zeros(4))], [None, None], use_residual=False
+            [net.Dense(w0, np.zeros(6)), net.Dense(w1, np.zeros(4))], use_residual=False
         )
         self.check_views(model)
         assert not shares(model.params, w0) and not shares(model.params, w1)
