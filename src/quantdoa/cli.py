@@ -12,13 +12,14 @@ Exit codes: 0 success, 1 configuration/usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import kind_codes, load_checkpoint, save_checkpoint
-from .config import ConfigError, ScenarioConfig, apply_overrides, desk_default, load_config
+from .config import ConfigError, ScenarioConfig, apply_overrides, cut, desk_default, load_config
 from .dataset import BLOCK_RECORDS, Dataset, build_dataset, generate_records, load_dataset, save_dataset, split_seeds
 from .experiments import (
     DEFAULT_SPECTRUM_ANGLES,
@@ -43,9 +44,13 @@ class _UsageError(Exception):
     pass
 
 
+# What argparse messages echo of the command line: each value, as its repr, and the unrecognized arguments.
+_ECHOED = re.compile(r"'(?:\\.|[^'\\])*'|\"(?:\\.|[^\"\\])*\"|(?<=unrecognized arguments: ).+")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we map usage to 1
-        raise _UsageError(message)
+        raise _UsageError(_ECHOED.sub(lambda echoed: cut(echoed[0]), message))
 
 
 def _build_parser() -> _Parser:
@@ -148,7 +153,8 @@ def _model(out: Path, config: ScenarioConfig) -> DenoiserModel:
         raise ConfigError(f"model widths {model.width_in} -> {model.dense[-1].out_dim} "
                           f"do not fit 2*num_sensors = {two_m}")
     names = ("widths", "batch norm at layers", "layer kinds", "activation", "input_bias")
-    found, wanted = _layout(model), _layout(initial_model(config))
+    found = _layout(model)  # the model train starts from is built only at the file's widths, so at its size
+    wanted = _layout(initial_model(config)) if found[0] == config.network.widths else [config.network.widths]
     diff = [f"{name} {f} (config: {w})" for name, f, w in zip(names, found, wanted) if f != w]
     if diff:
         raise ConfigError(f"{path} was not trained under this config: {'; '.join(diff)}; rerun train")

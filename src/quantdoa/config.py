@@ -59,10 +59,17 @@ class ConfigError(ValueError):
 _SHOWN_CHARS = 60
 
 
-def _shown(value) -> str:
-    """``repr(value)`` for an error message; past ``_SHOWN_CHARS`` characters, its start and its length."""
-    text = repr(value)
+def cut(text: str) -> str:
+    """``text`` for an error message; past ``_SHOWN_CHARS`` characters, its start and its length."""
     return text if len(text) <= _SHOWN_CHARS else f"{text[:_SHOWN_CHARS]}... ({len(text)} characters)"
+
+
+def _shown(value) -> str:
+    """``cut(repr(value))``; an int that ``repr`` refuses (over 4,300 digits by default) shows its bit length."""
+    try:
+        return cut(repr(value))
+    except ValueError:
+        return f"an integer of {value.bit_length():,} bits"
 
 
 def _leaf(default, ok, says: str, *edges):

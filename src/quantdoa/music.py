@@ -117,8 +117,8 @@ def ranked_peaks(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A peak is a run of equal values above both neighbouring runs, at the
     run's leftmost index; endpoint runs never count.  Peaks come by row,
-    then by descending value, ties toward the smaller index.  Only a rise that
-    stops rising can start a peak; rows where one starts a plateau are run-compressed whole.
+    then by descending value, ties toward the smaller index.  Only a rise that stops
+    rising can start a peak; a plateau it starts is one if its run ends inside its row, above the next value.
     """
     g = spectra.shape[1]
     flat = spectra.ravel()
@@ -126,20 +126,13 @@ def ranked_peaks(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     at = np.flatnonzero(up[:-1] > up[1:]) + 1  # flat[at - 1] < flat[at] >= flat[at + 1]
     col = at % g
     at = at[(col > 0) & (col < g - 1)]  # drop the row seams
-    plateau = flat[at] == flat[at + 1]
-    if plateau.any():
-        redo = np.zeros(spectra.shape[0], dtype=bool)
-        redo[at[plateau] // g] = True
-        rows = np.flatnonzero(redo)
-        sub = spectra[rows]
-        # step is 1 where a row rises to the next point and -1 where it falls;
-        # the last column, a change that does neither, keeps rows apart.
-        step = np.full(sub.shape, 2, dtype=np.int8)
-        np.subtract(sub[:, 1:] > sub[:, :-1], sub[:, :-1] > sub[:, 1:], out=step[:, :-1], dtype=np.int8)
-        change = np.flatnonzero(step)
-        kind = step.ravel()[change]
-        r, c = np.divmod(change[:-1][(kind[:-1] == 1) & (kind[1:] == -1)] + 1, g)
-        at = np.concatenate([at[~redo[at // g]], rows[r] * g + c])
+    plateau = np.flatnonzero(flat[at] == flat[at + 1])
+    if plateau.size:
+        starts = np.append(np.flatnonzero(flat[1:] != flat[:-1]) + 1, flat.size)  # run starts, then a sentinel
+        end = starts[np.searchsorted(starts, at[plateau], side="right")]  # the first index past each run
+        peak = end // g == at[plateau] // g  # the run ends inside its row,
+        peak[peak] = flat[end[peak]] < flat[at[plateau[peak]]]  # above the value after it
+        at = np.delete(at, plateau[~peak])
     order = np.lexsort((-flat[at], at // g))  # stable: ties keep index order
     return np.divmod(at[order], g)
 

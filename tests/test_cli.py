@@ -295,6 +295,32 @@ class TestValidationErrors:
         assert err.count("(3001 characters)") == 2 and len(err) < 400, err[:500]
         assert not out.exists()
 
+    def test_int_of_more_than_4300_digits_in_a_validation_message_exit_1(self, tmp_path, capsys):
+        # 2*num_sensors has 4,301 digits, more than repr writes out (exit 2 before)
+        out = tmp_path / "out"
+        assert run(["generate", "--out", out, "--set", "array.num_sensors=9" + "0" * 4299]) == 1
+        err = capsys.readouterr().err
+        assert "network.widths must start at 2*num_sensors = an integer of 14,286 bits, got 16" in err
+        assert all(len(line) < 300 for line in err.splitlines()), err[:400]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, flag", [
+        (["generate", "--seed", "1" + "0" * 5000], "--seed"),
+        (["generate", "--seed", "x" * 5000], "--seed"),
+        (["spectrum", "--snr", "x" * 5000], "--snr"),
+        (["spectrum", "--angles", "1", "x" * 5000], "--angles"),
+        (["bench", "--widths", "16", "x" * 5000], "--widths"),
+        (["x" * 5000], "invalid choice"),
+        (["generate", "x" * 5000], "unrecognized arguments"),
+    ], ids=["seed-digits", "seed", "snr", "angles", "widths", "command", "unrecognized"])
+    def test_long_rejected_flag_value_is_cut_to_one_short_line(self, tmp_path, capsys, args, flag):
+        out = tmp_path / "out"
+        assert run(args + ["--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 300, err[:400]
+        assert flag in err and "characters)" in err
+        assert not out.exists()
+
     def test_music_min_sep_too_wide_exit_1_before_any_input_is_read(self, tmp_path, capsys):
         assert run(["eval-doa", "--out", tmp_path, "--set", "music.min_sep=40"]) == 1
         assert "cannot hold sources.count angles at music.min_sep" in capsys.readouterr().err
@@ -405,6 +431,19 @@ class TestValidationErrors:
         err = capsys.readouterr().err
         assert "model.qdnn was not trained under this config" in err and message in err
         assert TestDatasetMatchesConfig._files(pipeline_dir) == before
+
+    def test_checkpoint_of_other_widths_exit_1_before_an_initial_model_is_built(
+        self, pipeline_dir, capsys, monkeypatch
+    ):
+        # the initial model would be drawn at the config's widths, which may be far larger than the file
+        def no_model(*args, **kwargs):
+            raise AssertionError("an initial model was built before the widths were compared")
+
+        monkeypatch.setattr(quantdoa.cli, "initial_model", no_model)
+        wide = ["--set", "network.widths=[16, 2048, 2048, 2048, 16]"]
+        assert run(["eval-doa", "--out", pipeline_dir] + TINY + wide) == 1
+        err = capsys.readouterr().err
+        assert "widths [16, 32, 32, 32, 16] (config: [16, 2048, 2048, 2048, 16])" in err
 
     def test_depth_2_checkpoint_reloads_under_use_residual(self, tmp_path):
         depth_2 = TINY + ["--set", "network.widths=[16, 32, 16]"]
@@ -541,6 +580,23 @@ class TestModuleEntryPoint:
                               env={**os.environ, "PYTHONPATH": src}, timeout=60)
         assert done.returncode == 1
         assert done.stdout.startswith("usage: quantdoa")
+
+
+class TestImports:
+    def test_generate_train_and_eval_doa_never_import_numpy_ma(self, tmp_path):
+        # numpy.ma, which np.unique and np.isin import, adds about 2 MiB to every command's peak
+        script = "\n".join([
+            "import sys",
+            "from quantdoa.cli import parse_and_dispatch",
+            "for command in ('generate', 'train', 'eval-doa'):",
+            f"    assert parse_and_dispatch([command, '--out', {str(tmp_path)!r}] + {TINY!r}) == 0",
+            "print('numpy.ma' in sys.modules)",
+        ])
+        src = str(Path(quantdoa.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestConfigFile:

@@ -388,6 +388,9 @@ class TestPeakFinder:
     @example(rows=[[1.0, 2.0]], data=None)
     @example(rows=[[1.0], [2.0]], data=None)
     @example(rows=[[1.0, 2.0, 1.0]], data=None)
+    @example(rows=[[0.0, 2.0, 2.0]], data=None)  # a plateau that runs to the end of the last row
+    @example(rows=[[0.0, 2.0, 2.0, 3.0, 1.0]], data=None)  # a plateau whose run ends in a rise
+    @example(rows=[[1.0, 3.0, 1.0], [0.0, 2.0, 2.0]], data=None)  # the last row ends on a plateau
     @settings(max_examples=400, deadline=None)
     def test_matches_run_compression_row_by_row(self, rows, data):
         spectra = np.array(rows, dtype=float)
