@@ -175,6 +175,48 @@ def pick_peak_rows(grid_deg: np.ndarray, spectra: np.ndarray, num_sources: int) 
     return np.sort(angles, axis=1)
 
 
+def polynomial_weights(subspace: np.ndarray) -> np.ndarray:
+    """Weights (..., 2M-1) of d(u) = ||E^H a(u)||^2 = c_0 + 2 sum_l Re(c_l e^{jlu}) on the rows 1, cos lu, sin lu.
+
+    c_l sums the l-th superdiagonal of P = E E^H (root-MUSIC, Barabell 1983); cos lu, sin lu = Re a_l, Im a_l.
+    """
+    proj = subspace @ subspace.conj().swapaxes(-1, -2)
+    lags = np.stack([proj.diagonal(lag, -2, -1).sum(-1) for lag in range(proj.shape[-1])], axis=-1)
+    return np.concatenate([lags.real[..., :1], 2 * lags.real[..., 1:], -2 * lags.imag[..., 1:]], axis=-1)
+
+
+def denominator_bound(num_sensors: int, num_sources: int, max_phase: float) -> float:
+    """B = 20 u M R (M + phi), u = 2^-53, R = M - K, phi = 2 pi spacing (M-1) max|sin theta|: first order in u.
+
+    |polynomial d - GEMM d| per u M, for orthonormal E (sum |P_mn| <= M sqrt(R), d <= M): GEMM 2 sqrt(2) (M+2)
+    sqrt(R) + R + 2; steering (4 phi + 6) sqrt(R), its roundings leaving conj(a_m) a_n within (4 phi + 6) u of
+    a_(n-m); P = E E^H sqrt(2) (R+2) R; lag sums (M-1) sqrt(R); real product sqrt(2) (2M-1) sqrt(R): under 15 R
+    (M + phi).  2 ulps of d + reg <= M + 1 add under 3 R (M + phi): values 2B apart stay ordered in 1 / (d + reg).
+    """
+    return 10 * np.finfo(float).eps * num_sensors * (num_sensors - num_sources) * (num_sensors + max_phase)
+
+
+def vouched_picks(grid_deg: np.ndarray, spectra: np.ndarray, num_sources: int,
+                  margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """``pick_peak_rows`` of a finite (T, G) stack, and (T,) flags of the rows a change below margin / 2 could move.
+
+    Those have two values their picks rest on within ``margin``: an adjacent pair (they make the peaks), the
+    K-th and (K+1)-th ranked peaks, or, with p < K peaks, the (K-p)-th and (K-p+1)-th largest other values.
+    """
+    rows, cols = ranked_peaks(spectra)
+    after = np.flatnonzero(np.arange(rows.size) - np.searchsorted(rows, rows) == num_sources)  # (K+1)-th peaks
+    doubt = np.abs(np.diff(spectra, axis=1)).min(axis=1, initial=np.inf) <= margin
+    doubt[rows[after]] |= spectra[rows[after], cols[after - 1]] - spectra[rows[after], cols[after]] <= margin
+    short = np.flatnonzero((counts := np.bincount(rows, minlength=len(spectra))) < num_sources)
+    left, taken, each = spectra[short], counts[rows] < num_sources, np.arange(short.size)
+    left[np.searchsorted(short, rows[taken]), cols[taken]] = -np.inf
+    largest, pads = np.empty((num_sources + 1, short.size)), num_sources - counts[short]
+    for value in largest:  # the K + 1 largest other values of each short row, in turn
+        value[:], left[each, at] = left[each, (at := left.argmax(axis=1))], -np.inf
+    doubt[short] |= largest[pads - 1, each] - largest[pads, each] <= margin
+    return pick_peak_rows(grid_deg, spectra, num_sources), doubt
+
+
 def doa_mse(estimated: np.ndarray, truth: np.ndarray) -> float | np.ndarray:
     """Mean squared angle error in degrees^2, both lists paired by rank.
 
@@ -230,13 +272,16 @@ def run_trials(
     in the transform.  Each block of trials is synthesized and transformed
     once per series, and its covariances and noise subspaces come from one
     ``eigh`` call; the spectra are scanned in chunks (see ``CHUNK_BYTES``).
-    Neither size moves a result.
+    Neither size moves a result, nor does picking each chunk first from the polynomial spectrum -d:
+    a chunk with a row in doubt is rescanned whole through ``music_spectrum``.
     """
     trials = len(seeds)
     if trials < 1:
         raise ValueError("need at least one trial seed")
     grid_deg = np.asarray(grid_deg, dtype=float)
     steering = steering_matrix(grid_deg, geom)
+    max_phase = 2 * np.pi * geom.spacing * (geom.num_sensors - 1) * np.abs(np.sin(np.deg2rad(grid_deg))).max()
+    margin = 2 * denominator_bound(geom.num_sensors, num_sources, max_phase)
     variance = noise_variance(snr_db)
     projection_bytes = (geom.num_sensors - num_sources) * grid_deg.size * steering.itemsize
     chunk = max(1, CHUNK_BYTES // projection_bytes)
@@ -247,11 +292,16 @@ def run_trials(
         batch = seeds[lo : lo + block].tolist()
         truths, clean = synthesize_seeded(batch, [variance] * len(batch), geom,
                                           num_sources, angle_range, min_sep, num_snapshots)
+        parts = [slice(i, i + chunk) for i in range(0, len(batch), chunk)]
         for tag, transform in transforms.items():
             subspaces = noise_subspace(sample_covariance(transform(clean)), num_sources)
-            picks = np.empty_like(truths)
+            picks, doubt = np.empty_like(truths), np.empty(len(batch), dtype=bool)
+            weights, table = polynomial_weights(subspaces), np.concatenate([steering.real, steering.imag[1:]])
+            for part in parts:
+                picks[part], doubt[part] = vouched_picks(grid_deg, (-weights[part]) @ table, num_sources, margin)
+            del weights, table  # the projections below need the room
             # No name keeps a chunk's spectra, so they are freed before the next projection.
-            for part in (slice(i, i + chunk) for i in range(0, len(batch), chunk)):
+            for part in (part for part in parts if doubt[part].any()):
                 picks[part] = pick_peak_rows(grid_deg, music_spectrum(subspaces[part], steering), num_sources)
             mses[tag][lo : lo + block] = doa_mse(picks, truths)
     return {tag: TrialResult(mses=m) for tag, m in mses.items()}

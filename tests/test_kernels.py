@@ -5,14 +5,19 @@ arithmetic, and the one product, steering times source phasors, has K = 3
 terms, so a `.qdst` byte is expected not to depend on the kernel.  Each runs
 `generate` at the desk default in a child process whose environment alone
 sets ``OPENBLAS_CORETYPE``; ``OPENBLAS_VERBOSE=2`` makes the child name the
-kernel it ran.  The matrix takes a few seconds:
+kernel it ran.  A second row runs desk ``eval-doa`` at 40 trials under
+SkylakeX and Haswell, once as shipped and once with the rounding bound of
+``music.denominator_bound`` at inf, so that every spectrum chunk takes the
+GEMM route: the polynomial pass must not move a pick under either kernel.
+The matrix takes a few seconds:
 
-    RUN_EXTENDED=1 pytest tests/test_kernels.py
+    RUN_EXTENDED=1 pytest -s tests/test_kernels.py
 """
 
 import hashlib
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import quantdoa
+from quantdoa.cli import parse_and_dispatch
 
 KERNELS = ("SkylakeX", "Haswell", "Sandybridge", "Nehalem")
 
@@ -44,3 +50,30 @@ def test_generate_bytes_do_not_depend_on_the_kernel(tmp_path):
     digests = [d for _, d in ran.values()]
     assert all(d == digests[0] for d in digests), ran
     assert digests[0]["train.qdst"].startswith("c78a090966d24ace")
+
+
+def eval_doa_under(kernel: str, out: Path, code: str) -> tuple[str, str]:
+    """The kernel a child desk `eval-doa` at 40 trials ran after ``code``, and its doa_mse.csv SHA-256."""
+    env = {**os.environ, "PYTHONPATH": str(Path(quantdoa.__file__).resolve().parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OPENBLAS_VERBOSE": "2", "OPENBLAS_CORETYPE": kernel}
+    script = f"import sys\nfrom quantdoa import cli, music\n{code}\nsys.exit(cli.parse_and_dispatch(sys.argv[1:]))"
+    argv = ["eval-doa", "--out", str(out), "--seed", "1", "--set", "music.trials=40"]
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    core = re.search(r"^Core: (\w+)", done.stderr, re.MULTILINE)
+    return core.group(1) if core else "unknown", hashlib.sha256((out / "doa_mse.csv").read_bytes()).hexdigest()
+
+
+@pytest.mark.skipif(not os.environ.get("RUN_EXTENDED"), reason="kernel matrix; set RUN_EXTENDED=1 to run")
+def test_polynomial_pass_moves_no_pick_under_either_kernel(tmp_path):
+    desk = tmp_path / "desk"
+    for argv in (["generate"], ["train", "--set", "train.epochs=2"]):
+        assert parse_and_dispatch([*argv[:1], "--out", str(desk), "--seed", "1", *argv[1:]]) == 0
+    unbounded = "music.denominator_bound = lambda *args: float('inf')"
+    for kernel in ("SkylakeX", "Haswell"):
+        ran = []
+        for code in ("", unbounded):
+            shutil.copytree(desk, out := tmp_path / f"{kernel}{len(ran)}")
+            ran.append(eval_doa_under(kernel, out, code))
+        print(f"{kernel}: doa_mse.csv {ran[0][1][:16]}")
+        assert ran[0] == ran[1] == (kernel, ran[0][1]), ran

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from quantdoa import music
 from quantdoa.config import DOMAIN_TRIALS, derived_seed, derived_seeds, desk_default
-from quantdoa.experiments import DOA_SERIES, make_transform
+from quantdoa.experiments import DOA_SERIES, eval_doa, make_transform
 from quantdoa.network import init_model
 from quantdoa.music import (
     doa_mse,
@@ -432,6 +432,133 @@ class TestPeakFinder:
             assert sorted(padded) == short
 
 
+def gemm_denominators(subspaces, steering):
+    """||E^H a||^2 through the complex projection, as ``music_spectrum`` forms it before 1 / (d + reg)."""
+    return np.sum(np.abs(subspaces.conj().swapaxes(-1, -2) @ steering) ** 2, axis=-2)
+
+
+def polynomial_denominators(subspaces, steering):
+    """||E^H a||^2 as ``run_trials`` evaluates it: the weights on the rows Re a_0 ... Re a_(M-1), Im a_1 ... Im a_(M-1)."""
+    return music.polynomial_weights(subspaces) @ np.concatenate([steering.real, steering.imag[1:]])
+
+
+class TestVouchedPicks:
+    """The polynomial spectrum, its rounding bound and the doubt rules of ``vouched_picks``."""
+
+    MARGIN = 0.01
+
+    # One row per rule, with its deciding gap `gap`; every other gap is at least 0.5.
+    @staticmethod
+    def _rule_row(rule, gap):
+        return {
+            "adjacent": (2, [0.0, 5.0, 1.0, 4.0, 1.5, 1.5 + gap, 3.0, 2.0, 0.0], [1, 3]),
+            "rank": (2, [0.0, 5.0, 1.0, 4.0, 1.5, 3.0, 2.0, 4.0 - gap, 0.0], [1, 3]),
+            "padding": (2, [7.0 - gap, 9.0, 7.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0], [1, 2]),
+            "padding, K + 1 points": (2, [1.0 + gap, 3.0, 1.0], [1, 0]),
+        }[rule]
+
+    @pytest.mark.parametrize("rule", ["adjacent", "rank", "padding", "padding, K + 1 points"])
+    @pytest.mark.parametrize("factor, doubted", [(0.5, True), (2.0, False)])
+    def test_each_rule_doubts_inside_the_margin(self, rule, factor, doubted):
+        k, row, chosen = self._rule_row(rule, factor * self.MARGIN)
+        spectra = np.array([row])
+        grid = -4.0 + np.arange(spectra.shape[1])
+        picks, doubt = music.vouched_picks(grid, spectra, k, self.MARGIN)
+        assert doubt.tolist() == [doubted]
+        np.testing.assert_array_equal(picks, pick_peak_rows(grid, spectra, k))
+        np.testing.assert_array_equal(picks[0], np.sort(grid[chosen]))
+
+    @pytest.mark.parametrize("k, doubted", [(1, True), (2, False)])
+    def test_exact_mirror_twins(self, k, doubted):
+        # two tied peaks decide the first pick, but not a pick of both
+        spectra = np.array([[0.0, 5.0, 1.0, 3.0, 1.0, 5.0, 0.0]])
+        grid = np.arange(-3.0, 4.0)
+        picks, doubt = music.vouched_picks(grid, spectra, k, self.MARGIN)
+        assert doubt.tolist() == [doubted]
+        np.testing.assert_array_equal(picks, pick_peak_rows(grid, spectra, k))
+
+    @pytest.mark.parametrize("row", [[3.0], [1.0, 2.0], [2.0, 1.0, 1.5]])
+    def test_grid_of_exactly_k_points_is_vouched(self, row):
+        spectra = np.array([row])
+        grid = np.arange(float(len(row)))
+        picks, doubt = music.vouched_picks(grid, spectra, len(row), self.MARGIN)
+        assert not doubt.any()
+        np.testing.assert_array_equal(picks[0], grid)
+
+    @given(rows=peak_stacks(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_vouched_rows_keep_their_picks_within_half_the_margin(self, rows, data):
+        spectra = np.array(rows, dtype=float)
+        grid = -30.0 + 0.5 * np.arange(spectra.shape[1])
+        k = data.draw(st.integers(1, grid.size), label="num_sources")
+        margin = data.draw(st.sampled_from([0.0, 0.05, 0.5, 2.0]), label="margin")
+        picks, doubt = music.vouched_picks(grid, spectra, k, margin)
+        np.testing.assert_array_equal(picks, pick_peak_rows(grid, spectra, k))
+        shift = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        moved = spectra + shift.uniform(-0.49, 0.49, spectra.shape) * margin
+        np.testing.assert_array_equal(pick_peak_rows(grid, moved, k)[~doubt], picks[~doubt])
+
+    SWEEP_GRID = np.concatenate([[-89.0], scan_grid(-30.0, 30.0, 0.01), [89.0]])
+    SWEEP_SHAPES = [(m, k) for m in (2, 3, 8, 16) for k in sorted({1, m // 2, m - 1})]
+
+    @staticmethod
+    def _sweep(m, k, spacing, trials=4):
+        """Noise subspaces of every sweep scenario of one array shape and spacing, and its steering matrix."""
+        geom = ArrayGeometry(m, spacing)
+        spec = desk_default().quantizer_spec
+        subspaces = []
+        for snr in (np.inf, 50.0, 10.0):
+            seeds = [1000 * m + 100 * k + t for t in range(trials)]
+            _, clean = music.synthesize_seeded(seeds, [noise_variance(snr)] * trials, geom, k, (-30.0, 30.0), 1.0, 5)
+            for tag in ("unquantized", "raw-1bit", "raw-2bit"):
+                subspaces.append(noise_subspace(sample_covariance(make_transform(tag, spec)(clean)), k))
+        grid = TestVouchedPicks.SWEEP_GRID
+        phase = 2 * np.pi * spacing * (m - 1) * np.abs(np.sin(np.deg2rad(grid))).max()
+        return np.concatenate(subspaces), steering_matrix(grid, geom), phase
+
+    @staticmethod
+    def _gap(subspaces, steering):
+        return np.abs(polynomial_denominators(subspaces, steering) - gemm_denominators(subspaces, steering)).max()
+
+    @pytest.mark.parametrize("spacing", [0.5, 2.0, 100.0, 1e4])
+    def test_gap_is_within_an_eighth_of_the_bound_and_vouched_picks_hold(self, spacing):
+        grid = self.SWEEP_GRID
+        for m, k in self.SWEEP_SHAPES:
+            subspaces, steering, phase = self._sweep(m, k, spacing)
+            bound = music.denominator_bound(m, k, phase)
+            gap = self._gap(subspaces, steering)
+            assert gap <= bound / 8, (m, k, gap, bound)
+            picks, doubt = music.vouched_picks(grid, -polynomial_denominators(subspaces, steering), k, 2 * bound)
+            exact = pick_peak_rows(grid, music_spectrum(subspaces, steering), k)
+            np.testing.assert_array_equal(picks[~doubt], exact[~doubt], err_msg=str((m, k)))
+
+    @pytest.mark.parametrize("spacing", [100.0, 1e4])
+    def test_bound_without_its_phase_term_fails(self, spacing):
+        # For M <= 3 the phases 0, 1 and 2 times the first are exact (doubling rounds
+        # exactly), so only longer arrays carry the steering phase error.
+        for m, k in self.SWEEP_SHAPES:
+            if m >= 8:
+                subspaces, steering, _ = self._sweep(m, k, spacing)
+                assert self._gap(subspaces, steering) > music.denominator_bound(m, k, 0.0) / 8, (m, k)
+
+    def test_unbounded_doubt_takes_the_gemm_route_with_the_same_mses(self, monkeypatch):
+        cfg = desk_default()
+        cfg.music.trials = 40
+        model = init_model([16, 32, 32, 32, 16], rng=np.random.default_rng(7))
+        rescans = []
+        monkeypatch.setattr(music, "music_spectrum", lambda s, a: rescans.append(len(s)) or music_spectrum(s, a))
+        default = eval_doa(model, cfg)[1]
+        routed = len(rescans)
+        monkeypatch.setattr(music, "denominator_bound", lambda *args: np.inf)
+        rescans.clear()
+        gemm = eval_doa(model, cfg)[1]
+        # with B = inf every chunk is rescanned; by default most are vouched for
+        assert routed < len(rescans) and sum(rescans) == len(DOA_SERIES) * len(cfg.snr_db) * 40
+        assert list(gemm) == list(default)
+        for key in default:
+            np.testing.assert_array_equal(gemm[key].mses, default[key].mses, err_msg=str(key))
+
+
 class TestDoaMse:
     def test_identical_lists_zero(self):
         assert doa_mse([1.0, 2.0], [1.0, 2.0]) == 0.0
@@ -602,7 +729,7 @@ class TestSnrBlocks:
         (13, 3 * 16 * 8 * 8, 3, 1),  # room for 3 trials of covariances, not one projection
     ])
     def test_one_synthesis_and_transform_per_block(self, trials, budget, block, chunk, monkeypatch):
-        seen = {"synthesize": [], "id": [], "1bit": [], "covariance": [], "subspace": [], "spectrum": []}
+        seen = {"synthesize": [], "id": [], "1bit": [], "covariance": [], "subspace": [], "spectrum": [], "rescan": []}
 
         def spy(name, fn):
             def wrapped(data, *args):
@@ -610,13 +737,23 @@ class TestSnrBlocks:
                 return fn(data, *args)
             return wrapped
 
+        def polynomial(grid_deg, spectra, *args, vouched_picks=music.vouched_picks):
+            seen["spectrum"].append(len(spectra))
+            return vouched_picks(grid_deg, spectra, *args)
+
+        def rescan(subspace, steering):  # a view into its block's eigh output
+            start = (subspace.ctypes.data - subspace.base.ctypes.data) // subspace.strides[0]
+            seen["rescan"].append((start, len(subspace), len(subspace.base)))
+            return music_spectrum(subspace, steering)
+
         one_bit = lambda d: quantize_complex(d, QuantizerSpec(1, 3.1))
         kw = self._desk(trials, {"id": spy("id", lambda d: d), "1bit": spy("1bit", one_bit)})
         monkeypatch.setattr(music, "CHUNK_BYTES", budget)
         monkeypatch.setattr(music, "synthesize_seeded", spy("synthesize", music.synthesize_seeded))
         monkeypatch.setattr(music, "sample_covariance", spy("covariance", sample_covariance))
         monkeypatch.setattr(music, "noise_subspace", spy("subspace", noise_subspace))
-        monkeypatch.setattr(music, "music_spectrum", spy("spectrum", music_spectrum))
+        monkeypatch.setattr(music, "vouched_picks", polynomial)
+        monkeypatch.setattr(music, "music_spectrum", rescan)
         run_trials(snr_db=10.0, **kw)
         blocks = [min(block, trials - lo) for lo in range(0, trials, block)]
         assert seen["synthesize"] == seen["id"] == seen["1bit"] == blocks
@@ -624,6 +761,7 @@ class TestSnrBlocks:
         assert seen["covariance"] == seen["subspace"] == [n for n in blocks for _ in range(2)]
         assert max(seen["spectrum"]) == chunk
         assert sum(seen["spectrum"]) == 2 * trials
+        assert all(start % chunk == 0 and n == min(chunk, size - start) for start, n, size in seen["rescan"])
 
     def test_working_set_stays_within_its_array_budget(self):
         # The peak of a desk run is one chunk's (T, M-K, G) projection, two
