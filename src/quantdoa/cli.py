@@ -115,8 +115,11 @@ def _dataset(out: Path, split: str, config: ScenarioConfig) -> Dataset:
 
     The header and record seeds must match the config.  The header holds
     no angle range, separation or array spacing, so the first record of
-    each SNR is then generated again and must match bit for bit: a
-    ``sources.min_sep`` change is caught only when it changes one of them.
+    each SNR is then generated again and must match bit for bit, and no
+    record may hold sources closer than ``sources.min_sep``.  A set that
+    passes both was drawn as a wider ``sources.min_sep`` draws it: every
+    try the wider rule rejects, the one it was drawn under rejected too.
+    A narrower one is caught only when it changes a first record.
     """
     path = _require(out / f"{split}.qdst", f"{split} dataset")
     ds, seeds = load_dataset(path), split_seeds(config, split)
@@ -133,6 +136,9 @@ def _dataset(out: Path, split: str, config: ScenarioConfig) -> Dataset:
                                  config.angle_range(), config.sources.min_sep, config.quantizer_spec())
         if not all(map(np.array_equal, first, (ds.inputs[:n], ds.targets[:n], ds.angles_deg[:n]))):
             diff.append("the first record of each SNR (sources.angle_min, angle_max, min_sep or array.spacing)")
+        elif (near := ~(np.diff(ds.angles_deg, axis=1) >= config.sources.min_sep)).any():
+            diff.append(f"{near.any(axis=1).sum()} records with sources closer than sources.min_sep "
+                        f"(config: {config.sources.min_sep})")
     if diff:
         raise ConfigError(f"{path} was not generated under this config: {'; '.join(diff)}; rerun generate")
     return ds

@@ -193,6 +193,14 @@ def load_dataset(path: str | Path) -> Dataset:
             f"header promises {count} records of {record.itemsize} bytes; "
             f"the body holds {r.remaining} bytes")
     records = np.frombuffer(r.take(r.remaining), dtype=record)
+    if count and not snr_list:
+        raise DatasetFormatError(f"header lists no SNR for its {count} records")
+    wanted = np.resize(np.asarray(snr_list, dtype="<f8"), count)  # record i: snr_list[i % len(snr_list)]
+    wrong = np.flatnonzero(records["snr"].view("<u8") != wanted.view("<u8"))  # bit for bit
+    if wrong.size:
+        i = wrong[0]
+        raise DatasetFormatError(f"{wrong.size} records break the header's SNR round-robin: "
+                                 f"record {i} has {float(records['snr'][i])} dB, not {float(wanted[i])}")
     return Dataset(
         inputs=records["input"].astype(np.float32),
         targets=records["target"].astype(np.float32),

@@ -159,20 +159,32 @@ def pick_peaks(grid_deg: np.ndarray, spectrum: np.ndarray, num_sources: int) -> 
     return np.sort(grid_deg[chosen])
 
 
-def pick_peak_rows(grid_deg: np.ndarray, spectra: np.ndarray, num_sources: int) -> np.ndarray:
-    """``pick_peaks`` on every row of a finite (T, G) stack: (T, K) angles.
+def pick_peak_rows(grid_deg: np.ndarray, spectra: np.ndarray, num_sources: int) -> tuple[np.ndarray, np.ndarray]:
+    """``pick_peaks`` on every row of a finite (T, G) stack: (T, K) angles, and (T,) gaps.
 
-    Peaks are found and ranked for the whole stack at once.  A row with
-    fewer than K peaks goes through ``pick_peaks`` alone to be padded.
+    Peaks are found and ranked for the whole stack at once.  A row with fewer than K peaks goes through
+    ``pick_peaks`` alone to be padded.  A row's gap is the smallest difference of two values its picks rest
+    on, so a change below gap / 2 keeps them: an adjacent pair (they make the peaks), the K-th and (K+1)-th
+    ranked peaks, or, with p < K peaks, the (K-p)-th and (K-p+1)-th largest other values.
     """
     rows, cols = ranked_peaks(spectra)
     rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-    top = rank < num_sources
+    top, after = rank < num_sources, np.flatnonzero(rank == num_sources)  # after: the (K+1)-th peaks
     angles = np.empty((spectra.shape[0], num_sources))
     angles[rows[top], rank[top]] = grid_deg[cols[top]]
-    for r in np.flatnonzero(np.bincount(rows, minlength=spectra.shape[0]) < num_sources):
+    gaps = np.abs(np.diff(spectra, axis=1)).min(axis=1, initial=np.inf)
+    ranked = rows[after]
+    gaps[ranked] = np.minimum(gaps[ranked], spectra[ranked, cols[after - 1]] - spectra[ranked, cols[after]])
+    counts = np.bincount(rows, minlength=spectra.shape[0])
+    for r in np.flatnonzero(counts < num_sources):
         angles[r] = pick_peaks(grid_deg, spectra[r], num_sources)
-    return np.sort(angles, axis=1)
+        left = spectra[r].copy()
+        left[cols[rows == r]] = -np.inf  # the other values
+        for _ in range(num_sources - counts[r]):  # take the K - p largest, as pick_peaks pads
+            at = left.argmax()
+            last, left[at] = left[at], -np.inf
+        gaps[r] = min(gaps[r], last - left.max())  # inf when no other value is left (G = K)
+    return np.sort(angles, axis=1), gaps
 
 
 def polynomial_weights(subspace: np.ndarray) -> np.ndarray:
@@ -194,27 +206,6 @@ def denominator_bound(num_sensors: int, num_sources: int, max_phase: float) -> f
     (M + phi).  2 ulps of d + reg <= M + 1 add under 3 R (M + phi): values 2B apart stay ordered in 1 / (d + reg).
     """
     return 10 * np.finfo(float).eps * num_sensors * (num_sensors - num_sources) * (num_sensors + max_phase)
-
-
-def vouched_picks(grid_deg: np.ndarray, spectra: np.ndarray, num_sources: int,
-                  margin: float) -> tuple[np.ndarray, np.ndarray]:
-    """``pick_peak_rows`` of a finite (T, G) stack, and (T,) flags of the rows a change below margin / 2 could move.
-
-    Those have two values their picks rest on within ``margin``: an adjacent pair (they make the peaks), the
-    K-th and (K+1)-th ranked peaks, or, with p < K peaks, the (K-p)-th and (K-p+1)-th largest other values.
-    """
-    rows, cols = ranked_peaks(spectra)
-    after = np.flatnonzero(np.arange(rows.size) - np.searchsorted(rows, rows) == num_sources)  # (K+1)-th peaks
-    doubt = np.abs(np.diff(spectra, axis=1)).min(axis=1, initial=np.inf) <= margin
-    doubt[rows[after]] |= spectra[rows[after], cols[after - 1]] - spectra[rows[after], cols[after]] <= margin
-    short = np.flatnonzero((counts := np.bincount(rows, minlength=len(spectra))) < num_sources)
-    left, taken, each = spectra[short], counts[rows] < num_sources, np.arange(short.size)
-    left[np.searchsorted(short, rows[taken]), cols[taken]] = -np.inf
-    largest, pads = np.empty((num_sources + 1, short.size)), num_sources - counts[short]
-    for value in largest:  # the K + 1 largest other values of each short row, in turn
-        value[:], left[each, at] = left[each, (at := left.argmax(axis=1))], -np.inf
-    doubt[short] |= largest[pads - 1, each] - largest[pads, each] <= margin
-    return pick_peak_rows(grid_deg, spectra, num_sources), doubt
 
 
 def doa_mse(estimated: np.ndarray, truth: np.ndarray) -> float | np.ndarray:
@@ -298,10 +289,11 @@ def run_trials(
             picks, doubt = np.empty_like(truths), np.empty(len(batch), dtype=bool)
             weights, table = polynomial_weights(subspaces), np.concatenate([steering.real, steering.imag[1:]])
             for part in parts:
-                picks[part], doubt[part] = vouched_picks(grid_deg, (-weights[part]) @ table, num_sources, margin)
+                picks[part], gaps = pick_peak_rows(grid_deg, (-weights[part]) @ table, num_sources)
+                doubt[part] = gaps <= margin
             del weights, table  # the projections below need the room
             # No name keeps a chunk's spectra, so they are freed before the next projection.
             for part in (part for part in parts if doubt[part].any()):
-                picks[part] = pick_peak_rows(grid_deg, music_spectrum(subspaces[part], steering), num_sources)
+                picks[part] = pick_peak_rows(grid_deg, music_spectrum(subspaces[part], steering), num_sources)[0]
             mses[tag][lo : lo + block] = doa_mse(picks, truths)
     return {tag: TrialResult(mses=m) for tag, m in mses.items()}

@@ -9,7 +9,11 @@ the engine ``run_trials`` replaced, kept verbatim: it synthesizes,
 transforms and scores every 2 MB spectrum chunk on its own.
 ``music_spectrum`` is the covariance-in spectrum both of them call, kept
 verbatim from before the package took noise subspaces and summed the
-squared magnitudes one subspace row at a time.
+squared magnitudes one subspace row at a time.  ``pick_peak_rows`` and
+``vouched_picks`` are the stack pickers from before ``pick_peak_rows``
+returned each row's gap, kept verbatim: one ranked the peaks for the
+picks, the other ranked them again for the doubt flags.  Here both rank
+through the run-compression ``ranked_peaks``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from quantdoa.music import (
     TrialResult,
     doa_mse,
     noise_subspace,
-    pick_peak_rows,
     pick_peaks,
     sample_covariance,
 )
@@ -104,6 +107,43 @@ def ranked_peaks(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     peak_at = change[:-1][(kind[:-1] == 1) & (kind[1:] == -1)] + 1  # flat index into spectra
     order = np.lexsort((-spectra.ravel()[peak_at], peak_at // g))  # stable: ties keep index order
     return np.divmod(peak_at[order], g)
+
+
+def pick_peak_rows(grid_deg: np.ndarray, spectra: np.ndarray, num_sources: int) -> np.ndarray:
+    """``pick_peaks`` on every row of a finite (T, G) stack: (T, K) angles.
+
+    Peaks are found and ranked for the whole stack at once.  A row with
+    fewer than K peaks goes through ``pick_peaks`` alone to be padded.
+    """
+    rows, cols = ranked_peaks(spectra)
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    top = rank < num_sources
+    angles = np.empty((spectra.shape[0], num_sources))
+    angles[rows[top], rank[top]] = grid_deg[cols[top]]
+    for r in np.flatnonzero(np.bincount(rows, minlength=spectra.shape[0]) < num_sources):
+        angles[r] = pick_peaks(grid_deg, spectra[r], num_sources)
+    return np.sort(angles, axis=1)
+
+
+def vouched_picks(grid_deg: np.ndarray, spectra: np.ndarray, num_sources: int,
+                  margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """``pick_peak_rows`` of a finite (T, G) stack, and (T,) flags of the rows a change below margin / 2 could move.
+
+    Those have two values their picks rest on within ``margin``: an adjacent pair (they make the peaks), the
+    K-th and (K+1)-th ranked peaks, or, with p < K peaks, the (K-p)-th and (K-p+1)-th largest other values.
+    """
+    rows, cols = ranked_peaks(spectra)
+    after = np.flatnonzero(np.arange(rows.size) - np.searchsorted(rows, rows) == num_sources)  # (K+1)-th peaks
+    doubt = np.abs(np.diff(spectra, axis=1)).min(axis=1, initial=np.inf) <= margin
+    doubt[rows[after]] |= spectra[rows[after], cols[after - 1]] - spectra[rows[after], cols[after]] <= margin
+    short = np.flatnonzero((counts := np.bincount(rows, minlength=len(spectra))) < num_sources)
+    left, taken, each = spectra[short], counts[rows] < num_sources, np.arange(short.size)
+    left[np.searchsorted(short, rows[taken]), cols[taken]] = -np.inf
+    largest, pads = np.empty((num_sources + 1, short.size)), num_sources - counts[short]
+    for value in largest:  # the K + 1 largest other values of each short row, in turn
+        value[:], left[each, at] = left[each, (at := left.argmax(axis=1))], -np.inf
+    doubt[short] |= largest[pads - 1, each] - largest[pads, each] <= margin
+    return pick_peak_rows(grid_deg, spectra, num_sources), doubt
 
 
 def run_trials_chunked(

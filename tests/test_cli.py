@@ -473,7 +473,9 @@ class TestDatasetMatchesConfig:
         (["--set", "sources.angle_max=20"], "the first record of each SNR"),
         (["--set", "array.spacing=0.4"], "the first record of each SNR"),
         (["--set", "sources.min_sep=10"], "the first record of each SNR"),
-    ], ids=["count", "seed", "snr_list", "bits", "angle_min", "angle_max", "spacing", "min_sep"])
+        # every first record meets 3 degrees; later records do not
+        (["--set", "sources.min_sep=3"], "records with sources closer than sources.min_sep"),
+    ], ids=["count", "seed", "snr_list", "bits", "angle_min", "angle_max", "spacing", "min_sep", "min_sep-later"])
     @pytest.mark.parametrize("command", ["train", "eval-recon", "compress", "bench", "ablate"])
     def test_mismatched_set_exit_1_before_any_file_is_written(
         self, pipeline_dir, capsys, command, mismatch, message

@@ -247,6 +247,21 @@ class TestFileFormat:
         with pytest.raises(DatasetFormatError, match=f"bad quantizer header: {field}"):
             load_dataset(path)
 
+    def test_record_snr_off_the_round_robin_rejected(self, small_train, tmp_path):
+        # records 7 on relabelled to 50 dB: a test set eval-recon would bucket under 50 dB
+        snr_db = small_train.snr_db.copy()
+        snr_db[7:] = 50.0
+        path = tmp_path / "ds.qdst"
+        save_dataset(dataclasses.replace(small_train, snr_db=snr_db), path)
+        with pytest.raises(DatasetFormatError, match=r"34 records break .*: record 7 has 50.0 dB, not 30.0"):
+            load_dataset(path)
+
+    def test_records_without_a_header_snr_rejected(self, small_train, tmp_path):
+        path = tmp_path / "ds.qdst"
+        save_dataset(dataclasses.replace(small_train, snr_list=[]), path)
+        with pytest.raises(DatasetFormatError, match="header lists no SNR for its 50 records"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("m, k", [(0, 0), (1, 3), (8, 0), (4, 4)])
     def test_impossible_record_shape_rejected(self, small_train, tmp_path, m, k):
         # header and body agree, so only the 1 <= K < M rule can reject the file

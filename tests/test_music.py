@@ -24,7 +24,8 @@ from quantdoa.music import (
 from quantdoa.quantizer import QuantizerSpec, quantize_complex
 from quantdoa.signal_model import ArrayGeometry, noise_variance, steering_matrix, synthesize
 
-from music_reference import estimate_doa, ranked_peaks as ranked_peaks_runs, run_trials_chunked
+from music_reference import estimate_doa, ranked_peaks as ranked_peaks_runs, run_trials_chunked, vouched_picks
+from music_reference import pick_peak_rows as pick_peak_rows_ref
 from music_reference import music_spectrum as music_spectrum_cov
 
 GEOM8 = ArrayGeometry(8)
@@ -339,6 +340,9 @@ SPECTRUM_VALUE = st.one_of(
     st.floats(-1e6, 1e6, allow_nan=False),
 )
 
+# Values whose differences hit each doubt margin exactly, beside ties, plateaus and wide floats.
+MARGIN_VALUE = st.one_of(SPECTRUM_VALUE, st.sampled_from([1e-4, 0.05, 0.5, 2.0]))
+
 
 class TestPickPeakRows:
     @given(
@@ -359,7 +363,7 @@ class TestPickPeakRows:
             data.draw(st.integers(1, grid.size), label="num_sources")
         ]
         for k in ks:
-            picks = pick_peak_rows(grid, spectra, k)
+            picks = pick_peak_rows(grid, spectra, k)[0]
             for row, pick in zip(spectra, picks):
                 np.testing.assert_array_equal(pick, pick_peaks_loop(grid, row, k))
 
@@ -404,7 +408,7 @@ class TestPeakFinder:
             data.draw(st.integers(1, grid.size), label="num_sources")
         ]
         for k in ks:
-            picks = pick_peak_rows(grid, spectra, k)
+            picks = pick_peak_rows(grid, spectra, k)[0]
             for row, pick in zip(spectra, picks):
                 np.testing.assert_array_equal(pick, pick_peaks_loop(grid, row, k))
                 np.testing.assert_array_equal(pick_peaks(grid, row, k), pick_peaks_loop(grid, row, k))
@@ -443,29 +447,31 @@ def polynomial_denominators(subspaces, steering):
 
 
 class TestVouchedPicks:
-    """The polynomial spectrum, its rounding bound and the doubt rules of ``vouched_picks``."""
+    """The polynomial spectrum, its rounding bound and the doubt rules of ``pick_peak_rows``'s gaps."""
 
     MARGIN = 0.01
 
-    # One row per rule, with its deciding gap `gap`; every other gap is at least 0.5.
+    # One row per rule, with its deciding gap `gap`: the value at the first of the last two indices
+    # minus the value at the second.  Every other gap is at least 0.5.
     @staticmethod
     def _rule_row(rule, gap):
         return {
-            "adjacent": (2, [0.0, 5.0, 1.0, 4.0, 1.5, 1.5 + gap, 3.0, 2.0, 0.0], [1, 3]),
-            "rank": (2, [0.0, 5.0, 1.0, 4.0, 1.5, 3.0, 2.0, 4.0 - gap, 0.0], [1, 3]),
-            "padding": (2, [7.0 - gap, 9.0, 7.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0], [1, 2]),
-            "padding, K + 1 points": (2, [1.0 + gap, 3.0, 1.0], [1, 0]),
+            "adjacent": (2, [0.0, 5.0, 1.0, 4.0, 1.5, 1.5 + gap, 3.0, 2.0, 0.0], [1, 3], (5, 4)),
+            "rank": (2, [0.0, 5.0, 1.0, 4.0, 1.5, 3.0, 2.0, 4.0 - gap, 0.0], [1, 3], (3, 7)),
+            "padding": (2, [7.0 - gap, 9.0, 7.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0], [1, 2], (2, 0)),
+            "padding, K + 1 points": (2, [1.0 + gap, 3.0, 1.0], [1, 0], (0, 2)),
         }[rule]
 
     @pytest.mark.parametrize("rule", ["adjacent", "rank", "padding", "padding, K + 1 points"])
     @pytest.mark.parametrize("factor, doubted", [(0.5, True), (2.0, False)])
     def test_each_rule_doubts_inside_the_margin(self, rule, factor, doubted):
-        k, row, chosen = self._rule_row(rule, factor * self.MARGIN)
+        k, row, chosen, (hi, lo) = self._rule_row(rule, factor * self.MARGIN)
         spectra = np.array([row])
         grid = -4.0 + np.arange(spectra.shape[1])
-        picks, doubt = music.vouched_picks(grid, spectra, k, self.MARGIN)
-        assert doubt.tolist() == [doubted]
-        np.testing.assert_array_equal(picks, pick_peak_rows(grid, spectra, k))
+        picks, gaps = pick_peak_rows(grid, spectra, k)
+        assert gaps.tolist() == [spectra[0, hi] - spectra[0, lo]]
+        assert (gaps <= self.MARGIN).tolist() == [doubted]
+        np.testing.assert_array_equal(picks, pick_peak_rows_ref(grid, spectra, k))
         np.testing.assert_array_equal(picks[0], np.sort(grid[chosen]))
 
     @pytest.mark.parametrize("k, doubted", [(1, True), (2, False)])
@@ -473,16 +479,16 @@ class TestVouchedPicks:
         # two tied peaks decide the first pick, but not a pick of both
         spectra = np.array([[0.0, 5.0, 1.0, 3.0, 1.0, 5.0, 0.0]])
         grid = np.arange(-3.0, 4.0)
-        picks, doubt = music.vouched_picks(grid, spectra, k, self.MARGIN)
-        assert doubt.tolist() == [doubted]
-        np.testing.assert_array_equal(picks, pick_peak_rows(grid, spectra, k))
+        picks, gaps = pick_peak_rows(grid, spectra, k)
+        assert (gaps <= self.MARGIN).tolist() == [doubted]
+        np.testing.assert_array_equal(picks, pick_peak_rows_ref(grid, spectra, k))
 
     @pytest.mark.parametrize("row", [[3.0], [1.0, 2.0], [2.0, 1.0, 1.5]])
     def test_grid_of_exactly_k_points_is_vouched(self, row):
         spectra = np.array([row])
         grid = np.arange(float(len(row)))
-        picks, doubt = music.vouched_picks(grid, spectra, len(row), self.MARGIN)
-        assert not doubt.any()
+        picks, gaps = pick_peak_rows(grid, spectra, len(row))
+        assert not (gaps <= self.MARGIN).any()
         np.testing.assert_array_equal(picks[0], grid)
 
     @given(rows=peak_stacks(), data=st.data())
@@ -492,11 +498,34 @@ class TestVouchedPicks:
         grid = -30.0 + 0.5 * np.arange(spectra.shape[1])
         k = data.draw(st.integers(1, grid.size), label="num_sources")
         margin = data.draw(st.sampled_from([0.0, 0.05, 0.5, 2.0]), label="margin")
-        picks, doubt = music.vouched_picks(grid, spectra, k, margin)
-        np.testing.assert_array_equal(picks, pick_peak_rows(grid, spectra, k))
+        picks, gaps = pick_peak_rows(grid, spectra, k)
+        doubt = gaps <= margin
+        np.testing.assert_array_equal(picks, pick_peak_rows_ref(grid, spectra, k))
         shift = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         moved = spectra + shift.uniform(-0.49, 0.49, spectra.shape) * margin
-        np.testing.assert_array_equal(pick_peak_rows(grid, moved, k)[~doubt], picks[~doubt])
+        np.testing.assert_array_equal(pick_peak_rows(grid, moved, k)[0][~doubt], picks[~doubt])
+
+    @given(
+        rows=st.integers(1, 40).flatmap(
+            lambda g: st.lists(st.lists(MARGIN_VALUE, min_size=g, max_size=g), min_size=1, max_size=6)
+        ),
+        data=st.data(),
+    )
+    @example(rows=[[0.0, 2.0, 2.0, 1.0, 1e-4, 0.0], [2.0, 0.5, 2.0, 0.05, 0.0, 0.05]], data=None)
+    @example(rows=[[1.0, 3.0, 1.0], [0.0, 0.0, 0.0]], data=None)  # K = G: the (K-p+1)-th other value is missing
+    @settings(max_examples=300, deadline=None)
+    def test_gaps_match_the_two_pass_reference(self, rows, data):
+        spectra = np.array(rows, dtype=float)
+        grid = -30.0 + 0.5 * np.arange(spectra.shape[1])
+        ks = range(1, grid.size + 1) if data is None else [
+            data.draw(st.integers(1, grid.size), label="num_sources")
+        ]
+        for k in ks:
+            picks, gaps = pick_peak_rows(grid, spectra, k)
+            for margin in (0.0, 1e-4, 0.05, 0.5, 2.0):
+                want_picks, want_doubt = vouched_picks(grid, spectra, k, margin)
+                np.testing.assert_array_equal(picks, want_picks)
+                np.testing.assert_array_equal(gaps <= margin, want_doubt, err_msg=str((k, margin)))
 
     SWEEP_GRID = np.concatenate([[-89.0], scan_grid(-30.0, 30.0, 0.01), [89.0]])
     SWEEP_SHAPES = [(m, k) for m in (2, 3, 8, 16) for k in sorted({1, m // 2, m - 1})]
@@ -528,8 +557,9 @@ class TestVouchedPicks:
             bound = music.denominator_bound(m, k, phase)
             gap = self._gap(subspaces, steering)
             assert gap <= bound / 8, (m, k, gap, bound)
-            picks, doubt = music.vouched_picks(grid, -polynomial_denominators(subspaces, steering), k, 2 * bound)
-            exact = pick_peak_rows(grid, music_spectrum(subspaces, steering), k)
+            picks, gaps = pick_peak_rows(grid, -polynomial_denominators(subspaces, steering), k)
+            doubt = gaps <= 2 * bound
+            exact = pick_peak_rows(grid, music_spectrum(subspaces, steering), k)[0]
             np.testing.assert_array_equal(picks[~doubt], exact[~doubt], err_msg=str((m, k)))
 
     @pytest.mark.parametrize("spacing", [100.0, 1e4])
@@ -737,9 +767,9 @@ class TestSnrBlocks:
                 return fn(data, *args)
             return wrapped
 
-        def polynomial(grid_deg, spectra, *args, vouched_picks=music.vouched_picks):
+        def picker(grid_deg, spectra, *args, pick_peak_rows=music.pick_peak_rows):
             seen["spectrum"].append(len(spectra))
-            return vouched_picks(grid_deg, spectra, *args)
+            return pick_peak_rows(grid_deg, spectra, *args)
 
         def rescan(subspace, steering):  # a view into its block's eigh output
             start = (subspace.ctypes.data - subspace.base.ctypes.data) // subspace.strides[0]
@@ -752,7 +782,7 @@ class TestSnrBlocks:
         monkeypatch.setattr(music, "synthesize_seeded", spy("synthesize", music.synthesize_seeded))
         monkeypatch.setattr(music, "sample_covariance", spy("covariance", sample_covariance))
         monkeypatch.setattr(music, "noise_subspace", spy("subspace", noise_subspace))
-        monkeypatch.setattr(music, "vouched_picks", polynomial)
+        monkeypatch.setattr(music, "pick_peak_rows", picker)
         monkeypatch.setattr(music, "music_spectrum", rescan)
         run_trials(snr_db=10.0, **kw)
         blocks = [min(block, trials - lo) for lo in range(0, trials, block)]
@@ -760,7 +790,7 @@ class TestSnrBlocks:
         # one covariance and one subspace per series per block; spectra per chunk
         assert seen["covariance"] == seen["subspace"] == [n for n in blocks for _ in range(2)]
         assert max(seen["spectrum"]) == chunk
-        assert sum(seen["spectrum"]) == 2 * trials
+        assert sum(seen["spectrum"]) == 2 * trials + sum(n for _, n, _ in seen["rescan"])
         assert all(start % chunk == 0 and n == min(chunk, size - start) for start, n, size in seen["rescan"])
 
     def test_working_set_stays_within_its_array_budget(self):
