@@ -40,7 +40,7 @@ _EXPONENT = re.compile(r"[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+")
 
 # Lowest SNR, about -737.5 dB, whose per-component noise deviation sigma = 10**(-snr/20)/sqrt(2)
 # keeps 64*sigma below float32's maximum, so the float32 records of signal plus noise stay finite.
-_MIN_SNR_DB = -20 * math.log10(float(np.finfo(np.float32).max) / 64 * math.sqrt(2))
+MIN_SNR_DB = -20 * math.log10(float(np.finfo(np.float32).max) / 64 * math.sqrt(2))
 
 
 def derived_seed(master: int, domain: int) -> int:
@@ -209,8 +209,8 @@ class ScenarioConfig:
             errs.append("snr_db list must be non-empty")
         elif any(math.isnan(v) or v == -math.inf for v in self.snr_db):
             errs.append("snr_db values must not be NaN or -inf")
-        elif min(self.snr_db) <= _MIN_SNR_DB:
-            errs.append(f"snr_db values must exceed {_MIN_SNR_DB:.1f} dB: float32 records overflow below it")
+        elif min(self.snr_db) <= MIN_SNR_DB:
+            errs.append(f"snr_db values must exceed {MIN_SNR_DB:.1f} dB: float32 records overflow below it")
         widths, v = sorted({q.bits, *RAW_SERIES_BITS}), q.full_scale
         if v is not None and not _leaf_errors(q) and not all(0 < 2 * v / 2.0**b < math.inf for b in widths):
             errs.append(f"quantizer step 2*full_scale/2**bits must be finite and > 0 for bits in {widths}")

@@ -23,6 +23,7 @@ from .config import (
     DOMAIN_SHUFFLE,
     DOMAIN_SPECTRUM,
     DOMAIN_TRIALS,
+    MIN_SNR_DB,
     ConfigError,
     ScenarioConfig,
     apply_overrides,
@@ -270,6 +271,8 @@ def spectrum_compare(
         raise ConfigError(f"angles {angles_deg} fall outside the scan range [{lo}, {hi}]")
     if not snr_db > -np.inf:  # the snr_db values validate() rejects: NaN and -inf
         raise ConfigError(f"snr_db must not be NaN or -inf, got {snr_db}")
+    if snr_db <= MIN_SNR_DB:
+        raise ConfigError(f"snr_db must exceed {MIN_SNR_DB:.1f} dB (the config's snr_db floor), got {snr_db}")
     transforms = {tag: make_transform(tag, config.quantizer_spec, model) for tag in SPECTRUM_SERIES}
     trial_seed = derived_seed(config.seed, DOMAIN_SPECTRUM)
     rng = np.random.default_rng(trial_seed)

@@ -140,7 +140,8 @@ def ranked_peaks(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def pick_peaks(grid_deg: np.ndarray, spectrum: np.ndarray, num_sources: int) -> np.ndarray:
     """The first K peaks ``ranked_peaks`` ranks, padded with the largest other values.
 
-    Ties break toward the smaller index.  Returned angles are sorted ascending.
+    Ties break toward the smaller index.  Returned angles are sorted ascending;
+    on the grid 0, 1, ..., G-1 they are the picked columns.
     """
     grid_deg = np.asarray(grid_deg, dtype=float)
     spectrum = np.asarray(spectrum, dtype=float)
@@ -175,14 +176,12 @@ def pick_peak_rows(grid_deg: np.ndarray, spectra: np.ndarray, num_sources: int) 
     gaps = np.abs(np.diff(spectra, axis=1)).min(axis=1, initial=np.inf)
     ranked = rows[after]
     gaps[ranked] = np.minimum(gaps[ranked], spectra[ranked, cols[after - 1]] - spectra[ranked, cols[after]])
-    counts = np.bincount(rows, minlength=spectra.shape[0])
-    for r in np.flatnonzero(counts < num_sources):
-        angles[r] = pick_peaks(grid_deg, spectra[r], num_sources)
-        left = spectra[r].copy()
-        left[cols[rows == r]] = -np.inf  # the other values
-        for _ in range(num_sources - counts[r]):  # take the K - p largest, as pick_peaks pads
-            at = left.argmax()
-            last, left[at] = left[at], -np.inf
+    columns = np.arange(spectra.shape[1], dtype=float)
+    for r in np.flatnonzero(np.bincount(rows, minlength=spectra.shape[0]) < num_sources):
+        picked = pick_peaks(columns, spectra[r], num_sources).astype(int)  # its p peaks and K - p padded values
+        angles[r], left = grid_deg[picked], spectra[r].copy()
+        left[cols[rows == r]] = np.inf  # so the least picked value is the last one padded
+        last, left[picked] = left[picked].min(), -np.inf
         gaps[r] = min(gaps[r], last - left.max())  # inf when no other value is left (G = K)
     return np.sort(angles, axis=1), gaps
 

@@ -368,6 +368,15 @@ class TestValidationErrors:
         assert run(["spectrum", "--out", pipeline_dir, f"--snr={snr}"] + TINY) == 1
         assert "snr_db must not be NaN or -inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr, code", [("-1000", 1), ("-3083", 1), ("-700", 0)])
+    def test_spectrum_snr_takes_the_config_floor(self, pipeline_dir, tmp_path, capsys, snr, code):
+        # below the floor -3083 dB overflows noise_variance, -3080 dB the covariance; -1000 dB is pure noise
+        (tmp_path / "model.qdnn").write_bytes((pipeline_dir / "model.qdnn").read_bytes())
+        assert run(["spectrum", "--out", tmp_path, f"--snr={snr}"] + TINY) == code
+        err = capsys.readouterr().err
+        assert ("snr_db must exceed -737.5 dB" in err) == (code == 1), err
+        assert (tmp_path / "spectrum.csv").exists() == (code == 0)
+
     @pytest.mark.parametrize("widths, message", [
         (["16", "0"], "variant 'width-0' is invalid"),
         (["32", "32"], "exactly once"),  # 32 is the base width of TINY

@@ -435,6 +435,23 @@ class TestPeakFinder:
                 pick_peak_rows(grid, spectra, k)
             assert sorted(padded) == short
 
+    @given(rows=peak_stacks())
+    @example(rows=[[0.0, 2.0, 2.0, 2.0], [1.0, 3.0, 1.0, 2.0], [0.0, 1.0, 0.0, 1.0]])
+    @example(rows=[[1.0, 3.0, 1.0], [0.0, 0.0, 0.0]])  # K = G leaves no other value
+    @settings(max_examples=200, deadline=None)
+    def test_picks_columns_on_the_column_grid_and_gaps_ignore_the_grid(self, rows):
+        # pick_peak_rows pads short rows by pick_peaks on the columns 0 ... G-1, and reads its gaps off them
+        spectra = np.array(rows, dtype=float)
+        grid = -30.0 + 0.5 * np.arange(spectra.shape[1])
+        columns = np.arange(float(grid.size))
+        for k in range(1, grid.size + 1):
+            angles, gaps = pick_peak_rows(grid, spectra, k)
+            picked, column_gaps = pick_peak_rows(columns, spectra, k)
+            assert np.array_equal(picked, np.round(picked))
+            np.testing.assert_array_equal(grid[picked.astype(int)], angles)
+            tied_gaps = pick_peak_rows(np.zeros(grid.size), spectra, k)[1]
+            assert column_gaps.tobytes() == gaps.tobytes() == tied_gaps.tobytes(), k
+
 
 def gemm_denominators(subspaces, steering):
     """||E^H a||^2 through the complex projection, as ``music_spectrum`` forms it before 1 / (d + reg)."""
