@@ -234,7 +234,10 @@ def eval_doa(
     series: tuple[str, ...] = DOA_SERIES,
 ) -> tuple[list[CurvePoint], dict[tuple[str, float], TrialResult]]:
     """Paired MUSIC angle-error trials for every series at every SNR of ``config``."""
-    grid = scan_grid(config.music.grid_min, config.music.grid_max, config.music.grid_step)
+    (lo, hi), (low, high) = config.angle_range(), (config.music.grid_min, config.music.grid_max)
+    if not (low <= lo and hi <= high):
+        raise ConfigError(f"source angles [{lo}, {hi}] fall outside the scan range [{low}, {high}]")
+    grid = scan_grid(low, high, config.music.grid_step)
     transforms = {tag: make_transform(tag, config.quantizer_spec, model) for tag in series}
     points: list[CurvePoint] = []
     details: dict[tuple[str, float], TrialResult] = {}

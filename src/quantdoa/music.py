@@ -87,25 +87,28 @@ def noise_subspace(cov: np.ndarray, num_sources: int) -> np.ndarray:
     return vecs[..., : m - num_sources]
 
 
-def music_spectrum(subspace: np.ndarray, steering: np.ndarray) -> np.ndarray:
+def music_spectrum(subspace: np.ndarray, steering: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
     """Pseudo-spectrum over a grid given by its steering matrix (one column per angle).
 
-    ``subspace`` is a noise basis (M, M-K) from ``noise_subspace``, or a
-    stack (..., M, M-K) giving a stack of spectra (..., G).  Larger means
-    more source-like.
+    ``subspace`` is a noise basis (M, M-K) from ``noise_subspace``, or a stack (..., M, M-K) giving a stack of
+    spectra (..., G).  Larger means more source-like.  ``keep`` indexes trials of a stack: only their spectra are
+    formed, bit for bit as the whole stack's, from the one GEMM over all of them.
     """
     rows = subspace.conj().swapaxes(-1, -2)
+    if keep is not None and rows.ndim < 3:
+        raise ValueError("keep selects trials of a stack of subspaces, not points of one spectrum")
+    keep = slice(None) if keep is None else keep
     if rows.shape[-2] > 1:  # one GEMM over the subspace rows of every matrix
         projection = (rows.reshape(-1, rows.shape[-1]) @ steering).reshape(*rows.shape[:-1], -1)
     else:
         # numpy sends one-row products to gemv, which rounds unlike gemm
         projection = rows @ steering
     # |P_r|^2 summed one row at a time, in the order np.sum(..., axis=-2) adds.
-    spectrum = np.abs(projection[..., 0, :])
+    spectrum = np.abs(projection[..., 0, :][keep])
     spectrum **= 2
     scratch = np.empty_like(spectrum)
     for row in range(1, rows.shape[-2]):
-        np.abs(projection[..., row, :], out=scratch)
+        np.abs(projection[..., row, :][keep], out=scratch)
         scratch **= 2
         spectrum += scratch
     spectrum += SPECTRUM_REGULARIZER
@@ -137,11 +140,12 @@ def ranked_peaks(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(at[order], g)
 
 
-def pick_peaks(grid_deg: np.ndarray, spectrum: np.ndarray, num_sources: int) -> np.ndarray:
+def pick_peaks(grid_deg: np.ndarray, spectrum: np.ndarray, num_sources: int,
+               ranked: np.ndarray | None = None) -> np.ndarray:
     """The first K peaks ``ranked_peaks`` ranks, padded with the largest other values.
 
-    Ties break toward the smaller index.  Returned angles are sorted ascending;
-    on the grid 0, 1, ..., G-1 they are the picked columns.
+    Ties break toward the smaller index.  ``ranked``, the row's peak columns in ``ranked_peaks``' order, spares
+    ranking them again.  Returned angles are sorted ascending: on the grid 0, 1, ..., G-1, the picked columns.
     """
     grid_deg = np.asarray(grid_deg, dtype=float)
     spectrum = np.asarray(spectrum, dtype=float)
@@ -151,7 +155,7 @@ def pick_peaks(grid_deg: np.ndarray, spectrum: np.ndarray, num_sources: int) -> 
         raise ValueError(f"cannot pick {num_sources} peaks from {grid_deg.size} points")
     if not np.all(np.isfinite(spectrum)):
         raise ValueError("spectrum must be finite")
-    chosen = list(ranked_peaks(spectrum[None])[1][:num_sources])
+    chosen = list((ranked_peaks(spectrum[None])[1] if ranked is None else ranked)[:num_sources])
     left = spectrum.copy()
     left[chosen] = -np.inf
     while len(chosen) < num_sources:
@@ -169,18 +173,22 @@ def pick_peak_rows(grid_deg: np.ndarray, spectra: np.ndarray, num_sources: int) 
     ranked peaks, or, with p < K peaks, the (K-p)-th and (K-p+1)-th largest other values.
     """
     rows, cols = ranked_peaks(spectra)
-    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    counts = np.bincount(rows, minlength=spectra.shape[0])
+    starts = np.cumsum(counts) - counts  # each row's first ranked peak
+    rank = np.arange(rows.size) - starts[rows]
     top, after = rank < num_sources, np.flatnonzero(rank == num_sources)  # after: the (K+1)-th peaks
     angles = np.empty((spectra.shape[0], num_sources))
     angles[rows[top], rank[top]] = grid_deg[cols[top]]
-    gaps = np.abs(np.diff(spectra, axis=1)).min(axis=1, initial=np.inf)
+    gaps = np.diff(spectra, axis=1)
+    gaps = np.abs(gaps, out=gaps).min(axis=1, initial=np.inf)  # in place: one (T, G - 1) temporary, not two
     ranked = rows[after]
     gaps[ranked] = np.minimum(gaps[ranked], spectra[ranked, cols[after - 1]] - spectra[ranked, cols[after]])
     columns = np.arange(spectra.shape[1], dtype=float)
-    for r in np.flatnonzero(np.bincount(rows, minlength=spectra.shape[0]) < num_sources):
-        picked = pick_peaks(columns, spectra[r], num_sources).astype(int)  # its p peaks and K - p padded values
+    for r in np.flatnonzero(counts < num_sources):
+        peaks = cols[starts[r] : starts[r] + counts[r]]
+        picked = pick_peaks(columns, spectra[r], num_sources, ranked=peaks).astype(int)  # p peaks, K - p padded
         angles[r], left = grid_deg[picked], spectra[r].copy()
-        left[cols[rows == r]] = np.inf  # so the least picked value is the last one padded
+        left[peaks] = np.inf  # so the least picked value is the last one padded
         last, left[picked] = left[picked].min(), -np.inf
         gaps[r] = min(gaps[r], last - left.max())  # inf when no other value is left (G = K)
     return np.sort(angles, axis=1), gaps
@@ -263,7 +271,7 @@ def run_trials(
     once per series, and its covariances and noise subspaces come from one
     ``eigh`` call; the spectra are scanned in chunks (see ``CHUNK_BYTES``).
     Neither size moves a result, nor does picking each chunk first from the polynomial spectrum -d:
-    a chunk with a row in doubt is rescanned whole through ``music_spectrum``.
+    the rows in doubt are picked again from ``music_spectrum``, which still runs its GEMM on the whole chunk.
     """
     trials = len(seeds)
     if trials < 1:
@@ -292,7 +300,9 @@ def run_trials(
                 doubt[part] = gaps <= margin
             del weights, table  # the projections below need the room
             # No name keeps a chunk's spectra, so they are freed before the next projection.
-            for part in (part for part in parts if doubt[part].any()):
-                picks[part] = pick_peak_rows(grid_deg, music_spectrum(subspaces[part], steering), num_sources)[0]
+            for part in parts:
+                if (rows := np.flatnonzero(doubt[part])).size:
+                    picks[part][rows] = pick_peak_rows(
+                        grid_deg, music_spectrum(subspaces[part], steering, rows), num_sources)[0]
             mses[tag][lo : lo + block] = doa_mse(picks, truths)
     return {tag: TrialResult(mses=m) for tag, m in mses.items()}

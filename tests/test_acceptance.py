@@ -13,9 +13,11 @@ Monte Carlo; the negative controls check that both corrected criteria
 still reject a reconstruction that does nothing.
 """
 
+import ctypes
 import os
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -591,6 +593,30 @@ def test_criterion_7_fp16_compression(desk_setup):
 
 
 # -- criterion 8: ablation orderings --------------------------------------------------
+
+
+def loaded_openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS library this process loaded, from its memory map (Linux only), or None."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    paths = sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line.rsplit("/", 1)[-1]})
+    return ctypes.CDLL(paths[0]) if paths else None  # the handle of the copy already loaded
+
+
+def test_blas_runs_one_thread_so_load_cannot_reorder_8a():
+    # the root conftest.py sets OPENBLAS_NUM_THREADS=1 unless the caller set a count
+    if os.environ.get("OPENBLAS_NUM_THREADS", "1") != "1":
+        pytest.skip("the caller chose another BLAS thread count")
+    np.ones((2, 2)) @ np.ones((2, 2))  # numpy has loaded OpenBLAS
+    lib = loaded_openblas()
+    getter = next((getattr(lib, name) for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
+                   if lib is not None and hasattr(lib, name)), None)
+    if getter is None:
+        pytest.skip("no OpenBLAS thread getter in this numpy build")
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    assert getter() == 1
 
 
 def test_criterion_8a_width_sweep_timing_monotone():

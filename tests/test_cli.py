@@ -334,6 +334,19 @@ class TestValidationErrors:
         assert code == 1
         assert "outside the scan range [0.0, 30.0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, message", [
+        (["music.grid_min=-10.0", "music.grid_max=10.0"], "[-30.0, 30.0] fall outside the scan range [-10.0, 10.0]"),
+        (["music.grid_min=-29.99"], "[-30.0, 30.0] fall outside the scan range [-29.99, 30.0]"),
+        (["music.grid_max=29.5", "sources.angle_min=-20.0"], "[-20.0, 30.0] fall outside the scan range [-30.0, 29.5]"),
+    ])
+    def test_eval_doa_grid_short_of_the_source_angles_exit_1(self, pipeline_dir, tmp_path, capsys, grid, message):
+        # a grid that cuts off true angles scores the cut, not the estimator
+        (tmp_path / "model.qdnn").write_bytes((pipeline_dir / "model.qdnn").read_bytes())
+        sets = [arg for setting in grid for arg in ("--set", setting)]
+        assert run(["eval-doa", "--out", tmp_path] + sets + TINY) == 1
+        assert f"source angles {message}" in capsys.readouterr().err
+        assert not (tmp_path / "doa_mse.csv").exists()
+
     @pytest.mark.parametrize("command, artifact", [("eval-doa", "doa_mse.csv"), ("spectrum", "spectrum.csv")])
     def test_recon_series_behind_another_adc_exit_1(self, pipeline_dir, tmp_path, capsys, command, artifact):
         # the checkpoint was trained on 1-bit inputs; recon-1bit must not score it behind a 2-bit ADC

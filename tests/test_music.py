@@ -187,6 +187,32 @@ class TestMusicSpectrum:
         assert np.all(np.isfinite(spectrum))
         assert np.all(spectrum > 0)
 
+    @given(
+        trials=st.integers(1, 16),
+        shape=st.sampled_from([(8, 3), (8, 7), (4, 3), (6, 1)]),  # (8, 7) and (4, 3): the one-row product
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_kept_trials_match_the_whole_stack_bit_for_bit(self, trials, shape, seed, data):
+        m, k = shape
+        rng = np.random.default_rng(seed)
+        snapshots = rng.standard_normal((trials, m, 5)) + 1j * rng.standard_normal((trials, m, 5))
+        snapshots[trials // 2 :] = quantize_complex(snapshots[trials // 2 :], QuantizerSpec(1, 1.0))  # exact ties
+        subspaces = noise_subspace(sample_covariance(snapshots), k)
+        steering = steering_matrix(GRID, ArrayGeometry(m))
+        whole = music_spectrum(subspaces, steering)
+        keep = np.array(data.draw(st.lists(st.integers(0, trials - 1), unique=True), label="keep"), dtype=np.intp)
+        for rows in (keep, np.sort(keep), np.arange(trials)):
+            kept = music_spectrum(subspaces, steering, rows)
+            assert kept.shape == (rows.size, GRID.size)
+            assert kept.tobytes() == whole[rows].tobytes()
+
+    def test_keep_on_one_basis_rejected(self):
+        subspace = noise_subspace(random_psd(8, 3), 3)
+        with pytest.raises(ValueError, match="stack"):
+            music_spectrum(subspace, steering_matrix(GRID, GEOM8), np.array([0, 1]))
+
 
 class TestStackedScan:
     def test_stack_matches_each_matrix_bit_for_bit(self):
@@ -427,13 +453,44 @@ class TestPeakFinder:
             short = sorted(row.tobytes() for row, n in zip(spectra, counts) if n < k)
             padded = []
 
-            def recording(grid_deg, spectrum, num_sources):
+            def recording(grid_deg, spectrum, num_sources, ranked=None):
                 padded.append(np.asarray(spectrum).tobytes())
-                return pick_peaks(grid_deg, spectrum, num_sources)
+                # the block's ranking of this row, cut out for it rather than ranked again
+                np.testing.assert_array_equal(ranked, ranked_peaks_runs(np.asarray(spectrum)[None])[1])
+                return pick_peaks(grid_deg, spectrum, num_sources, ranked=ranked)
 
             with mock.patch.object(music, "pick_peaks", recording):
                 pick_peak_rows(grid, spectra, k)
             assert sorted(padded) == short
+
+    @given(rows=peak_stacks(), data=st.data())
+    @example(rows=[[0.0, 2.0, 2.0, 2.0], [1.0, 3.0, 1.0, 2.0], [0.0, 1.0, 0.0, 1.0]], data=None)
+    @example(rows=[[1.0, 3.0, 1.0], [0.0, 2.0, 2.0]], data=None)  # a row ends on a plateau, the next starts low
+    @settings(max_examples=200, deadline=None)
+    def test_any_subset_of_rows_picks_as_the_whole_stack(self, rows, data):
+        # run_trials re-picks only a chunk's doubted rows, so a row's picks and gap may not depend on the others
+        spectra = np.array(rows, dtype=float)
+        grid = -30.0 + 0.5 * np.arange(spectra.shape[1])
+        subsets = [[r] for r in range(len(spectra))] + [list(range(1, len(spectra))), list(range(0, len(spectra), 2))]
+        if data is not None:
+            subsets.append(data.draw(st.lists(st.integers(0, len(spectra) - 1), unique=True), label="subset"))
+        for k in range(1, grid.size + 1):
+            angles, gaps = pick_peak_rows(grid, spectra, k)
+            for subset in subsets:
+                sub_angles, sub_gaps = pick_peak_rows(grid, spectra[subset], k)
+                assert sub_angles.tobytes() == angles[subset].tobytes(), (k, subset)
+                assert sub_gaps.tobytes() == gaps[subset].tobytes(), (k, subset)
+
+    @given(rows=peak_stacks())
+    @example(rows=[[0.0, 2.0, 2.0, 2.0], [1.0, 3.0, 1.0, 2.0], [0.0, 1.0, 0.0, 1.0]])
+    @settings(max_examples=200, deadline=None)
+    def test_a_given_ranking_picks_as_ranking_again(self, rows):
+        spectra = np.array(rows, dtype=float)
+        grid = -30.0 + 0.5 * np.arange(spectra.shape[1])
+        for row in spectra:
+            ranked = music.ranked_peaks(row[None])[1]
+            for k in range(1, grid.size + 1):
+                assert pick_peaks(grid, row, k, ranked=ranked).tobytes() == pick_peaks(grid, row, k).tobytes(), k
 
     @given(rows=peak_stacks())
     @example(rows=[[0.0, 2.0, 2.0, 2.0], [1.0, 3.0, 1.0, 2.0], [0.0, 1.0, 0.0, 1.0]])
@@ -592,15 +649,23 @@ class TestVouchedPicks:
         cfg = desk_default()
         cfg.music.trials = 40
         model = init_model([16, 32, 32, 32, 16], rng=np.random.default_rng(7))
-        rescans = []
-        monkeypatch.setattr(music, "music_spectrum", lambda s, a: rescans.append(len(s)) or music_spectrum(s, a))
+        rescans, kept = [], []
+
+        def rescan(s, a, keep):
+            rescans.append(len(s))
+            kept.append(len(keep))
+            return music_spectrum(s, a, keep)
+
+        monkeypatch.setattr(music, "music_spectrum", rescan)
         default = eval_doa(model, cfg)[1]
         routed = len(rescans)
         monkeypatch.setattr(music, "denominator_bound", lambda *args: np.inf)
         rescans.clear()
+        kept.clear()
         gemm = eval_doa(model, cfg)[1]
-        # with B = inf every chunk is rescanned; by default most are vouched for
+        # with B = inf every row of every chunk is rescanned; by default most are vouched for
         assert routed < len(rescans) and sum(rescans) == len(DOA_SERIES) * len(cfg.snr_db) * 40
+        assert kept == rescans
         assert list(gemm) == list(default)
         for key in default:
             np.testing.assert_array_equal(gemm[key].mses, default[key].mses, err_msg=str(key))
@@ -776,7 +841,8 @@ class TestSnrBlocks:
         (13, 3 * 16 * 8 * 8, 3, 1),  # room for 3 trials of covariances, not one projection
     ])
     def test_one_synthesis_and_transform_per_block(self, trials, budget, block, chunk, monkeypatch):
-        seen = {"synthesize": [], "id": [], "1bit": [], "covariance": [], "subspace": [], "spectrum": [], "rescan": []}
+        seen = {"synthesize": [], "id": [], "1bit": [], "covariance": [], "subspace": [], "spectrum": [], "rescan": [],
+                "doubted": []}
 
         def spy(name, fn):
             def wrapped(data, *args):
@@ -788,10 +854,12 @@ class TestSnrBlocks:
             seen["spectrum"].append(len(spectra))
             return pick_peak_rows(grid_deg, spectra, *args)
 
-        def rescan(subspace, steering):  # a view into its block's eigh output
+        def rescan(subspace, steering, keep):  # a view into its block's eigh output, and its doubted rows
             start = (subspace.ctypes.data - subspace.base.ctypes.data) // subspace.strides[0]
             seen["rescan"].append((start, len(subspace), len(subspace.base)))
-            return music_spectrum(subspace, steering)
+            assert 0 < len(keep) and list(keep) == sorted(set(keep)) and keep[-1] < len(subspace)
+            seen["doubted"].append(len(keep))
+            return music_spectrum(subspace, steering, keep)
 
         one_bit = lambda d: quantize_complex(d, QuantizerSpec(1, 3.1))
         kw = self._desk(trials, {"id": spy("id", lambda d: d), "1bit": spy("1bit", one_bit)})
@@ -807,7 +875,7 @@ class TestSnrBlocks:
         # one covariance and one subspace per series per block; spectra per chunk
         assert seen["covariance"] == seen["subspace"] == [n for n in blocks for _ in range(2)]
         assert max(seen["spectrum"]) == chunk
-        assert sum(seen["spectrum"]) == 2 * trials + sum(n for _, n, _ in seen["rescan"])
+        assert sum(seen["spectrum"]) == 2 * trials + sum(seen["doubted"])
         assert all(start % chunk == 0 and n == min(chunk, size - start) for start, n, size in seen["rescan"])
 
     def test_working_set_stays_within_its_array_budget(self):
