@@ -150,14 +150,10 @@ def _datasets(out: Path, config: ScenarioConfig) -> tuple[Dataset, Dataset]:
 
 
 def _model(out: Path, config: ScenarioConfig) -> DenoiserModel:
-    """The checkpoint in ``out``, refused unless it maps 2*num_sensors to 2*num_sensors
-    and is laid out as the model ``train`` starts from under ``config.network``."""
+    """The checkpoint in ``out``, refused unless it is laid out as the model ``train`` starts
+    from under ``config.network``, whose widths ``validate`` ties to 2*num_sensors at both ends."""
     path = _require(out / "model.qdnn", "model checkpoint")
     model = load_checkpoint(path)
-    two_m = 2 * config.array.num_sensors
-    if (model.width_in, model.dense[-1].out_dim) != (two_m, two_m):
-        raise ConfigError(f"model widths {model.width_in} -> {model.dense[-1].out_dim} "
-                          f"do not fit 2*num_sensors = {two_m}")
     names = ("widths", "batch norm at layers", "layer kinds", "activation", "input_bias")
     found = _layout(model)  # the model train starts from is built only at the file's widths, so at its size
     wanted = _layout(initial_model(config)) if found[0] == config.network.widths else [config.network.widths]

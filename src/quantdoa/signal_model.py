@@ -227,15 +227,15 @@ def mix(
 
 
 def to_real_batch(data: np.ndarray) -> np.ndarray:
-    """Snapshot columns of an (M, N) array as network rows: (N, 2M) with real parts first."""
+    """Snapshot columns of an (..., M, N) stack as network rows: (..., N, 2M) with real parts first."""
     data = np.asarray(data)
-    return np.concatenate([data.real.T, data.imag.T], axis=1)
+    return np.concatenate([data.real.swapaxes(-1, -2), data.imag.swapaxes(-1, -2)], axis=-1)
 
 
 def from_real_batch(batch: np.ndarray) -> np.ndarray:
-    """Rebuild the complex M x N matrix from (N, 2M) network rows."""
+    """Rebuild the complex (..., M, N) stack from (..., N, 2M) network rows."""
     batch = np.asarray(batch, dtype=float)
-    if batch.ndim != 2 or batch.shape[1] % 2 != 0:
-        raise ValueError(f"expected (N, 2M) batch, got shape {batch.shape}")
-    half = batch.shape[1] // 2
-    return (batch[:, :half] + 1j * batch[:, half:]).T
+    if batch.ndim < 2 or batch.shape[-1] % 2 != 0:
+        raise ValueError(f"expected (..., N, 2M) rows, got shape {batch.shape}")
+    half = batch.shape[-1] // 2
+    return (batch[..., :half] + 1j * batch[..., half:]).swapaxes(-1, -2)

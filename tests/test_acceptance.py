@@ -15,6 +15,8 @@ still reject a reconstruction that does nothing.
 
 import ctypes
 import os
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +25,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import quantdoa
 from quantdoa import network as net
 from quantdoa.checkpoint import parameter_payload_bytes
 from quantdoa.cli import parse_and_dispatch
@@ -617,6 +620,31 @@ def test_blas_runs_one_thread_so_load_cannot_reorder_8a():
         pytest.skip("no OpenBLAS thread getter in this numpy build")
     getter.argtypes, getter.restype = [], ctypes.c_int
     assert getter() == 1
+
+
+@pytest.mark.parametrize("preset, threads", [(None, 1), ("2", 2)])
+def test_cli_runs_one_blas_thread_unless_the_caller_sets_a_count(preset, threads):
+    # python -m quantdoa and the quantdoa script import quantdoa.__main__ before numpy loads OpenBLAS
+    script = "\n".join([
+        "import quantdoa.__main__",
+        "import numpy as np",
+        "from test_acceptance import loaded_openblas",
+        "np.ones((2, 2)) @ np.ones((2, 2))",
+        "lib = loaded_openblas()",
+        "names = ('scipy_openblas_get_num_threads64_', 'openblas_get_num_threads')",
+        "getter = next((getattr(lib, n) for n in names if lib is not None and hasattr(lib, n)), None)",
+        "print(0 if getter is None else getter())",
+    ])
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = Path(quantdoa.__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join([str(src), str(Path(__file__).parent)])
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    if done.stdout.split()[-1] == "0":
+        pytest.skip("no OpenBLAS thread getter in this numpy build")
+    assert int(done.stdout.split()[-1]) == threads
 
 
 def test_criterion_8a_width_sweep_timing_monotone():

@@ -379,7 +379,7 @@ class TestValidationErrors:
     @pytest.mark.parametrize("snr", ["nan", "-inf"])
     def test_spectrum_non_finite_snr_exit_1(self, pipeline_dir, capsys, snr):
         assert run(["spectrum", "--out", pipeline_dir, f"--snr={snr}"] + TINY) == 1
-        assert "snr_db must not be NaN or -inf" in capsys.readouterr().err
+        assert "snr_db must exceed -737.5 dB" in capsys.readouterr().err
 
     @pytest.mark.parametrize("snr, code", [("-1000", 1), ("-3083", 1), ("-700", 0)])
     def test_spectrum_snr_takes_the_config_floor(self, pipeline_dir, tmp_path, capsys, snr, code):
@@ -426,7 +426,7 @@ class TestValidationErrors:
         monkeypatch.setattr(experiments, work, no_work)
         smaller = ["--set", "array.num_sensors=6", "--set", "network.widths=[12, 32, 32, 32, 12]"]
         assert run([command, "--out", pipeline_dir] + TINY + smaller) == 1
-        assert "model widths 16 -> 16 do not fit 2*num_sensors = 12" in capsys.readouterr().err
+        assert "widths [16, 32, 32, 32, 16] (config: [12, 32, 32, 32, 12])" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override, message", [
         ("network.use_bn=false", "batch norm at layers [1, 2] (config: [])"),

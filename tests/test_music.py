@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quantdoa import music
+from quantdoa import music, network
 from quantdoa.config import DOMAIN_TRIALS, derived_seed, derived_seeds, desk_default
 from quantdoa.experiments import DOA_SERIES, eval_doa, make_transform
 from quantdoa.network import init_model
@@ -877,6 +877,22 @@ class TestSnrBlocks:
         assert max(seen["spectrum"]) == chunk
         assert sum(seen["spectrum"]) == 2 * trials + sum(seen["doubted"])
         assert all(start % chunk == 0 and n == min(chunk, size - start) for start, n, size in seen["rescan"])
+
+    def test_one_denoiser_call_per_block(self, monkeypatch):
+        rows = []
+
+        def forward(model, x, mode="train", forward=network.forward):
+            rows.append(len(x))
+            return forward(model, x, mode)
+
+        cfg = desk_default()
+        model = init_model([16, 32, 32, 32, 16], rng=np.random.default_rng(7))
+        kw = self._desk(13, {"recon-1bit": make_transform("recon-1bit", cfg.quantizer_spec, model)})
+        monkeypatch.setattr(music, "CHUNK_BYTES", 3 * 16 * 8 * 8)  # 3-trial blocks, as above
+        monkeypatch.setattr(network, "forward", forward)
+        run_trials(snr_db=10.0, **kw)
+        n = cfg.music.num_snapshots
+        assert rows == [3 * n] * 4 + [n]  # one call per block, every snapshot of its trials in it
 
     def test_working_set_stays_within_its_array_budget(self):
         # The peak of a desk run is one chunk's (T, M-K, G) projection, two

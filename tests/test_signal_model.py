@@ -354,12 +354,18 @@ class TestRealInterleaved:
         v = to_real_batch(np.array([[5.0], [-1.0], [2.0]], dtype=complex))
         np.testing.assert_array_equal(v[0, 3:], np.zeros(3))
 
-    @given(st.integers(1, 16), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 16), st.integers(1, 4), st.integers(0, 2**32 - 1), st.integers(0, 4))
     @settings(max_examples=40, deadline=None)
-    def test_round_trip_identity(self, m, n, seed):
+    def test_round_trip_identity(self, m, n, seed, t):
         rng = np.random.default_rng(seed)
-        data = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        shape = (m, n) if t == 0 else (t, m, n)
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         np.testing.assert_array_equal(from_real_batch(to_real_batch(data)), data)
+        if t:  # each matrix of a (T, M, N) stack maps as its own 2-D call, bytes and layout
+            for matrix, rows, back in zip(data, to_real_batch(data), from_real_batch(to_real_batch(data))):
+                one = to_real_batch(matrix)
+                assert rows.tobytes() == one.tobytes() and rows.strides == one.strides
+                assert back.tobytes() == from_real_batch(one).tobytes()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
