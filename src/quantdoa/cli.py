@@ -38,6 +38,7 @@ from .experiments import (
     write_curves_csv,
 )
 from .network import DenoiserModel
+from .signal_model import too_close
 
 
 class _UsageError(Exception):
@@ -136,8 +137,8 @@ def _dataset(out: Path, split: str, config: ScenarioConfig) -> Dataset:
                                  config.angle_range(), config.sources.min_sep, config.quantizer_spec())
         if not all(map(np.array_equal, first, (ds.inputs[:n], ds.targets[:n], ds.angles_deg[:n]))):
             diff.append("the first record of each SNR (sources.angle_min, angle_max, min_sep or array.spacing)")
-        elif (near := ~(np.diff(ds.angles_deg, axis=1) >= config.sources.min_sep)).any():
-            diff.append(f"{near.any(axis=1).sum()} records with sources closer than sources.min_sep "
+        elif (near := too_close(ds.angles_deg, config.sources.min_sep)).any():
+            diff.append(f"{near.sum()} records with sources closer than sources.min_sep "
                         f"(config: {config.sources.min_sep})")
     if diff:
         raise ConfigError(f"{path} was not generated under this config: {'; '.join(diff)}; rerun generate")

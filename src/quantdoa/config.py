@@ -184,6 +184,13 @@ class ScenarioConfig:
             return float(self.music.min_sep)
         return float(self.sources.min_sep)
 
+    def uncovered_sources(self) -> str:
+        """Why the music grid cannot score every source angle ``generate`` draws, or "" when it can."""
+        (lo, hi), (low, high) = self.angle_range(), (self.music.grid_min, self.music.grid_max)
+        if low <= lo and hi <= high:
+            return ""
+        return f"source angles [{lo}, {hi}] fall outside the scan range [{low}, {high}]"
+
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list[str]:
@@ -243,6 +250,8 @@ class ScenarioConfig:
                 errs.append(f"music grid has more than {MAX_GRID_POINTS} points: raise music.grid_step")
         if s.count >= a.num_sensors:
             errs.append("sources.count must be smaller than array.num_sensors for MUSIC")
+        if why := self.uncovered_sources():
+            errs.append(why)
         return errs
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import network as net
+from . import music, network as net
 from .checkpoint import parameter_payload_bytes
 from .config import (
     DOMAIN_INIT,
@@ -194,10 +194,12 @@ def eval_reconstruction(model: net.DenoiserModel, ds: Dataset) -> list[CurvePoin
 
 
 def denoise_snapshots(model: net.DenoiserModel, data: np.ndarray) -> np.ndarray:
-    """Run each snapshot column of M x N ``data``, or of a stack (..., M, N), through the network in one call."""
+    """Run each snapshot column of ``data``, M x N or (..., M, N), through the network in ``CHUNK_BYTES`` batches."""
     rows = to_real_batch(data).astype(np.float32)
-    out, _ = net.forward(model, rows.reshape(-1, rows.shape[-1]), mode="infer")
-    return from_real_batch(out.reshape(rows.shape))
+    flat = rows.reshape(-1, rows.shape[-1])
+    cap = max(1, music.CHUNK_BYTES // (4 * max(max(layer.w.shape) for layer in model.dense)))
+    out = [net.forward(model, flat[lo : lo + cap], mode="infer")[0] for lo in range(0, len(flat), cap)]
+    return from_real_batch(np.concatenate(out).reshape(rows.shape))
 
 
 def make_transform(tag: str, qspec_for, model: net.DenoiserModel | None = None):
@@ -228,10 +230,9 @@ def eval_doa(
     series: tuple[str, ...] = DOA_SERIES,
 ) -> tuple[list[CurvePoint], dict[tuple[str, float], TrialResult]]:
     """Paired MUSIC angle-error trials for every series at every SNR of ``config``."""
-    (lo, hi), (low, high) = config.angle_range(), (config.music.grid_min, config.music.grid_max)
-    if not (low <= lo and hi <= high):
-        raise ConfigError(f"source angles [{lo}, {hi}] fall outside the scan range [{low}, {high}]")
-    grid = scan_grid(low, high, config.music.grid_step)
+    if why := config.uncovered_sources():
+        raise ConfigError(why)
+    grid = scan_grid(config.music.grid_min, config.music.grid_max, config.music.grid_step)
     transforms = {tag: make_transform(tag, config.quantizer_spec, model) for tag in series}
     points: list[CurvePoint] = []
     details: dict[tuple[str, float], TrialResult] = {}

@@ -29,10 +29,10 @@ from .signal_model import ArrayGeometry, noise_variance, steering_matrix, synthe
 
 SPECTRUM_REGULARIZER = 1e-12
 
-# Working-memory budget of run_trials: a chunk's (T, M-K, G) projection and
-# a block's (T, M, N) snapshots and (T, M, M) covariances and eigenvectors
-# stay near it; a block holds at least one chunk.  The denoiser runs a block's
-# T*N rows at once, float32: 2.5 budgets per 128-wide layer in a full desk block.
+# Working-memory budget of run_trials: a chunk's (T, M-K, G) projection,
+# a block's (T, M, N) snapshots and (T, M, M) covariances and eigenvectors,
+# and the float32 rows of each layer of a denoiser call stay near it; a block
+# holds at least one chunk.
 CHUNK_BYTES = 4_000_000
 
 # Transforms map clean complex snapshots, M x N or a stack (..., M, N)
@@ -268,8 +268,8 @@ def run_trials(
     Trial t draws its angles, source phases, and noise from a generator
     seeded with ``seeds[t]`` (from ``config.derived_seeds``), once for all
     ``transforms``, so the pipelines see identical signals and differ only
-    in the transform.  Each block of trials is synthesized and transformed (a recon
-    series in one denoiser call) once per series, and its covariances and noise subspaces
+    in the transform.  Each block of trials is synthesized and transformed once per series (the
+    denoiser in batches of ``CHUNK_BYTES`` a layer), and its covariances and noise subspaces
     come from one ``eigh`` call; the spectra are scanned in chunks (see ``CHUNK_BYTES``).
     Neither size moves a result, nor does picking each chunk first from the polynomial spectrum -d:
     the rows in doubt are picked again from ``music_spectrum``, which still runs its GEMM on the whole chunk.

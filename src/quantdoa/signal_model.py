@@ -99,6 +99,11 @@ def _draw_angles(
     raise RuntimeError(f"angle rejection sampling failed after {MAX_ANGLE_TRIES} tries")
 
 
+def too_close(angles: np.ndarray, min_sep: float) -> np.ndarray:
+    """Which rows of sorted (n, K) angles have a neighbour gap that is not >= ``min_sep``, a NaN gap included."""
+    return (~(np.diff(angles, axis=1) >= min_sep)).any(axis=1)
+
+
 def draw_source_angles(
     num_sources: int, angle_range: tuple[float, float], min_sep: float, rng: np.random.Generator,
 ) -> np.ndarray:
@@ -193,9 +198,9 @@ def synthesize_seeded(
         rng.random(out=u[i])
         if variance > 0.0:
             rng.standard_normal(out=draws[i])
-    # Every row's first angle try at once; rows it rejects (a NaN gap too) replay _draw_angles.
+    # Every row's first angle try at once; rows it rejects replay _draw_angles.
     angles = np.sort(u[:, :k] * (hi - lo) + lo, axis=1)
-    for i in np.flatnonzero((~(np.diff(angles, axis=1) >= min_sep)).any(axis=1)).tolist():
+    for i in np.flatnonzero(too_close(angles, min_sep)).tolist():
         bits.state = states[i]
         angles[i] = _draw_angles(rng, u[i], k, lo, hi, min_sep)
         if noise_variances[i] > 0.0:

@@ -347,6 +347,21 @@ class TestValidationErrors:
         assert f"source angles {message}" in capsys.readouterr().err
         assert not (tmp_path / "doa_mse.csv").exists()
 
+    @pytest.mark.parametrize("command, angles", [
+        ("generate", []), ("train", []), ("spectrum", ["--angles", "-5", "5"]),
+    ])
+    def test_grid_short_of_the_source_angles_exit_1_from_every_command(
+        self, pipeline_dir, tmp_path, capsys, command, angles
+    ):
+        # validate() refuses the grid, so commands that scan nothing refuse it too, and spectrum whatever its angles
+        for name in ("train.qdst", "test.qdst", "model.qdnn"):
+            (tmp_path / name).write_bytes((pipeline_dir / name).read_bytes())
+        before = {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()}
+        sets = ["--set", "music.grid_min=-10.0", "--set", "music.grid_max=10.0"]
+        assert run([command, "--out", tmp_path] + angles + sets + TINY) == 1
+        assert "source angles [-30.0, 30.0] fall outside the scan range [-10.0, 10.0]" in capsys.readouterr().err
+        assert {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()} == before
+
     @pytest.mark.parametrize("command, artifact", [("eval-doa", "doa_mse.csv"), ("spectrum", "spectrum.csv")])
     def test_recon_series_behind_another_adc_exit_1(self, pipeline_dir, tmp_path, capsys, command, artifact):
         # the checkpoint was trained on 1-bit inputs; recon-1bit must not score it behind a 2-bit ADC

@@ -103,6 +103,18 @@ class TestValidation:
         errs = [e for e in cfg.validate() if "more than" in e]
         assert errs == ([] if fits else [f"music grid has more than {MAX_GRID_POINTS} points: raise music.grid_step"])
 
+    @pytest.mark.parametrize("grid, covered", [
+        ((-30.0, 30.0), True), ((-40.0, 40.0), True), ((-10.0, 10.0), False), ((-29.99, 30.0), False),
+        ((-30.0, 29.5), False),
+    ])
+    def test_grid_must_cover_the_source_angles(self, grid, covered):
+        cfg = desk_default()
+        cfg.music.grid_min, cfg.music.grid_max = grid
+        errs = [e for e in cfg.validate() if "scan range" in e]
+        message = f"source angles [-30.0, 30.0] fall outside the scan range [{grid[0]}, {grid[1]}]"
+        assert errs == ([] if covered else [message])
+        assert cfg.uncovered_sources() == "".join(errs)
+
     def test_inverted_grid_is_reported_once(self):
         cfg = desk_default()
         cfg.music.grid_min, cfg.music.grid_max = 10.0, -10.0

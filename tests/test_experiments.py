@@ -1,10 +1,11 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from quantdoa import network as net
-from quantdoa.config import DOMAIN_TRIALS, apply_overrides, derived_seed, desk_default
+from quantdoa.config import DOMAIN_TRIALS, ConfigError, apply_overrides, derived_seed, desk_default
 from quantdoa.dataset import build_dataset
 from quantdoa.experiments import (
     CurvePoint,
@@ -17,6 +18,7 @@ from quantdoa.experiments import (
     eval_doa,
     eval_reconstruction,
     evaluate_loss,
+    initial_model,
     make_transform,
     reconstruction_loss_by_snr,
     spectrum_compare,
@@ -339,6 +341,29 @@ class TestEvalDoa:
         np.testing.assert_array_equal(
             d1[("unquantized", 30.0)].mses, d2[("unquantized", 30.0)].mses
         )
+
+    def test_grid_short_of_the_source_angles_rejected_before_any_trial(self):
+        # library callers skip validate(); eval_doa makes the same check
+        cfg = desk_default()
+        cfg.music.grid_min, cfg.music.grid_max = -10.0, 10.0
+        with pytest.raises(ConfigError, match=r"\[-30.0, 30.0\] fall outside the scan range \[-10.0, 10.0\]"):
+            eval_doa(None, cfg, series=("unquantized",))
+
+    def test_4000_trials_peak_within_the_chunk_budget(self):
+        # A 3,906-trial block of desk records puts 19,530 snapshot rows through the 128-wide denoiser, in
+        # calls of at most 7,812 rows; in one call they peaked at 60.1 MiB.
+        cfg = desk_default()
+        cfg.snr_db, cfg.music.trials = [10.0], 2
+        model = initial_model(cfg)
+        eval_doa(model, cfg)  # first-call imports and caches stay out of the peak
+        cfg.music.trials = 4000
+        tracemalloc.start()
+        try:
+            eval_doa(model, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 35 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestSpectrumCompare:

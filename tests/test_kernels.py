@@ -30,12 +30,16 @@ from quantdoa.cli import parse_and_dispatch
 KERNELS = ("SkylakeX", "Haswell", "Sandybridge", "Nehalem")
 
 
+def child_env(kernel: str) -> dict[str, str]:
+    """A child's environment: this package and ``kernel``, on this process's BLAS thread count (one by default)."""
+    return {**os.environ, "PYTHONPATH": str(Path(quantdoa.__file__).resolve().parents[1]),
+            "OPENBLAS_VERBOSE": "2", "OPENBLAS_CORETYPE": kernel}
+
+
 def generate_under(kernel: str, out: Path) -> tuple[str, dict[str, str]]:
     """The kernel a child `generate --seed 2` ran when asked for ``kernel``, and each split's SHA-256."""
-    env = {**os.environ, "PYTHONPATH": str(Path(quantdoa.__file__).resolve().parents[1]),
-           "OPENBLAS_NUM_THREADS": "1", "OPENBLAS_VERBOSE": "2", "OPENBLAS_CORETYPE": kernel}
     done = subprocess.run([sys.executable, "-m", "quantdoa", "generate", "--out", str(out), "--seed", "2"],
-                          env=env, capture_output=True, text=True, timeout=600)
+                          env=child_env(kernel), capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     core = re.search(r"^Core: (\w+)", done.stderr, re.MULTILINE)
     return core.group(1) if core else "unknown", {
@@ -54,11 +58,10 @@ def test_generate_bytes_do_not_depend_on_the_kernel(tmp_path):
 
 def eval_doa_under(kernel: str, out: Path, code: str) -> tuple[str, str]:
     """The kernel a child desk `eval-doa` at 40 trials ran after ``code``, and its doa_mse.csv SHA-256."""
-    env = {**os.environ, "PYTHONPATH": str(Path(quantdoa.__file__).resolve().parents[1]),
-           "OPENBLAS_NUM_THREADS": "1", "OPENBLAS_VERBOSE": "2", "OPENBLAS_CORETYPE": kernel}
     script = f"import sys\nfrom quantdoa import cli, music\n{code}\nsys.exit(cli.parse_and_dispatch(sys.argv[1:]))"
     argv = ["eval-doa", "--out", str(out), "--seed", "1", "--set", "music.trials=40"]
-    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=600)
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=child_env(kernel), capture_output=True, text=True,
+                          timeout=600)
     assert done.returncode == 0, done.stderr
     core = re.search(r"^Core: (\w+)", done.stderr, re.MULTILINE)
     return core.group(1) if core else "unknown", hashlib.sha256((out / "doa_mse.csv").read_bytes()).hexdigest()

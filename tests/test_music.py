@@ -894,6 +894,25 @@ class TestSnrBlocks:
         n = cfg.music.num_snapshots
         assert rows == [3 * n] * 4 + [n]  # one call per block, every snapshot of its trials in it
 
+    def test_denoiser_calls_stay_within_chunk_bytes(self, monkeypatch):
+        rows = []
+
+        def forward(model, x, mode="train", forward=network.forward):
+            rows.append(len(x))
+            return forward(model, x, mode)
+
+        cfg = desk_default()
+        model = init_model([16, 128, 128, 128, 16], rng=np.random.default_rng(7))
+        kw = self._desk(13, {"recon-1bit": make_transform("recon-1bit", cfg.quantizer_spec, model)})
+        monkeypatch.setattr(network, "forward", forward)
+        whole = run_trials(snr_db=10.0, **kw)["recon-1bit"]
+        assert rows == [13 * cfg.music.num_snapshots]  # the budget holds 7,812 rows at width 128
+        rows.clear()
+        monkeypatch.setattr(music, "CHUNK_BYTES", 3 * 16 * 8 * 8)  # 3-trial blocks of 15 rows, 6 rows a call
+        capped = run_trials(snr_db=10.0, **kw)["recon-1bit"]
+        assert rows == [6, 6, 3] * 4 + [5]
+        assert capped.mses.tobytes() == whole.mses.tobytes()
+
     def test_working_set_stays_within_its_array_budget(self):
         # The peak of a desk run is one chunk's (T, M-K, G) projection, two
         # (T, G) rows (the spectrum and the row being squared) and the

@@ -19,6 +19,7 @@ from quantdoa.signal_model import (
     synthesize,
     synthesize_seeded,
     to_real_batch,
+    too_close,
 )
 
 GEOM8 = ArrayGeometry(num_sensors=8)
@@ -280,6 +281,63 @@ class TestSynthesizeSeeded:
         # pass warns on inf - inf); validate() keeps configs inside (-90, 90) degrees
         with pytest.raises(RuntimeError, match=f"after {MAX_ANGLE_TRIES} tries"):
             synthesize_seeded([4], [0.0], GEOM8, 2, (-1e308, 1e308), 1.0, 1)
+
+
+class _Rejected(Exception):
+    pass
+
+
+def draw_angles_accepts(angles, min_sep):
+    """Whether ``_draw_angles`` keeps ``angles`` as its first try.
+
+    On the range [-0.0, 1.0] each drawn double u maps to -0.0 + 1.0 * u, which is u itself, NaN and -0.0
+    included; a rejected try asks the stream for K more doubles, and this stream has none.
+    """
+    class Stream:
+        tries = 0
+
+        def random(self, out):
+            if self.tries:
+                raise _Rejected
+            self.tries = 1
+            out[:] = angles
+
+    try:
+        signal_model._draw_angles(Stream(), np.empty(len(angles)), len(angles), -0.0, 1.0, min_sep)
+    except _Rejected:
+        return False
+    return True
+
+
+ANGLE_VALUES = st.one_of(st.floats(-90.0, 90.0), st.sampled_from([np.nan, -0.0, 0.0, 1.0, 2.0]))
+
+
+@st.composite
+def angle_tries(draw):
+    """Tries of K angles, NaN, -0.0 and equal gaps likely, and a min_sep that is often one of their gaps."""
+    k = draw(st.integers(1, 4))
+    tries = draw(st.lists(st.lists(ANGLE_VALUES, min_size=k, max_size=k), min_size=1, max_size=5))
+    gaps = np.diff(np.sort(tries, axis=1), axis=1)
+    gaps = sorted(set(gaps[np.isfinite(gaps) & (gaps >= 0)].tolist()))
+    seps = [st.just(0.0), st.floats(0.0, 180.0)] + ([st.sampled_from(gaps)] if gaps else [])
+    return tries, draw(st.one_of(seps))
+
+
+class TestTooClose:
+    """``too_close``, the block test of every record's first angle try, against ``_draw_angles``' own test."""
+
+    @given(case=angle_tries())
+    @example(case=([[0.0, 1.0], [1.0, 0.0]], 1.0))  # gaps of exactly min_sep are kept
+    @example(case=([[-0.0, 0.0], [0.0, -0.0]], 0.0))
+    @example(case=([[0.0, -0.0, 2.0], [2.0, 0.0, -0.0]], 0.0))
+    @example(case=([[np.nan, 1.0], [1.0, 2.0]], 0.0))  # a NaN gap is never kept, not even at min_sep 0
+    @example(case=([[np.nan], [1.0], [-0.0]], 5.0))  # one angle has no gap to break
+    @example(case=([[0.5, 0.2, 0.9]], 0.30000000000000004))  # a gap of 0.3, one ulp short of min_sep
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_the_per_try_test(self, case):
+        tries, min_sep = case
+        verdicts = too_close(np.sort(np.array(tries, dtype=float), axis=1), min_sep)
+        assert verdicts.tolist() == [not draw_angles_accepts(t, min_sep) for t in tries]
 
 
 class TestBlockSeeding:
