@@ -145,11 +145,6 @@ def _dataset(out: Path, split: str, config: ScenarioConfig) -> Dataset:
     return ds
 
 
-def _datasets(out: Path, config: ScenarioConfig) -> tuple[Dataset, Dataset]:
-    """The train and test sets that ``generate`` wrote to ``out`` under ``config``."""
-    return _dataset(out, "train", config), _dataset(out, "test", config)
-
-
 def _model(out: Path, config: ScenarioConfig) -> DenoiserModel:
     """The checkpoint in ``out``, refused unless it is laid out as the model ``train`` starts
     from under ``config.network``, whose widths ``validate`` ties to 2*num_sensors at both ends."""
@@ -173,7 +168,7 @@ def _layout(model: DenoiserModel) -> tuple:
 
 def _cmd_train(args, config: ScenarioConfig) -> None:
     out = args.out
-    result = train(config, *_datasets(out, config), progress=True)
+    result = train(config, _dataset(out, "train", config), _dataset(out, "test", config), progress=True)
     save_checkpoint(result.model, out / "model.qdnn")
     write_curves_csv(
         out / "train_curves.csv",
@@ -231,7 +226,7 @@ def _train_variants(
     out: Path, config: ScenarioConfig, variants: list[tuple[str, list[str]]], timing_csv: str
 ) -> dict[str, TrainResult]:
     """Train ``variants`` on the generated datasets and write their wall-clock table."""
-    results = ablation_suite(config, variants, *_datasets(out, config))
+    results = ablation_suite(config, variants, _dataset(out, "train", config), _dataset(out, "test", config))
     write_curves_csv(
         out / timing_csv,
         timing_points(results),

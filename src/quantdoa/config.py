@@ -125,7 +125,6 @@ class TrainSection:
     batch_size: int = _min(256, 2, " (batch norm needs it)")
     lr: float = _positive(1e-3)
     epochs: int = _min(50, 1)
-    eval_interval: int = _min(1, 1)
 
 
 @dataclass

@@ -98,8 +98,8 @@ def train(
 ) -> TrainResult:
     """Shuffled mini-batch Adam on the reconstruction loss.
 
-    Emits per-epoch train loss and periodic test loss (inference-mode
-    batch norm).  A non-finite loss or gradient, or an epoch that ends with
+    Emits per-epoch train loss and test loss (inference-mode batch
+    norm).  A non-finite loss or gradient, or an epoch that ends with
     non-finite parameters or test loss, aborts training; the last finite
     epoch's model is retained, flagged as diverged, and the aborted epoch
     writes no rows.
@@ -141,8 +141,7 @@ def train(
             seen += idx.size
         # the epoch's last step is seen by no forward inside the epoch
         diverged = diverged or not np.isfinite(model.params).all()
-        evaluated = (epoch + 1) % config.train.eval_interval == 0 or epoch == config.train.epochs - 1
-        if not diverged and evaluated:
+        if not diverged:
             test_loss = evaluate_loss(model, test_set)
             diverged = not np.isfinite(test_loss)
         if diverged:
@@ -151,13 +150,12 @@ def train(
         retained = model.copy()
         train_loss = epoch_loss / max(seen, 1)
         curves.append(CurvePoint("train-loss", float(epoch), train_loss))
-        if evaluated:
-            curves.append(CurvePoint("test-loss", float(epoch), test_loss))
-            if progress:
-                print(f"epoch {epoch}: train {train_loss:.5f} test {test_loss:.5f}")
+        curves.append(CurvePoint("test-loss", float(epoch), test_loss))
+        if progress:
+            print(f"epoch {epoch}: train {train_loss:.5f} test {test_loss:.5f}")
     elapsed = time.perf_counter() - start
 
-    if diverged:  # the last epoch is always evaluated, a rollback is not
+    if diverged:  # test_loss is the diverged epoch's, or none: score the model rolled back to
         test_loss = evaluate_loss(model, test_set)
     return TrainResult(
         model=model,

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import math
 import os
 import subprocess
@@ -227,7 +229,6 @@ class TestValidationErrors:
         ("generate", "network.activation=gelu", "network.activation must be one of relu, tanh, sigmoid"),
         ("generate", "train.batch_size=1", "train.batch_size must be >= 2"),
         ("generate", "train.epochs=0", "train.epochs must be >= 1"),
-        ("generate", "train.eval_interval=0", "train.eval_interval must be >= 1"),
         ("generate", "music.grid_step=0", "music.grid_step must be > 0"),
         ("generate", "music.grid_max=-30.0", "music.grid_max must exceed music.grid_min"),
         ("eval-doa", "music.grid_step=100", "music grid has fewer than sources.count = 3 points"),
@@ -562,7 +563,7 @@ def _leaf_settings(draw):
 
 class TestSettingLimits:
     def test_edge_table_reads_every_declared_leaf(self):
-        assert len(_EDGE_VALUES) == 16
+        assert len(_EDGE_VALUES) == 15
         assert {"seed", "array.spacing", "quantizer.full_scale", "music.min_sep"} <= set(_EDGE_VALUES)
 
     @given(overrides=_leaf_settings())
@@ -651,3 +652,136 @@ class TestConfigFile:
         ]) == 0
         assert load_dataset(out / "train.qdst").count == 24
         assert load_dataset(out / "test.qdst").count == 12
+
+
+class TestProvenanceHoles:
+    """Settings the file headers do not record, so a command cannot refuse a set or a model made under others."""
+
+    # raises=AssertionError: only the final check may fail as expected; a broken set-up calls pytest.fail
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP direction 17: .qdst records no sources.min_sep; build_dataset "
+                       "under 0.9 draws 50 of the 5,000 records differently, none the first of an SNR")
+    def test_train_on_a_set_drawn_under_a_wider_min_sep_exit_1(self, tmp_path):
+        if run(["generate", "--out", tmp_path]) != 0:
+            pytest.fail("the desk generate failed")
+        before = TestDatasetMatchesConfig._files(tmp_path)
+        assert run(["train", "--out", tmp_path, "--set", "sources.min_sep=0.9", "--set", "train.epochs=1"]) == 1
+        assert TestDatasetMatchesConfig._files(tmp_path) == before
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP direction 17: .qdnn records no quantizer.full_scale, so a model "
+                       "trained at the derived scale is scored behind a 9.0 ADC")
+    def test_eval_doa_of_a_model_trained_at_another_full_scale_exit_1(self, pipeline_dir, tmp_path):
+        (tmp_path / "model.qdnn").write_bytes((pipeline_dir / "model.qdnn").read_bytes())
+        assert run(["eval-doa", "--out", tmp_path, "--set", "quantizer.full_scale=9.0"] + TINY) == 1
+        assert not (tmp_path / "doa_mse.csv").exists()
+
+
+_ANGLE_ENDS = [-90.0, -89.9, -60.0, -30.0, -10.0, 0.0, 10.0, 30.0, 60.0, 89.9, 90.0, math.nan, math.inf]
+_SNRS = [-738.0, -737.0, -100.0, -10.0, 0.0, 10.0, 50.0, 300.0, 1e300, math.inf, -math.inf, math.nan, "1e1"]
+_WRONG_TYPES = [
+    ("train.epochs", "two"), ("music.trials", 2.0), ("network.use_bn", "yes"), ("network.widths", [16, "8", 16]),
+    ("snr_db", "10"), ("sources.count", True), ("seed", 1.5), ("train.lr", "fast"), ("data.train_count", None),
+    ("network.widths", 16), ("array", 8), ("music.min_sep", "1e"), ("sources.angle_min", [0.0]),
+]
+
+
+TINY_TREE = {**desk_default().to_dict(), "data": {"train_count": 20, "test_count": 6},
+             "network": {"widths": [16, 4, 4, 4, 16]}, "train": {"epochs": 2},
+             "music": {"trials": 2, "grid_step": 1.0}}
+
+
+@st.composite
+def _tiny_trees(draw):
+    """A tiny config tree, then settings with no one-field limit, exponent strings and wrong types drawn onto it.
+
+    Each drawn setting keeps its tiny value three times in four, so about a third of the trees pass ``validate()``.
+    """
+    def often(value, *others):
+        return draw(st.sampled_from([value] * 3 + [draw(st.sampled_from(others))]))
+
+    tree = desk_default().to_dict()
+    tree["data"].update(train_count=draw(st.integers(8, 40)), test_count=draw(st.integers(2, 12)))
+    tree["train"]["epochs"] = draw(st.integers(1, 2))
+    tree["music"].update(trials=2, grid_step=draw(st.sampled_from([0.5, 1.0, 2.0])))
+    m = tree["array"]["num_sensors"] = often(8, 2, 4)
+    tree["sources"]["count"] = often(draw(st.integers(1, min(3, m - 1))), 0, m, m + 1)
+    hidden = draw(st.integers(1, 8))
+    tree["network"]["widths"] = often(
+        draw(st.sampled_from([[2 * m, hidden, 2 * m], [2 * m, hidden, hidden, hidden, 2 * m]])),
+        [2 * m, hidden, hidden, 2 * m], [2 * m, 2 * m], [2 * m + 1, hidden, 2 * m], [2 * m, 0, 2 * m],
+        [2 * m, hidden, hidden + 1, hidden, 2 * m],
+    )
+    tree["snr_db"] = often(tree["snr_db"], draw(st.lists(st.sampled_from(_SNRS) | st.floats(-50.0, 60.0), max_size=3)))
+    sources, grid = tree["sources"], tree["music"]
+    for leaf in ("angle_min", "angle_max"):
+        sources[leaf] = often(sources[leaf], *_ANGLE_ENDS)
+    lo, hi = sources["angle_min"], sources["angle_max"]
+    grid["grid_min"], grid["grid_max"] = draw(st.sampled_from([  # covers the sources, wider, short at one end
+        *[(lo, hi)] * 4, (lo - 1.0, hi + 1.0), (lo + 1.0, hi), (lo, hi - 1.0),
+        (draw(st.sampled_from(_ANGLE_ENDS)), draw(st.sampled_from(_ANGLE_ENDS))),
+    ]))
+    setting = often(None, ("train.lr", "1e-2"), ("train.lr", "1E+30"), ("quantizer.full_scale", "2e0"),
+                    ("array.spacing", "5e-1"), ("sources.min_sep", "2e0"), ("data.train_count", -1),
+                    ("data.test_count", 0), ("data.train_count", 1), *_WRONG_TYPES)
+    if setting is not None:
+        (*sections, leaf), value = setting[0].split("."), setting[1]
+        node = tree
+        for name in sections:
+            node = node[name]
+        node[leaf] = value
+    return tree
+
+
+def _finite_rows(path):
+    """Whether every y and spread in a curve CSV is finite (x may be the noiseless SNR, inf), and its header."""
+    points, header = read_curves_csv(path)
+    return all(math.isfinite(v) for p in points for v in (p.y, p.spread)), header
+
+
+class TestEveryCommandAgreesWithValidate:
+    """ROADMAP direction 3: a config ``validate()`` refuses stops every command with exit 1 and its message before
+    it reads or writes a file; one it accepts runs every command to finite tables."""
+
+    COMMANDS = ("train", "eval-doa", "spectrum", "compress")
+
+    @given(tree=_tiny_trees())
+    @example(tree={**TINY_TREE, "snr_db": [math.inf, 10.0]})
+    @example(tree={**TINY_TREE, "snr_db": [-737.0]})
+    @example(tree={**TINY_TREE, "train": {**TINY_TREE["train"], "lr": "1E+30"}})
+    @example(tree={**TINY_TREE, "snr_db": [-738.0]})
+    @example(tree={**TINY_TREE, "network": {"widths": [17, 4, 4, 4, 16]}})
+    @example(tree={**TINY_TREE, "music": {**TINY_TREE["music"], "grid_min": -29.0}})
+    @example(tree={**TINY_TREE, "sources": {"count": 8}})
+    @example(tree={**TINY_TREE, "data": {"train_count": 1, "test_count": 6}})
+    @settings(max_examples=120, deadline=None)
+    def test_commands_run_clean_exactly_when_validate_accepts(self, pipeline_dir, tree):
+        try:
+            cfg = ScenarioConfig.from_dict(tree)
+            errs = cfg.validate()
+        except ValueError as exc:  # a wrong type: ConfigError before any leaf rule
+            errs = [str(exc)]
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path, out = Path(tmp) / "cfg.yaml", Path(tmp) / "out"
+            cfg_path.write_text(yaml.safe_dump(tree))
+            if errs:
+                out.mkdir()
+                for name in ("train.qdst", "test.qdst", "model.qdnn"):  # inputs that would let any command run
+                    (out / name).write_bytes((pipeline_dir / name).read_bytes())
+                before = TestDatasetMatchesConfig._files(out)
+                for command in self.COMMANDS:
+                    with contextlib.redirect_stderr(io.StringIO()) as err:
+                        code = run([command, "--config", cfg_path, "--out", out])
+                    assert (code, errs[0] in err.getvalue()) == (1, True), (command, errs, err.getvalue())
+                    assert TestDatasetMatchesConfig._files(out) == before, command
+                return
+            lo, hi = cfg.angle_range()
+            angles = [repr(float(a)) for a in np.linspace(lo, hi, cfg.sources.count + 2)[1:-1]]
+            assert run(["generate", "--config", cfg_path, "--out", out]) == 0
+            for command in self.COMMANDS:
+                extra = ["--angles", *angles] if command == "spectrum" else []
+                assert run([command, "--config", cfg_path, "--out", out] + extra) == 0, command
+            finite, header = _finite_rows(out / "train_curves.csv")
+            assert finite or header["diverged"] == "true"
+            for table in ("doa_mse.csv", "spectrum.csv", "compression.csv"):
+                assert _finite_rows(out / table)[0], table
