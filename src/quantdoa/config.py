@@ -73,8 +73,9 @@ def _shown(value) -> str:
 
 
 def _leaf(default, ok, says: str, *edges):
-    """A field whose set value must pass ``ok`` (it flips at ``edges``), else validate() says "<path> <says>"."""
-    return field(default=default, metadata={"ok": ok, "says": says, "edges": edges})
+    """A field whose set value must pass ``ok`` (it flips at or between ``edges``), else validate() says "<path> <says>"."""
+    fresh = {"default_factory": lambda: list(default)} if isinstance(default, list) else {"default": default}
+    return field(**fresh, metadata={"ok": ok, "says": says, "edges": edges})
 
 
 def _min(default, low: int, why: str = ""):
@@ -94,8 +95,8 @@ class ArraySection:
 @dataclass
 class SourcesSection:
     count: int = _min(3, 1)
-    angle_min: float = -30.0
-    angle_max: float = 30.0
+    angle_min: float = _leaf(-30.0, lambda v: v > -90, "must be > -90 degrees", -90.0)
+    angle_max: float = _leaf(30.0, lambda v: v < 90, "must be < 90 degrees", 90.0)
     min_sep: float = _min(1.0, 0)
 
 
@@ -107,13 +108,16 @@ class QuantizerSection:
 
 @dataclass
 class DataSection:
-    train_count: int = 5000
-    test_count: int = 1000
+    train_count: int = _min(5000, 2, " (a training batch needs two records)")
+    test_count: int = _min(1000, 1)
 
 
 @dataclass
 class NetworkSection:
-    widths: list[int] = field(default_factory=lambda: [16, 128, 128, 128, 128, 128, 16])
+    widths: list[int] = _leaf(
+        [16, 128, 128, 128, 128, 128, 16], lambda w: len(w) >= 3 and min(w) >= 1 and len(set(w[1:-1])) == 1,
+        "must list at least [in, hidden, out], each >= 1, with equal hidden widths",
+        [16, 1, 16], [16, 16], [16, 0, 16], [16, 1, 1, 1, 16], [16, 1, 2, 1, 16])
     use_bn: bool = True
     use_residual: bool = True
     activation: str = _leaf("relu", ACTIVATIONS.__contains__, f"must be one of {', '.join(ACTIVATIONS)}", *ACTIVATIONS)
@@ -129,8 +133,8 @@ class TrainSection:
 
 @dataclass
 class MusicSection:
-    grid_min: float = -30.0
-    grid_max: float = 30.0
+    grid_min: float = _leaf(-30.0, lambda v: v > -90, "must be > -90 degrees", -90.0)
+    grid_max: float = _leaf(30.0, lambda v: v < 90, "must be < 90 degrees", 90.0)
     grid_step: float = _leaf(0.01, lambda v: v > 0, "must be > 0", 0.0)
     num_snapshots: int = _min(5, 1)
     trials: int = _min(200, 1)
@@ -140,7 +144,10 @@ class MusicSection:
 @dataclass
 class ScenarioConfig:
     seed: int = _leaf(20240801, lambda v: 0 <= v <= _MASK, "must fit in an unsigned 64-bit integer", 0, _MASK)
-    snr_db: list[float] = field(default_factory=lambda: [10.0, 20.0, 30.0, 40.0, 50.0])
+    snr_db: list[float] = _leaf(  # NaN and -inf fail too
+        [10.0, 20.0, 30.0, 40.0, 50.0], lambda v: len(v) > 0 and all(x > MIN_SNR_DB for x in v),
+        f"must be a non-empty list of values above {MIN_SNR_DB:.1f} dB: float32 records overflow at or below it",
+        [], [MIN_SNR_DB], [math.nextafter(MIN_SNR_DB, 0.0)], [math.nan], [-math.inf], [math.inf, 10.0])
     array: ArraySection = field(default_factory=ArraySection)
     sources: SourcesSection = field(default_factory=SourcesSection)
     quantizer: QuantizerSection = field(default_factory=QuantizerSection)
@@ -193,63 +200,46 @@ class ScenarioConfig:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """All invariant violations, as human-readable messages: broken leaf limits, then cross-field rules."""
+        """All invariant violations: broken leaf limits, then each cross-field rule whose section keeps its limits."""
         errs = _leaf_errors(self)
         a, s, q, d, n, m = self.array, self.sources, self.quantizer, self.data, self.network, self.music
-        if not _leaf_errors(a) and a.num_sensors - 1 > float(np.finfo(float).max) / (2 * math.pi * a.spacing):
+        ok_a, ok_s, ok_q, ok_d, ok_n, ok_m = (not _leaf_errors(x) for x in (a, s, q, d, n, m))
+        if ok_a and a.num_sensors - 1 > float(np.finfo(float).max) / (2 * math.pi * a.spacing):
             errs.append("array.spacing overflows the steering phase 2*pi*spacing*(num_sensors - 1)")
-        if s.angle_max <= s.angle_min:
+        if ok_s and s.angle_max <= s.angle_min:
             errs.append("sources.angle_max must exceed sources.angle_min")
-        if not (-90 < s.angle_min and s.angle_max < 90):
-            errs.append("source angle range must lie inside (-90, 90) degrees")
         span, count = s.angle_max - s.angle_min, _number(s.count)  # a float: inf past float range
-        for name, sep in (("sources", s.min_sep), ("music", m.min_sep)):
-            if sep is None or not sep >= 0:
+        for name, sep, ok in (("sources", s.min_sep, ok_s), ("music", m.min_sep, ok_m)):
+            if sep is None or not ok:
                 continue
             if span < (count - 1) * sep:
                 errs.append(f"angle range cannot hold sources.count angles at {name}.min_sep")
             # a try keeps the separation with chance P; MAX_ANGLE_TRIES * P >= 40 fails a record below e^-40
             elif span > 0 and MAX_ANGLE_TRIES * (1 - (count - 1) * sep / span) ** count < 40:
                 errs.append(f"{name}.min_sep is met too rarely for {MAX_ANGLE_TRIES} angle draws")
-        if not self.snr_db:
-            errs.append("snr_db list must be non-empty")
-        elif any(math.isnan(v) or v == -math.inf for v in self.snr_db):
-            errs.append("snr_db values must not be NaN or -inf")
-        elif min(self.snr_db) <= MIN_SNR_DB:
-            errs.append(f"snr_db values must exceed {MIN_SNR_DB:.1f} dB: float32 records overflow below it")
         widths, v = sorted({q.bits, *RAW_SERIES_BITS}), q.full_scale
-        if v is not None and not _leaf_errors(q) and not all(0 < 2 * v / 2.0**b < math.inf for b in widths):
+        if ok_q and v is not None and not all(0 < 2 * v / 2.0**b < math.inf for b in widths):
             errs.append(f"quantizer step 2*full_scale/2**bits must be finite and > 0 for bits in {widths}")
-        if d.train_count < 1 or d.test_count < 1:
-            errs.append("data.train_count and data.test_count must be >= 1")
-        elif d.train_count < 2:
-            errs.append("data.train_count must be >= 2 (a training batch needs two records)")
+        if ok_d and max(d.train_count, d.test_count) * (16 * a.num_sensors + 8 * s.count + 16) >= 2**63:
+            errs.append("data.train_count or data.test_count records overflow numpy's largest array (2**63 bytes)")
         two_m, w = 2 * a.num_sensors, n.widths
-        if len(w) < 3:
-            errs.append("network.widths must list at least [in, hidden, out]")
-        else:
+        if ok_n:
             for end, width in (("start", w[0]), ("end", w[-1])):
                 if width != two_m:
                     errs.append(f"network.widths must {end} at 2*num_sensors = {_shown(two_m)}, got {_shown(width)}")
-            if any(x < 1 for x in w):
-                errs.append("network.widths entries must be positive")
-            if len(set(w[1:-1])) > 1:
-                errs.append("network.widths hidden entries must all be equal")
             if n.use_residual and (len(w) - 3) % 2 != 0:
                 errs.append("residual pairing needs an even hidden-layer count (len(network.widths) must be odd)")
-        if m.grid_max <= m.grid_min:
+        if ok_m and m.grid_max <= m.grid_min:
             errs.append("music.grid_max must exceed music.grid_min")
-        if not (-90 < m.grid_min and m.grid_max < 90):
-            errs.append("music grid must lie inside (-90, 90) degrees")
-        elif m.grid_step > 0 and m.grid_max > m.grid_min:
+        elif ok_m:
             points = grid_points(m.grid_min, m.grid_max, m.grid_step)
             if points < count:
                 errs.append(f"music grid has fewer than sources.count = {_shown(s.count)} points")
             elif points > MAX_GRID_POINTS:
                 errs.append(f"music grid has more than {MAX_GRID_POINTS} points: raise music.grid_step")
-        if s.count >= a.num_sensors:
+        if ok_s and s.count >= a.num_sensors:
             errs.append("sources.count must be smaller than array.num_sensors for MUSIC")
-        if why := self.uncovered_sources():
+        if ok_s and (why := self.uncovered_sources()):
             errs.append(why)
         return errs
 

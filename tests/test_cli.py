@@ -166,7 +166,7 @@ class TestValidationErrors:
             "--set", "music.grid_min=-90.0", "--set", "music.grid_max=90.0",
         ])
         assert code == 1
-        assert "music grid must lie inside (-90, 90)" in capsys.readouterr().err
+        assert "music.grid_min must be > -90 degrees" in capsys.readouterr().err
 
     def test_zero_trials_flag_exit_1_before_any_input_is_read(self, tmp_path, capsys):
         assert run(["eval-doa", "--out", tmp_path, "--set", "music.trials=0"]) == 1
@@ -217,13 +217,13 @@ class TestValidationErrors:
         # ints beyond float range read as +-inf, as YAML reads 1.0e+400
         pytest.param("generate", "train.lr=1" + "0" * 400, "train.lr must be finite and > 0",
                      id="generate-train.lr=1e400-int"),
-        pytest.param("generate", "snr_db=[-1" + "0" * 400 + "]", "snr_db values must not be NaN or -inf",
-                     id="generate-snr_db=[-1e400-int]"),
+        pytest.param("generate", "snr_db=[-1" + "0" * 400 + "]",
+                     "snr_db must be a non-empty list of values above -737.5 dB", id="generate-snr_db=[-1e400-int]"),
         ("generate", "array.num_sensors=1", "array.num_sensors must be >= 2"),
         ("generate", "sources.count=0", "sources.count must be >= 1"),
         ("generate", "sources.angle_max=-30.0", "sources.angle_max must exceed sources.angle_min"),
-        ("generate", "sources.angle_min=-90.0", "source angle range must lie inside (-90, 90) degrees"),
-        ("generate", "data.train_count=0", "data.train_count and data.test_count must be >= 1"),
+        ("generate", "sources.angle_min=-90.0", "sources.angle_min must be > -90 degrees"),
+        ("generate", "data.train_count=0", "data.train_count must be >= 2"),
         ("train", "data.train_count=1", "data.train_count must be >= 2"),
         ("generate", "network.widths=[16, 16]", "network.widths must list at least [in, hidden, out]"),
         ("generate", "network.activation=gelu", "network.activation must be one of relu, tanh, sigmoid"),
@@ -235,8 +235,8 @@ class TestValidationErrors:
         ("generate", "music.num_snapshots=0", "music.num_snapshots must be >= 1"),
         # each of these passed validation and then wrote NaN records or failed mid-run
         ("generate", "array.spacing=1e307", "array.spacing overflows the steering phase"),
-        ("generate", "snr_db=[-1000.0]", "snr_db values must exceed -737.5 dB"),
-        ("generate", "snr_db=[-4000.0]", "snr_db values must exceed -737.5 dB"),
+        ("generate", "snr_db=[-1000.0]", "snr_db must be a non-empty list of values above -737.5 dB"),
+        ("generate", "snr_db=[-4000.0]", "snr_db must be a non-empty list of values above -737.5 dB"),
         ("generate", "sources.min_sep=29.0", "sources.min_sep is met too rarely for 10000 angle draws"),
         ("eval-doa", "music.min_sep=29.0", "music.min_sep is met too rarely for 10000 angle draws"),
         ("generate", "quantizer.full_scale=1e308", "quantizer step 2*full_scale/2**bits must be finite and > 0"),
@@ -533,7 +533,10 @@ class TestDatasetMatchesConfig:
 
 
 def _edge_values(node, path=""):
-    """{path: values} for every leaf limit declared on a config field: each edge, its neighbours, and extremes."""
+    """{path: values} for every leaf limit declared on a config field: each edge, its neighbours, and extremes.
+
+    A list leaf's edges are whole values on either side of its rule, and are taken as they are.
+    """
     table, hints = {}, typing.get_type_hints(type(node))
     for f in dataclasses.fields(node):
         value = getattr(node, f.name)
@@ -543,6 +546,8 @@ def _edge_values(node, path=""):
             edges, typ = f.metadata["edges"], hints[f.name]
             if typ is str:
                 values = [*edges, ""]
+            elif typing.get_origin(typ) is list:
+                values = list(edges)
             elif typ is int:
                 values = [e + d for e in edges for d in (-1, 0, 1)] + [0, -1, 10**307]
             else:
@@ -563,7 +568,7 @@ def _leaf_settings(draw):
 
 class TestSettingLimits:
     def test_edge_table_reads_every_declared_leaf(self):
-        assert len(_EDGE_VALUES) == 15
+        assert len(_EDGE_VALUES) == 23
         assert {"seed", "array.spacing", "quantizer.full_scale", "music.min_sep"} <= set(_EDGE_VALUES)
 
     @given(overrides=_leaf_settings())
@@ -576,6 +581,7 @@ class TestSettingLimits:
     @example(overrides={"quantizer.full_scale": 1e308})
     @example(overrides={"music.grid_step": 1e-9})
     @example(overrides={"sources.count": 10**400})
+    @example(overrides={"data.test_count": 10**307})
     @settings(max_examples=60, deadline=None)
     def test_generate_writes_finite_records_exactly_when_validate_accepts(self, overrides):
         cfg = desk_default()
@@ -676,6 +682,14 @@ class TestProvenanceHoles:
         assert run(["eval-doa", "--out", tmp_path, "--set", "quantizer.full_scale=9.0"] + TINY) == 1
         assert not (tmp_path / "doa_mse.csv").exists()
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP direction 17: cli._model compares only the layout, so a model trained at "
+                       "the full scale of five SNRs (3.8944) is scored behind the one snr_db=[50.0] derives (3.0089)")
+    def test_eval_doa_of_a_model_trained_at_another_derived_full_scale_exit_1(self, pipeline_dir, tmp_path):
+        (tmp_path / "model.qdnn").write_bytes((pipeline_dir / "model.qdnn").read_bytes())
+        assert run(["eval-doa", "--out", tmp_path, "--set", "snr_db=[50.0]"] + TINY) == 1
+        assert not (tmp_path / "doa_mse.csv").exists()
+
 
 _ANGLE_ENDS = [-90.0, -89.9, -60.0, -30.0, -10.0, 0.0, 10.0, 30.0, 60.0, 89.9, 90.0, math.nan, math.inf]
 _SNRS = [-738.0, -737.0, -100.0, -10.0, 0.0, 10.0, 50.0, 300.0, 1e300, math.inf, -math.inf, math.nan, "1e1"]
@@ -693,7 +707,8 @@ TINY_TREE = {**desk_default().to_dict(), "data": {"train_count": 20, "test_count
 
 @st.composite
 def _tiny_trees(draw):
-    """A tiny config tree, then settings with no one-field limit, exponent strings and wrong types drawn onto it.
+    """A tiny config tree, then sensor and source counts, widths, SNR lists and angle and grid ends drawn onto it,
+    many past a limit or a cross-field rule, and at most one exponent string, out-of-range data count or wrong type.
 
     Each drawn setting keeps its tiny value three times in four, so about a third of the trees pass ``validate()``.
     """

@@ -1,4 +1,7 @@
+import dataclasses
+import math
 import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from quantdoa.config import (
     desk_default,
     load_config,
 )
+from quantdoa.dataset import record_dtype
 from quantdoa.music import MAX_GRID_POINTS
 
 
@@ -41,6 +45,11 @@ class TestDefaults:
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(cfg.to_dict(), sort_keys=False))
         assert load_config(path).to_dict() == cfg.to_dict()
+
+
+_SNR_FLOOR = "snr_db must be a non-empty list of values above -737.5 dB"
+# the scan grid that covers a source range widened to the inside value, so that value passes validate()
+_GRID_COVERING = {"angle_min": (-89.9, 30.0), "angle_max": (-30.0, 89.9)}
 
 
 class TestValidation:
@@ -80,7 +89,7 @@ class TestValidation:
     def test_grid_must_lie_inside_the_front_half_space(self):
         cfg = desk_default()
         cfg.music.grid_min, cfg.music.grid_max = -90.0, 90.0
-        assert any("music grid" in e for e in cfg.validate())
+        assert any("music.grid_min must be > -90 degrees" in e for e in cfg.validate())
 
     @pytest.mark.parametrize("step, short", [(30.0, False), (30.5, True), (100.0, True), (5e-324, False)])
     def test_grid_needs_a_point_per_source(self, step, short):
@@ -168,7 +177,18 @@ class TestValidation:
 
     @pytest.mark.parametrize("section, leaf, inside, outside, message", [
         ("array", "spacing", 1e306, 1e307, "array.spacing overflows the steering phase"),
-        (None, "snr_db", [-737.0], [-738.0], "snr_db values must exceed -737.5 dB"),
+        (None, "snr_db", [-737.0], [-738.0], _SNR_FLOOR),
+        (None, "snr_db", [10.0], [], _SNR_FLOOR),
+        (None, "snr_db", [10.0, math.inf], [10.0, math.nan], _SNR_FLOOR),
+        ("sources", "angle_min", -89.9, -90.0, "sources.angle_min must be > -90 degrees"),
+        ("sources", "angle_max", 89.9, 90.0, "sources.angle_max must be < 90 degrees"),
+        ("music", "grid_min", -89.9, -90.0, "music.grid_min must be > -90 degrees"),
+        ("music", "grid_max", 89.9, 90.0, "music.grid_max must be < 90 degrees"),
+        ("data", "train_count", 2, 1, "data.train_count must be >= 2 (a training batch needs two records)"),
+        ("data", "test_count", 1, 0, "data.test_count must be >= 1"),
+        ("network", "widths", [16, 128, 16], [16, 16], "network.widths must list at least [in, hidden, out]"),
+        ("network", "widths", [16, 1, 16], [16, 0, 16], "[in, hidden, out], each >= 1"),
+        ("network", "widths", [16, 2, 2, 2, 16], [16, 2, 1, 2, 16], "with equal hidden widths"),
         ("sources", "min_sep", 25.0, 26.0, "sources.min_sep is met too rarely for 10000 angle draws"),
         ("music", "min_sep", 25.0, 26.0, "music.min_sep is met too rarely for 10000 angle draws"),
         ("quantizer", "full_scale", 8e307, 1e308, "quantizer step 2*full_scale/2**bits must be finite and > 0"),
@@ -178,12 +198,25 @@ class TestValidation:
     ])
     def test_value_just_inside_a_limit_is_accepted(self, section, leaf, inside, outside, message):
         cfg = desk_default()
+        cfg.music.grid_min, cfg.music.grid_max = _GRID_COVERING.get(leaf, (-30.0, 30.0))
         node = cfg if section is None else getattr(cfg, section)
         setattr(node, leaf, inside)
         assert cfg.validate() == []
         setattr(node, leaf, outside)
         errs = cfg.validate()
         assert len(errs) == 1 and message in errs[0]
+
+    @pytest.mark.parametrize("leaf", ["train_count", "test_count"])
+    def test_records_must_fit_one_numpy_array(self, leaf):
+        # generate holds a set as one array of .qdst records; validate() spells their 16*M + 8*K + 16 bytes out in
+        # Python ints, which record_dtype cannot take for an M or K past int64, so this pins the two together
+        cfg = desk_default()
+        most = (2**63 - 1) // record_dtype(cfg.array.num_sensors, cfg.sources.count).itemsize
+        setattr(cfg.data, leaf, most)
+        assert cfg.validate() == []
+        setattr(cfg.data, leaf, most + 1)
+        records = "data.train_count or data.test_count records overflow numpy's largest array (2**63 bytes)"
+        assert cfg.validate() == [records]
 
     def test_quantizer_step_must_not_underflow(self):
         cfg = desk_default()
@@ -197,6 +230,31 @@ class TestValidation:
         cfg = desk_default()
         cfg.sources.count, cfg.sources.min_sep = 1, 1e300
         assert cfg.validate() == []
+
+
+def _declared_limits(node, path=""):
+    """A ``pytest.param(type, ok, edges, id=path)`` for every leaf limit declared on a field under ``node``."""
+    hints = typing.get_type_hints(type(node))
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _declared_limits(value, f"{path}{f.name}.")
+        elif "edges" in f.metadata:
+            yield pytest.param(hints[f.name], f.metadata["ok"], f.metadata["edges"], id=path + f.name)
+
+
+class TestDeclaredEdges:
+    @pytest.mark.parametrize("typ, ok, edges", _declared_limits(desk_default()))
+    def test_every_declared_edge_is_where_the_limit_flips(self, typ, ok, edges):
+        assert edges
+        if typ is str:
+            assert all(ok(e) for e in edges) and not ok("")
+        elif typing.get_origin(typ) is list:  # whole values: at least one on each side of the rule
+            assert {ok(e) for e in edges} == {True, False}
+        else:  # ok differs somewhere among e - d, e, e + d: d is 1 for an int, one ulp for a float
+            for e in edges:
+                near = [e - 1, e, e + 1] if typ is int else [math.nextafter(e, to) for to in (-math.inf, e, math.inf)]
+                assert len({ok(v) for v in near}) == 2, e
 
 
 class TestOverrides:
