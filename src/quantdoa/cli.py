@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 configuration/usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -103,12 +104,22 @@ def _require(path: Path, what: str) -> Path:
 
 
 def _cmd_generate(args, config: ScenarioConfig) -> None:
+    """Both splits go to temporary names in ``out`` and replace the old files only once both are written."""
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    for split in ("train", "test"):
-        ds = build_dataset(config, split)
-        save_dataset(ds, out / f"{split}.qdst")
-        print(f"wrote {out / f'{split}.qdst'} ({ds.count} records, V={ds.full_scale:.6g})")
+    partial = {split: out / f".{split}.qdst.partial" for split in ("train", "test")}
+    try:
+        notes = []
+        for split, path in partial.items():
+            ds = build_dataset(config, split)
+            save_dataset(ds, path)
+            notes.append(f"wrote {out / f'{split}.qdst'} ({ds.count} records, V={ds.full_scale:.6g})")
+        for split, path in partial.items():
+            os.replace(path, out / f"{split}.qdst")
+        print("\n".join(notes))
+    finally:
+        for path in partial.values():
+            path.unlink(missing_ok=True)
 
 
 def _dataset(out: Path, split: str, config: ScenarioConfig) -> Dataset:

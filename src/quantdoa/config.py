@@ -222,6 +222,11 @@ class ScenarioConfig:
             errs.append(f"quantizer step 2*full_scale/2**bits must be finite and > 0 for bits in {widths}")
         if ok_d and max(d.train_count, d.test_count) * (16 * a.num_sensors + 8 * s.count + 16) >= 2**63:
             errs.append("data.train_count or data.test_count records overflow numpy's largest array (2**63 bytes)")
+        if ok_m and m.trials * 8 >= 2**63:  # eval-doa's trial seeds and each series' MSEs: 8 bytes a trial
+            errs.append("music.trials overflows numpy's largest array (2**63 bytes) of 8-byte per-trial values")
+        if ok_a and ok_m and a.num_sensors * m.num_snapshots * 16 >= 2**63:  # a trial's or spectrum's M x N record
+            errs.append("array.num_sensors * music.num_snapshots complex snapshots (16 bytes each) overflow "
+                        "numpy's largest array (2**63 bytes)")
         two_m, w = 2 * a.num_sensors, n.widths
         if ok_n:
             for end, width in (("start", w[0]), ("end", w[-1])):

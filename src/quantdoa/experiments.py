@@ -125,13 +125,10 @@ def train(
             idx = perm[lo : lo + batch_size]
             if idx.size < 2:
                 continue  # batch norm cannot normalize a single row
-            xb, yb = inputs[idx], targets[idx]
-            out, cache = net.forward(model, xb, mode="train")
-            batch_loss = net.loss(out, yb)
+            batch_loss = _gradient_step(model, inputs[idx], targets[idx], grad)
             if not np.isfinite(batch_loss):
                 diverged = True
                 break
-            net.backward(model, cache, yb, out=grad)
             try:
                 adam_step(model.params, grad, state)
             except NonFiniteGradientError:
@@ -164,6 +161,15 @@ def train(
         train_seconds=elapsed,
         final_test_loss=test_loss,
     )
+
+
+def _gradient_step(model: net.DenoiserModel, xb: np.ndarray, yb: np.ndarray, grad: np.ndarray) -> float:
+    """One batch's train-mode loss, with its gradients in ``grad`` when finite; its activations die on return."""
+    out, cache = net.forward(model, xb, mode="train")
+    batch_loss = net.loss(out, yb)
+    if np.isfinite(batch_loss):
+        net.backward(model, cache, yb, out=grad)
+    return batch_loss
 
 
 def evaluate_loss(model: net.DenoiserModel, ds: Dataset) -> float:

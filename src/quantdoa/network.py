@@ -16,8 +16,8 @@ float32 while the gradient-check tests instantiate float64 models.
 
 Batch norm in train mode normalizes with biased batch statistics and
 updates running statistics by exponential moving average
-(new = 0.9*old + 0.1*batch); inference uses the running statistics only
-and never mutates the model.
+(new = 0.9*old + 0.1*batch); inference uses the running statistics only,
+normalizing the FC output in place, and never mutates the model.
 """
 
 from __future__ import annotations
@@ -177,9 +177,13 @@ def batch_norm_train(t: np.ndarray, bn: BatchNorm) -> tuple[np.ndarray, tuple]:
 
 
 def batch_norm_infer(t: np.ndarray, bn: BatchNorm) -> np.ndarray:
-    """Deterministic normalization by the stored running statistics."""
+    """``t`` normalized in place by the running statistics, rounded as ``gamma * (t - mean) * inv_std + beta``."""
     inv_std = 1.0 / np.sqrt(bn.running_var + BN_EPS)
-    return bn.gamma * (t - bn.running_mean) * inv_std + bn.beta
+    t -= bn.running_mean
+    t *= bn.gamma
+    t *= inv_std
+    t += bn.beta
+    return t
 
 
 def batch_norm_backward(dout: np.ndarray, cache: tuple, dgamma: np.ndarray, dbeta: np.ndarray) -> np.ndarray:

@@ -15,6 +15,8 @@ still reject a reconstruction that does nothing.
 
 import ctypes
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -27,7 +29,7 @@ from scipy import stats
 
 import quantdoa
 from quantdoa import network as net
-from quantdoa.checkpoint import parameter_payload_bytes
+from quantdoa.checkpoint import parameter_payload_bytes, save_checkpoint
 from quantdoa.cli import parse_and_dispatch
 from quantdoa.config import DOMAIN_TRIALS, ScenarioConfig, apply_overrides, derived_seeds, desk_default
 from quantdoa.dataset import build_dataset
@@ -51,6 +53,7 @@ from quantdoa.signal_model import (
 )
 
 from accessors import quantizer_levels, quantizer_spec
+from curves import read_curves_csv
 
 
 def paired_stderr(a: TrialResult, b: TrialResult) -> float:
@@ -493,6 +496,25 @@ def test_criterion_5b_rejects_identity_reconstruction(headline_eval, ideal_eval)
         f"raw-1bit {identity.mean:.2f} vs bound {threshold:.2f}",
     )
     assert rejected, "criterion 5b accepts the identity reconstruction"
+
+
+def readme_recipe() -> list[list[str]]:
+    """The command lines of README's acceptance-headline block, split as a shell splits them."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n### The acceptance headline from the CLI\n", 1)[1]
+    block = re.search(r"^```\n(.*?)^```", section, re.S | re.M)[1]
+    return [shlex.split(line) for line in block.splitlines()]
+
+
+def test_readme_recipe_writes_the_headline_row(desk_setup, headline_eval, tmp_path):
+    """README's eval-doa flags, through the CLI on the fixture's model, write headline_eval's 50 dB means."""
+    _, _, _, result = desk_setup
+    save_checkpoint(result.model, tmp_path / "model.qdnn")
+    (argv,) = [line[1:] for line in readme_recipe() if line[:2] == ["quantdoa", "eval-doa"]]
+    argv[argv.index("--out") + 1] = str(tmp_path)
+    assert parse_and_dispatch(argv) == 0
+    rows = {p.series: p.y for p in read_curves_csv(tmp_path / "doa_mse.csv")[0] if p.x == 50.0}
+    assert {tag: rows[tag] for tag in headline_eval} == {tag: r.mean for tag, r in headline_eval.items()}
 
 
 @pytest.mark.skipif(

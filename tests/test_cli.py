@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quantdoa
-from quantdoa import experiments
+from quantdoa import cli, experiments
 from quantdoa.checkpoint import load_checkpoint, save_checkpoint
 from quantdoa.cli import parse_and_dispatch
 from quantdoa.config import ScenarioConfig, desk_default
@@ -58,6 +58,29 @@ class TestGenerate:
         assert run(["generate", "--out", a, "--seed", 1] + TINY) == 0
         assert run(["generate", "--out", b, "--seed", 2] + TINY) == 0
         assert (a / "train.qdst").read_bytes() != (b / "train.qdst").read_bytes()
+
+    @pytest.mark.parametrize("stage", ["build", "save"])
+    def test_failing_test_split_leaves_out_as_it_was(self, tmp_path, monkeypatch, stage):
+        assert run(["generate", "--out", tmp_path, "--seed", 1] + TINY) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        build, save = cli.build_dataset, cli.save_dataset
+
+        def build_or_fail(config, split):
+            if stage == "build" and split == "test":
+                raise MemoryError("injected")
+            return build(config, split)
+
+        def save_or_fail(ds, path):
+            if stage == "save" and "test" in path.name:
+                path.write_bytes(b"half a set")
+                raise MemoryError("injected")
+            save(ds, path)
+
+        monkeypatch.setattr(cli, "build_dataset", build_or_fail)
+        monkeypatch.setattr(cli, "save_dataset", save_or_fail)
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert run(["generate", "--out", tmp_path, "--seed", 2] + TINY) == 2
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestPipeline:
@@ -769,6 +792,10 @@ class TestEveryCommandAgreesWithValidate:
     @example(tree={**TINY_TREE, "music": {**TINY_TREE["music"], "grid_min": -29.0}})
     @example(tree={**TINY_TREE, "sources": {"count": 8}})
     @example(tree={**TINY_TREE, "data": {"train_count": 1, "test_count": 6}})
+    @example(tree={**TINY_TREE, "music": {**TINY_TREE["music"], "trials": 2**60}})  # 8 bytes a trial: 2**63
+    @example(tree={**TINY_TREE, "music": {**TINY_TREE["music"], "trials": 10**307}})
+    @example(tree={**TINY_TREE, "music": {**TINY_TREE["music"], "num_snapshots": 2**56}})  # 8 x 2**56 x 16 bytes
+    @example(tree={**TINY_TREE, "music": {**TINY_TREE["music"], "num_snapshots": 10**307}})
     @settings(max_examples=120, deadline=None)
     def test_commands_run_clean_exactly_when_validate_accepts(self, pipeline_dir, tree):
         try:

@@ -218,6 +218,18 @@ class TestValidation:
         records = "data.train_count or data.test_count records overflow numpy's largest array (2**63 bytes)"
         assert cfg.validate() == [records]
 
+    def test_trials_and_snapshot_blocks_must_fit_one_numpy_array(self):
+        # eval-doa holds 8 bytes a trial (seeds, each series' MSEs); a trial or spectrum record is M x N complex128
+        cfg = desk_default()
+        cfg.music.trials, cfg.music.num_snapshots = 2**60 - 1, 2**63 // (16 * cfg.array.num_sensors) - 1
+        assert cfg.validate() == []
+        cfg.music.trials += 1
+        trials = "music.trials overflows numpy's largest array (2**63 bytes) of 8-byte per-trial values"
+        assert cfg.validate() == [trials]
+        cfg.music.trials, cfg.music.num_snapshots = 200, cfg.music.num_snapshots + 1
+        assert cfg.validate() == ["array.num_sensors * music.num_snapshots complex snapshots (16 bytes each) overflow "
+                                  "numpy's largest array (2**63 bytes)"]
+
     def test_quantizer_step_must_not_underflow(self):
         cfg = desk_default()
         cfg.quantizer.full_scale = 2.5e-323  # the step 2V/2**bits is 5e-324 at four bits

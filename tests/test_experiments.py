@@ -1,10 +1,11 @@
 import hashlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from quantdoa import network as net
+from quantdoa import experiments, network as net
 from quantdoa.config import DOMAIN_TRIALS, ConfigError, apply_overrides, derived_seed, desk_default
 from quantdoa.dataset import build_dataset
 from quantdoa.experiments import (
@@ -134,6 +135,30 @@ class TestTrain:
         result = train(cfg, train_set, test_set)
         assert result.diverged
         assert result.final_test_loss == evaluate_loss(result.model, test_set)
+
+    def test_step_activations_die_before_adam_and_evaluation(self, monkeypatch):
+        cfg = tiny_config(train__epochs=2)  # 400 records at batch 256: two steps an epoch
+        train_set, test_set = build_dataset(cfg, "train"), build_dataset(cfg, "test")
+        forward, made, alive = net.forward, [], []
+
+        def recording_forward(model, x, mode="infer"):
+            out, cache = forward(model, x, mode)
+            if mode == "train":  # every array of the step but the model's own gamma views
+                arrays = [out] + [a for c in cache for a in (c.x, c.out, *(c.bn or ()))]
+                made.extend(weakref.ref(a) for a in arrays if not np.may_share_memory(a, model.params))
+            return out, cache
+
+        def counting(fn):
+            def call(*args):
+                alive.append(sum(ref() is not None for ref in made))
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(net, "forward", recording_forward)
+        monkeypatch.setattr(experiments, "adam_step", counting(experiments.adam_step))
+        monkeypatch.setattr(experiments, "evaluate_loss", counting(experiments.evaluate_loss))
+        train(cfg, train_set, test_set)
+        assert alive == [0, 0, 0] * 2  # per epoch: two Adam steps, then the test evaluation
 
 
 # SHA-256 of the trained arrays (running statistics included) written by

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,10 +87,21 @@ class TestBatchNorm:
         bn.running_mean[...] = [1.0, -1.0]
         bn.running_var[...] = [4.0, 0.25]
         x = np.array([[3.0, 0.0]])
+        expected = (x - bn.running_mean) / np.sqrt(bn.running_var + net.BN_EPS)  # the call normalizes x in place
         out = net.batch_norm_infer(x, bn)
-        np.testing.assert_allclose(
-            out, (x - bn.running_mean) / np.sqrt(bn.running_var + net.BN_EPS), rtol=1e-6
-        )
+        np.testing.assert_allclose(out, expected, rtol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_infer_in_place_rounds_as_the_expression(self, dtype):
+        rng = np.random.default_rng(7)
+        gamma, beta, mean = rng.standard_normal((3, 6)).astype(dtype)
+        bn = net.BatchNorm(gamma, beta, mean, rng.uniform(0.2, 2.0, 6).astype(dtype))
+        t = rng.standard_normal((9, 6)).astype(dtype)
+        inv_std = 1.0 / np.sqrt(bn.running_var + net.BN_EPS)
+        expected = bn.gamma * (t - bn.running_mean) * inv_std + bn.beta
+        out = net.batch_norm_infer(t, bn)
+        assert out is t and out.dtype == dtype
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestForward:
@@ -170,6 +182,20 @@ class TestForward:
         out, cache = net.forward(model, rng.standard_normal((300, 16)).astype(np.float32), "infer")
         assert cache == []
         assert hashlib.sha256(out.tobytes()).hexdigest() == self.INFER_DIGESTS[name]
+
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_infer_peaks_at_three_layer_buffers(self, n):
+        # a residual layer holds its skip, its input and its FC output; batch norm normalizes that output in place
+        model = make_model([16] + [128] * 5 + [16], seed=4, dtype=np.float32)
+        x = np.random.default_rng(5).standard_normal((n, 16)).astype(np.float32)
+        net.forward(model, x, "infer")  # first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            net.forward(model, x, "infer")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * 128 * 4 + n * 16 * 4, f"{peak / (n * 128 * 4):.2f} layer buffers"
 
 
 class TestLoss:
