@@ -14,8 +14,9 @@ are plain complex ndarrays: Y is (M, N), one column per snapshot.
 
 Every step accepts leading batch axes and puts each matrix of a stack
 through the same arithmetic as a lone one, so ``run_trials`` can take one
-covariance and one ``eigh`` per block of trials and scan the subspaces in
-spectrum chunks, and still match one-at-a-time scans bit for bit.
+covariance and one ``eigh`` per block of trials, scan the subspaces in
+spectrum chunks and rescan any few of them, and still match one-at-a-time
+scans bit for bit.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ SPECTRUM_REGULARIZER = 1e-12
 
 # Working-memory budget of run_trials: a chunk's (T, M-K, G) projection,
 # a block's (T, M, N) snapshots and (T, M, M) covariances and eigenvectors,
-# and the float32 rows of each layer of a denoiser call stay near it; a block
-# holds at least one chunk.
+# and the float32 rows of each layer of a denoiser call stay near it.
 CHUNK_BYTES = 4_000_000
 
 # Transforms map clean complex snapshots, M x N or a stack (..., M, N)
@@ -88,28 +88,20 @@ def noise_subspace(cov: np.ndarray, num_sources: int) -> np.ndarray:
     return vecs[..., : m - num_sources]
 
 
-def music_spectrum(subspace: np.ndarray, steering: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+def music_spectrum(subspace: np.ndarray, steering: np.ndarray) -> np.ndarray:
     """Pseudo-spectrum over a grid given by its steering matrix (one column per angle).
 
     ``subspace`` is a noise basis (M, M-K) from ``noise_subspace``, or a stack (..., M, M-K) giving a stack of
-    spectra (..., G).  Larger means more source-like.  ``keep`` indexes trials of a stack: only their spectra are
-    formed, bit for bit as the whole stack's, from the one GEMM over all of them.
+    spectra (..., G).  Larger means more source-like.  Each matrix's spectrum comes from its own product (numpy
+    runs one BLAS call per matrix of a stack), so it has the bits of that matrix scanned alone.
     """
-    rows = subspace.conj().swapaxes(-1, -2)
-    if keep is not None and rows.ndim < 3:
-        raise ValueError("keep selects trials of a stack of subspaces, not points of one spectrum")
-    keep = slice(None) if keep is None else keep
-    if rows.shape[-2] > 1:  # one GEMM over the subspace rows of every matrix
-        projection = (rows.reshape(-1, rows.shape[-1]) @ steering).reshape(*rows.shape[:-1], -1)
-    else:
-        # numpy sends one-row products to gemv, which rounds unlike gemm
-        projection = rows @ steering
+    projection = subspace.conj().swapaxes(-1, -2) @ steering
     # |P_r|^2 summed one row at a time, in the order np.sum(..., axis=-2) adds.
-    spectrum = np.abs(projection[..., 0, :][keep])
+    spectrum = np.abs(projection[..., 0, :])
     spectrum **= 2
     scratch = np.empty_like(spectrum)
-    for row in range(1, rows.shape[-2]):
-        np.abs(projection[..., row, :][keep], out=scratch)
+    for row in range(1, projection.shape[-2]):
+        np.abs(projection[..., row, :], out=scratch)
         scratch **= 2
         spectrum += scratch
     spectrum += SPECTRUM_REGULARIZER
@@ -272,7 +264,7 @@ def run_trials(
     denoiser in batches of ``CHUNK_BYTES`` a layer), and its covariances and noise subspaces
     come from one ``eigh`` call; the spectra are scanned in chunks (see ``CHUNK_BYTES``).
     Neither size moves a result, nor does picking each chunk first from the polynomial spectrum -d:
-    the rows in doubt are picked again from ``music_spectrum``, which still runs its GEMM on the whole chunk.
+    the trials in doubt, and only they, are picked again from their own ``music_spectrum`` products.
     """
     trials = len(seeds)
     if trials < 1:
@@ -285,7 +277,7 @@ def run_trials(
     projection_bytes = (geom.num_sensors - num_sources) * grid_deg.size * steering.itemsize
     chunk = max(1, CHUNK_BYTES // projection_bytes)
     trial_bytes = geom.num_sensors * max(num_snapshots, geom.num_sensors) * steering.itemsize
-    block = max(chunk, CHUNK_BYTES // trial_bytes)
+    block = max(1, CHUNK_BYTES // trial_bytes)
     mses = {tag: np.empty(trials, dtype=float) for tag in transforms}
     for lo in range(0, trials, block):
         batch = seeds[lo : lo + block].tolist()
@@ -304,6 +296,6 @@ def run_trials(
             for part in parts:
                 if (rows := np.flatnonzero(doubt[part])).size:
                     picks[part][rows] = pick_peak_rows(
-                        grid_deg, music_spectrum(subspaces[part], steering, rows), num_sources)[0]
+                        grid_deg, music_spectrum(subspaces[part][rows], steering), num_sources)[0]
             mses[tag][lo : lo + block] = doa_mse(picks, truths)
     return {tag: TrialResult(mses=m) for tag, m in mses.items()}

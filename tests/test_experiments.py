@@ -374,6 +374,15 @@ class TestEvalDoa:
         with pytest.raises(ConfigError, match=r"\[-30.0, 30.0\] fall outside the scan range \[-10.0, 10.0\]"):
             eval_doa(None, cfg, series=("unquantized",))
 
+    def test_an_accepted_snapshot_count_fails_only_for_want_of_memory(self):
+        # validate() bounds one trial's snapshots, and run_trials's blocks then hold one trial, so what is left
+        # is an allocation the machine cannot make, not an array numpy refuses to describe (ValueError)
+        cfg = desk_default()
+        cfg.snr_db, cfg.music.trials, cfg.music.num_snapshots = [10.0], 8, 2**56 - 1
+        assert cfg.validate() == []
+        with pytest.raises(MemoryError):
+            eval_doa(None, cfg, series=("unquantized",))
+
     def test_4000_trials_peak_within_the_chunk_budget(self):
         # A 3,906-trial block of desk records puts 19,530 snapshot rows through the 128-wide denoiser, in
         # calls of at most 7,812 rows; in one call they peaked at 60.1 MiB.

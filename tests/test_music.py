@@ -194,7 +194,7 @@ class TestMusicSpectrum:
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_kept_trials_match_the_whole_stack_bit_for_bit(self, trials, shape, seed, data):
+    def test_a_sub_stack_matches_the_whole_stack_bit_for_bit(self, trials, shape, seed, data):
         m, k = shape
         rng = np.random.default_rng(seed)
         snapshots = rng.standard_normal((trials, m, 5)) + 1j * rng.standard_normal((trials, m, 5))
@@ -204,14 +204,9 @@ class TestMusicSpectrum:
         whole = music_spectrum(subspaces, steering)
         keep = np.array(data.draw(st.lists(st.integers(0, trials - 1), unique=True), label="keep"), dtype=np.intp)
         for rows in (keep, np.sort(keep), np.arange(trials)):
-            kept = music_spectrum(subspaces, steering, rows)
-            assert kept.shape == (rows.size, GRID.size)
-            assert kept.tobytes() == whole[rows].tobytes()
-
-    def test_keep_on_one_basis_rejected(self):
-        subspace = noise_subspace(random_psd(8, 3), 3)
-        with pytest.raises(ValueError, match="stack"):
-            music_spectrum(subspace, steering_matrix(GRID, GEOM8), np.array([0, 1]))
+            sub = music_spectrum(subspaces[rows], steering)
+            assert sub.shape == (rows.size, GRID.size)
+            assert sub.tobytes() == whole[rows].tobytes()
 
 
 class TestStackedScan:
@@ -237,7 +232,7 @@ class TestStackedScan:
 
     @pytest.mark.parametrize("m, k", [(8, 7), (4, 3), (8, 6), (8, 3), (6, 1)])
     def test_flat_gemm_matches_each_matrix_bit_for_bit(self, m, k):
-        # M - K = 1 keeps a per-matrix product; M - K >= 2 runs one GEMM
+        # M - K = 1 takes numpy's one-row product (gemv); M - K >= 2 a gemm per matrix
         rng = np.random.default_rng(m * 10 + k)
         geom = ArrayGeometry(m)
         data = rng.standard_normal((9, m, 5)) + 1j * rng.standard_normal((9, m, 5))
@@ -268,13 +263,15 @@ class TestRowSpectrum:
         data[count // 2 :] = quantize_complex(data[count // 2 :], QuantizerSpec(1, 1.0))
         return data, sample_covariance(data)
 
-    # M - K = 1 keeps the one-row product; (8, 3) is the desk shape
+    # M - K = 1 takes the one-row product; (8, 3) is the desk shape.  The reference scans each matrix
+    # alone: its one GEMM over a stack's rows rounds a row by its place in the stack under some kernels.
     @pytest.mark.parametrize("m, k", [(8, 3), (8, 7), (4, 3), (8, 6), (6, 1), (8, 1)])
     def test_stack_matches_reference_bit_for_bit(self, m, k):
         _, covs = self._covs(m, 100 + m * 10 + k)
         steering = steering_matrix(GRID, ArrayGeometry(m))
-        np.testing.assert_array_equal(
-            music_spectrum(noise_subspace(covs, k), steering), music_spectrum_cov(covs, k, steering))
+        spectra = music_spectrum(noise_subspace(covs, k), steering)
+        for cov, spectrum in zip(covs, spectra):
+            np.testing.assert_array_equal(spectrum, music_spectrum_cov(cov, k, steering))
 
     @pytest.mark.parametrize("m, k", [(8, 3), (8, 7), (6, 2)])
     def test_one_matrix_and_fortran_order_match_reference(self, m, k):
@@ -293,9 +290,8 @@ class TestRowSpectrum:
         steering = steering_matrix(GRID, GEOM8)
         subspaces = noise_subspace(covs, 3)
         for lo in range(0, 13, 4):
-            np.testing.assert_array_equal(
-                music_spectrum(subspaces[lo : lo + 4], steering),
-                music_spectrum_cov(covs[lo : lo + 4], 3, steering))
+            for cov, spectrum in zip(covs[lo : lo + 4], music_spectrum(subspaces[lo : lo + 4], steering)):
+                np.testing.assert_array_equal(spectrum, music_spectrum_cov(cov, 3, steering))
 
 
 class TestPickPeaks:
@@ -520,6 +516,56 @@ def polynomial_denominators(subspaces, steering):
     return music.polynomial_weights(subspaces) @ np.concatenate([steering.real, steering.imag[1:]])
 
 
+class RescanLog:
+    """Spies on ``run_trials``: the trials each polynomial-pass chunk doubts, and the noise bases each rescan gets.
+
+    A doubted trial is named by its row in its series' block, the ``noise_subspace`` output its chunk was cut
+    from.  ``bound`` stands in for ``music.denominator_bound``.
+    """
+
+    def __init__(self, monkeypatch, bound=None):
+        self.doubted, self.rescans = [], []  # (block, rows) per chunk; (block, bases) per rescan
+        block, offset, margin, rescanning = None, 0, None, False
+        subspace, picker, spectrum = music.noise_subspace, music.pick_peak_rows, music.music_spectrum
+        bound = bound or music.denominator_bound
+
+        def noise_subspace_(cov, num_sources):
+            nonlocal block, offset
+            block, offset = subspace(cov, num_sources), 0
+            return block
+
+        def denominator_bound_(*args):
+            nonlocal margin
+            b = bound(*args)
+            margin = 2 * b  # a row is in doubt when its gap is at most 2B
+            return b
+
+        def pick_peak_rows_(grid_deg, spectra, num_sources):
+            nonlocal offset, rescanning
+            picks, gaps = picker(grid_deg, spectra, num_sources)
+            if not rescanning:  # a chunk of the polynomial pass
+                self.doubted.append((block, offset + np.flatnonzero(gaps <= margin)))
+                offset += len(spectra)
+            rescanning = False
+            return picks, gaps
+
+        def music_spectrum_(subspaces, steering):
+            nonlocal rescanning
+            rescanning = True
+            self.rescans.append((block, subspaces.copy()))
+            return spectrum(subspaces, steering)
+
+        for name, fn in [("noise_subspace", noise_subspace_), ("denominator_bound", denominator_bound_),
+                         ("pick_peak_rows", pick_peak_rows_), ("music_spectrum", music_spectrum_)]:
+            monkeypatch.setattr(music, name, fn)
+
+    def each_rescan_is_one_chunks_doubted_trials(self) -> bool:
+        """Rescans, in order, get the bases of exactly the doubted trials of each chunk that has any: none twice."""
+        doubted = [(block, rows) for block, rows in self.doubted if rows.size]
+        return len(doubted) == len(self.rescans) and all(
+            at is block and np.array_equal(bases, block[rows]) for (block, rows), (at, bases) in zip(doubted, self.rescans))
+
+
 class TestVouchedPicks:
     """The polynomial spectrum, its rounding bound and the doubt rules of ``pick_peak_rows``'s gaps."""
 
@@ -649,23 +695,17 @@ class TestVouchedPicks:
         cfg = desk_default()
         cfg.music.trials = 40
         model = init_model([16, 32, 32, 32, 16], rng=np.random.default_rng(7))
-        rescans, kept = [], []
-
-        def rescan(s, a, keep):
-            rescans.append(len(s))
-            kept.append(len(keep))
-            return music_spectrum(s, a, keep)
-
-        monkeypatch.setattr(music, "music_spectrum", rescan)
+        vouched = RescanLog(monkeypatch)
         default = eval_doa(model, cfg)[1]
-        routed = len(rescans)
-        monkeypatch.setattr(music, "denominator_bound", lambda *args: np.inf)
-        rescans.clear()
-        kept.clear()
+        monkeypatch.undo()
+        unbounded = RescanLog(monkeypatch, bound=lambda *args: np.inf)
         gemm = eval_doa(model, cfg)[1]
-        # with B = inf every row of every chunk is rescanned; by default most are vouched for
-        assert routed < len(rescans) and sum(rescans) == len(DOA_SERIES) * len(cfg.snr_db) * 40
-        assert kept == rescans
+        # with B = inf every row of every chunk is rescanned, once; by default most are vouched for
+        rescans = [len(bases) for _, bases in unbounded.rescans]
+        assert len(vouched.rescans) < len(rescans) and sum(rescans) == len(DOA_SERIES) * len(cfg.snr_db) * 40
+        assert vouched.each_rescan_is_one_chunks_doubted_trials() and unbounded.each_rescan_is_one_chunks_doubted_trials()
+        every = np.concatenate([rows for _, rows in unbounded.doubted])
+        assert every.tolist() == list(range(40)) * len(DOA_SERIES) * len(cfg.snr_db)
         assert list(gemm) == list(default)
         for key in default:
             np.testing.assert_array_equal(gemm[key].mses, default[key].mses, err_msg=str(key))
@@ -841,8 +881,7 @@ class TestSnrBlocks:
         (13, 3 * 16 * 8 * 8, 3, 1),  # room for 3 trials of covariances, not one projection
     ])
     def test_one_synthesis_and_transform_per_block(self, trials, budget, block, chunk, monkeypatch):
-        seen = {"synthesize": [], "id": [], "1bit": [], "covariance": [], "subspace": [], "spectrum": [], "rescan": [],
-                "doubted": []}
+        seen = {"synthesize": [], "id": [], "1bit": [], "covariance": [], "subspace": [], "spectrum": []}
 
         def spy(name, fn):
             def wrapped(data, *args):
@@ -854,13 +893,6 @@ class TestSnrBlocks:
             seen["spectrum"].append(len(spectra))
             return pick_peak_rows(grid_deg, spectra, *args)
 
-        def rescan(subspace, steering, keep):  # a view into its block's eigh output, and its doubted rows
-            start = (subspace.ctypes.data - subspace.base.ctypes.data) // subspace.strides[0]
-            seen["rescan"].append((start, len(subspace), len(subspace.base)))
-            assert 0 < len(keep) and list(keep) == sorted(set(keep)) and keep[-1] < len(subspace)
-            seen["doubted"].append(len(keep))
-            return music_spectrum(subspace, steering, keep)
-
         one_bit = lambda d: quantize_complex(d, QuantizerSpec(1, 3.1))
         kw = self._desk(trials, {"id": spy("id", lambda d: d), "1bit": spy("1bit", one_bit)})
         monkeypatch.setattr(music, "CHUNK_BYTES", budget)
@@ -868,15 +900,15 @@ class TestSnrBlocks:
         monkeypatch.setattr(music, "sample_covariance", spy("covariance", sample_covariance))
         monkeypatch.setattr(music, "noise_subspace", spy("subspace", noise_subspace))
         monkeypatch.setattr(music, "pick_peak_rows", picker)
-        monkeypatch.setattr(music, "music_spectrum", rescan)
+        log = RescanLog(monkeypatch)
         run_trials(snr_db=10.0, **kw)
         blocks = [min(block, trials - lo) for lo in range(0, trials, block)]
         assert seen["synthesize"] == seen["id"] == seen["1bit"] == blocks
         # one covariance and one subspace per series per block; spectra per chunk
         assert seen["covariance"] == seen["subspace"] == [n for n in blocks for _ in range(2)]
         assert max(seen["spectrum"]) == chunk
-        assert sum(seen["spectrum"]) == 2 * trials + sum(seen["doubted"])
-        assert all(start % chunk == 0 and n == min(chunk, size - start) for start, n, size in seen["rescan"])
+        assert sum(seen["spectrum"]) == 2 * trials + sum(len(bases) for _, bases in log.rescans)
+        assert log.each_rescan_is_one_chunks_doubted_trials()
 
     def test_one_denoiser_call_per_block(self, monkeypatch):
         rows = []
@@ -913,21 +945,28 @@ class TestSnrBlocks:
         assert rows == [6, 6, 3] * 4 + [5]
         assert capped.mses.tobytes() == whole.mses.tobytes()
 
-    def test_working_set_stays_within_its_array_budget(self):
-        # The peak of a desk run is one chunk's (T, M-K, G) projection, two
-        # (T, G) rows (the spectrum and the row being squared) and the
-        # steering matrix.  The 0.5 MiB margin covers the grid, the block's
-        # snapshots, subspaces and picks, and the peak picker's temporaries.
-        kw = self._desk(16)
+    def test_working_set_stays_within_its_array_budget(self, monkeypatch):
+        # Beside the steering matrix, the peak of a desk run is the larger of
+        # its two passes: the polynomial pass holds its (2M-1, G) table and two
+        # (T, G) rows of a chunk (the spectrum and its differences); a rescan
+        # holds the (n, M-K, G) projection of the n trials it rescans and two
+        # (n, G) rows (the spectrum and the row being squared).  The 0.5 MiB
+        # margin covers the grid, the block's snapshots, subspaces and picks,
+        # and the peak picker's temporaries.
+        kw = self._desk(40)
         m, k, g = kw["geom"].num_sensors, kw["num_sources"], kw["grid_deg"].size
         chunk = music.CHUNK_BYTES // ((m - k) * g * 16)
-        assert chunk == 8  # two chunks, so one chunk's leftovers could meet the next
-        budget = chunk * (m - k) * g * 16 + 2 * chunk * g * 8 + m * g * 16 + 2**19
+        assert chunk == 8  # five chunks, so one chunk's leftovers could meet the next
         run_trials(snr_db=10.0, **kw)  # first-call imports and caches stay out of the peak
+        rescans = []
+        monkeypatch.setattr(music, "music_spectrum", lambda s, a, scan=music_spectrum: rescans.append(len(s)) or scan(s, a))
         tracemalloc.start()
         try:
             run_trials(snr_db=10.0, **kw)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert rescans, "no trial was rescanned, so the rescan's share of the budget went untested"
+        n = max(rescans)
+        budget = m * g * 16 + max((2 * m - 1) * g * 8 + 2 * chunk * g * 8, n * (m - k) * g * 16 + 2 * n * g * 8) + 2**19
         assert peak < budget, f"peak {peak / 2**20:.2f} MiB over a {budget / 2**20:.2f} MiB budget"

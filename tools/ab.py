@@ -9,8 +9,10 @@ run is its own tree's ``benchmark/run.py`` in a fresh process, ``--trace 0``.  O
 parent is discarded, since the first run of a sequence reads about 30 % slow; then each seed runs on
 both sides, and which side runs first alternates from seed to seed.  Per end-to-end metric of the
 parent's ``BENCHMARK.json`` the output gives each side's values and each pair's change/parent ratio,
-the change's wins and the median ratio.  Give the same tree twice for an A/A run: its ratios are the
-machine's noise floor.
+the change's wins and the median ratio, and two verdicts: whether a claimed gain would hold (the change
+wins at least 9 of 10 pairs, and its median beats the parent's by more than the parent's IQR), and whether
+the change's median is worse than the parent's by more than the metric's ``bound``, a fraction of the
+parent's median.  Give the same tree twice for an A/A run: its ratios are the machine's noise floor.
 """
 
 from __future__ import annotations
@@ -49,12 +51,26 @@ def ratio(change: float, parent: float) -> float:
     return change / parent if parent else (1.0 if change == parent else float("inf"))
 
 
-def pair_stats(parent: list[float], change: list[float], better: str) -> dict:
-    """Each pair's change/parent ratio, the pairs the change wins (is strictly better in) and ties."""
+def iqr(values: list[float]) -> float:
+    q1, q3 = np.percentile(values, [25, 75])
+    return float(q3 - q1)
+
+
+def pair_stats(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Each pair's change/parent ratio, the pairs the change wins (is strictly better in) and ties, and verdicts.
+
+    ``gain``: the change wins at least 9 of 10 pairs (a tie counts for neither side) and its median is better
+    than the parent's by more than the parent's IQR.  ``worse_than_bound``: its median is worse than the
+    parent's by more than ``bound`` times the parent's median.
+    """
     ratios = [ratio(c, p) for p, c in zip(parent, change)]
     wins = sum(c < p if better == "lower" else c > p for p, c in zip(parent, change))
+    median = statistics.median(parent)
+    gained = (median - statistics.median(change)) * (1 if better == "lower" else -1)  # > 0: the change is better
     return {"better": better, "change_wins": wins, "ties": sum(c == p for p, c in zip(parent, change)),
-            "pairs": len(ratios), "median_ratio": statistics.median(ratios), "ratios": ratios}
+            "pairs": len(ratios), "median_ratio": statistics.median(ratios), "ratios": ratios,
+            "gain": 10 * wins >= 9 * len(ratios) and gained > iqr(parent), "bound": bound,
+            "worse_than_bound": -gained > bound * median}
 
 
 def side_block(runs: list[dict], seeds: list[int], names: list[str]) -> dict:
@@ -62,9 +78,8 @@ def side_block(runs: list[dict], seeds: list[int], names: list[str]) -> dict:
     metrics = {}
     for name in names:
         values = [r["result"]["metrics"][name]["value"] for r in runs]
-        q1, q3 = np.percentile(values, [25, 75])
         metrics[name] = {"unit": runs[0]["result"]["metrics"][name]["unit"], "median": statistics.median(values),
-                         "min": min(values), "iqr": float(q3 - q1), "n": len(values), "values": values}
+                         "min": min(values), "iqr": iqr(values), "n": len(values), "values": values}
     facts = {key: runs[0]["facts"].get(key) for key in ("cpu_count", "python", "numpy", "blas", "blas_threads")}
     facts.update(blas_core=runs[0]["blas_core"], run_seconds=runs[0]["facts"]["seconds"], trace=0)
     return {"seeds": seeds, "correct": all(r["result"]["correct"] for r in runs),
@@ -72,11 +87,12 @@ def side_block(runs: list[dict], seeds: list[int], names: list[str]) -> dict:
             "attempted": sum(r["result"]["attempted"] for r in runs), "metrics": metrics, "facts": facts}
 
 
-def trace0_block(runs: dict[str, list], seeds: list[int], better: dict[str, str], shas: dict[str, str]) -> dict:
-    names = list(better)
-    block = {"shas": shas, **{side: side_block(runs[side], seeds, names) for side in SIDES}}
+def trace0_block(runs: dict[str, list], seeds: list[int], metrics: dict[str, dict], shas: dict[str, str]) -> dict:
+    """Both sides' blocks and each metric's pair statistics; ``metrics`` maps a name to its ``better`` and ``bound``."""
+    block = {"shas": shas, **{side: side_block(runs[side], seeds, list(metrics)) for side in SIDES}}
     block["pairs"] = {name: pair_stats(block["parent"]["metrics"][name]["values"],
-                                       block["change"]["metrics"][name]["values"], better[name]) for name in names}
+                                       block["change"]["metrics"][name]["values"], m["better"], m["bound"])
+                      for name, m in metrics.items()}
     return block
 
 
@@ -115,8 +131,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="JSON file for the workload's trace0 block")
     args = parser.parse_args(argv)
     trees = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
-    metrics = json.loads((trees["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
-    better = {m["name"]: m["better"] for m in metrics}
+    metrics = {m["name"]: m for m in json.loads((trees["parent"] / "BENCHMARK.json").read_text())["end_to_end"]}
     seeds = list(range(args.seed0, args.seed0 + args.pairs))
     with tempfile.TemporaryDirectory(prefix="ab-") as work:
         copies = {side: Path(work) / side for side in SIDES}
@@ -130,14 +145,15 @@ def main(argv=None) -> int:
             return run
 
         runs = run_pairs(runner, seeds)
-    block = trace0_block(runs, seeds, better, {side: describe(trees[side]) for side in SIDES})
+    block = trace0_block(runs, seeds, metrics, {side: describe(trees[side]) for side in SIDES})
     how = (f"python3 tools/ab.py PARENT CHANGE --workload {args.workload} --seed0 {args.seed0} --pairs {args.pairs} "
            f"--seconds {args.seconds:g}: both trees copied to plain directories, one process per run, one discarded "
            f"parent warm-up run, the side that runs first alternating per seed")
     args.out.write_text(json.dumps({"workload": args.workload, "trace0": block, "how": how}, indent=1) + "\n")
     for name, p in block["pairs"].items():
         print(f"{name}: median ratio {p['median_ratio']:.4f}, change wins {p['change_wins']}/{p['pairs']}"
-              f" ({p['ties']} ties)")
+              f" ({p['ties']} ties); gain rule {'holds' if p['gain'] else 'fails'};"
+              f" {'worse' if p['worse_than_bound'] else 'not worse'} than the parent by more than {p['bound']:g}")
     return 0
 
 
