@@ -15,6 +15,7 @@ import argparse
 import os
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -103,23 +104,32 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
-def _cmd_generate(args, config: ScenarioConfig) -> None:
-    """Both splits go to temporary names in ``out`` and replace the old files only once both are written."""
-    out = args.out
+@contextmanager
+def _staged(out: Path):
+    """Yields ``stage(name)``, the temporary path in ``out`` to write ``out / name`` to.
+
+    Every staged file replaces its name only once the block has written them all; when the
+    block fails, its temporaries are removed and ``out`` is left as it was.
+    """
     out.mkdir(parents=True, exist_ok=True)
-    partial = {split: out / f".{split}.qdst.partial" for split in ("train", "test")}
+    partial: dict[str, Path] = {}
     try:
-        notes = []
-        for split, path in partial.items():
-            ds = build_dataset(config, split)
-            save_dataset(ds, path)
-            notes.append(f"wrote {out / f'{split}.qdst'} ({ds.count} records, V={ds.full_scale:.6g})")
-        for split, path in partial.items():
-            os.replace(path, out / f"{split}.qdst")
-        print("\n".join(notes))
+        yield lambda name: partial.setdefault(name, out / f".{name}.partial")
+        for name, path in partial.items():
+            os.replace(path, out / name)
     finally:
         for path in partial.values():
             path.unlink(missing_ok=True)
+
+
+def _cmd_generate(args, config: ScenarioConfig) -> None:
+    out, notes = args.out, []
+    with _staged(out) as stage:
+        for split in ("train", "test"):
+            ds = build_dataset(config, split)
+            save_dataset(ds, stage(f"{split}.qdst"))
+            notes.append(f"wrote {out / f'{split}.qdst'} ({ds.count} records, V={ds.full_scale:.6g})")
+    print("\n".join(notes))
 
 
 def _dataset(out: Path, split: str, config: ScenarioConfig) -> Dataset:
@@ -180,13 +190,10 @@ def _layout(model: DenoiserModel) -> tuple:
 def _cmd_train(args, config: ScenarioConfig) -> None:
     out = args.out
     result = train(config, _dataset(out, "train", config), _dataset(out, "test", config), progress=True)
-    save_checkpoint(result.model, out / "model.qdnn")
-    write_curves_csv(
-        out / "train_curves.csv",
-        result.curves,
-        config,
-        extra_header={"diverged": str(result.diverged).lower()},
-    )
+    with _staged(out) as stage:
+        save_checkpoint(result.model, stage("model.qdnn"))
+        write_curves_csv(stage("train_curves.csv"), result.curves, config,
+                         extra_header={"diverged": str(result.diverged).lower()})
     print(
         f"wrote {out / 'model.qdnn'} (final test loss {result.final_test_loss:.6g}, "
         f"diverged={result.diverged})"
@@ -196,14 +203,16 @@ def _cmd_train(args, config: ScenarioConfig) -> None:
 def _cmd_eval_recon(args, config: ScenarioConfig) -> None:
     out = args.out
     points = eval_reconstruction(_model(out, config), _dataset(out, "test", config))
-    write_curves_csv(out / "recon_loss.csv", points, config)
+    with _staged(out) as stage:
+        write_curves_csv(stage("recon_loss.csv"), points, config)
     print(f"wrote {out / 'recon_loss.csv'}")
 
 
 def _cmd_eval_doa(args, config: ScenarioConfig) -> None:
     out = args.out
     points, _ = eval_doa(_model(out, config), config)
-    write_curves_csv(out / "doa_mse.csv", points, config)
+    with _staged(out) as stage:
+        write_curves_csv(stage("doa_mse.csv"), points, config)
     print(f"wrote {out / 'doa_mse.csv'}")
 
 
@@ -212,50 +221,44 @@ def _cmd_spectrum(args, config: ScenarioConfig) -> None:
     points, trial_seed = spectrum_compare(
         _model(out, config), config, angles_deg=tuple(args.angles), snr_db=args.snr
     )
-    write_curves_csv(
-        out / "spectrum.csv",
-        points,
-        config,
-        extra_header={
-            "trial_seed": trial_seed,
-            "true_angles_deg": " ".join(repr(a) for a in args.angles),
-            "snr_db": repr(args.snr),
-        },
-    )
+    header = {"trial_seed": trial_seed, "true_angles_deg": " ".join(repr(a) for a in args.angles),
+              "snr_db": repr(args.snr)}
+    with _staged(out) as stage:
+        write_curves_csv(stage("spectrum.csv"), points, config, extra_header=header)
     print(f"wrote {out / 'spectrum.csv'}")
 
 
 def _cmd_compress(args, config: ScenarioConfig) -> None:
     out = args.out
     points, half = compression_report(_model(out, config), _dataset(out, "test", config))
-    write_curves_csv(out / "compression.csv", points, config)
-    save_checkpoint(half, out / "model_fp16.qdnn")
+    with _staged(out) as stage:
+        write_curves_csv(stage("compression.csv"), points, config)
+        save_checkpoint(half, stage("model_fp16.qdnn"))
     print(f"wrote {out / 'compression.csv'} and {out / 'model_fp16.qdnn'}")
 
 
-def _train_variants(
-    out: Path, config: ScenarioConfig, variants: list[tuple[str, list[str]]], timing_csv: str
-) -> dict[str, TrainResult]:
-    """Train ``variants`` on the generated datasets and write their wall-clock table."""
-    results = ablation_suite(config, variants, _dataset(out, "train", config), _dataset(out, "test", config))
-    write_curves_csv(
-        out / timing_csv,
-        timing_points(results),
-        config,
-        extra_header={"note": "wall-clock seconds; machine dependent"},
-    )
-    return results
+def _train_variants(out: Path, config: ScenarioConfig, variants: list[tuple[str, list[str]]]) -> dict[str, TrainResult]:
+    """Train ``variants`` on the generated datasets."""
+    return ablation_suite(config, variants, _dataset(out, "train", config), _dataset(out, "test", config))
+
+
+def _write_timing(path: Path, results: dict[str, TrainResult], config: ScenarioConfig) -> None:
+    write_curves_csv(path, timing_points(results), config, extra_header={"note": "wall-clock seconds; machine dependent"})
 
 
 def _cmd_bench(args, config: ScenarioConfig) -> None:
-    _train_variants(args.out, config, width_sweep_variants(config, args.widths), "bench_timing.csv")
+    results = _train_variants(args.out, config, width_sweep_variants(config, args.widths))
+    with _staged(args.out) as stage:
+        _write_timing(stage("bench_timing.csv"), results, config)
     print(f"wrote {args.out / 'bench_timing.csv'}")
 
 
 def _cmd_ablate(args, config: ScenarioConfig) -> None:
     out = args.out
-    results = _train_variants(out, config, default_ablation_variants(config), "ablation_timing.csv")
-    write_curves_csv(out / "ablation.csv", ablation_points(results), config)
+    results = _train_variants(out, config, default_ablation_variants(config))
+    with _staged(out) as stage:
+        _write_timing(stage("ablation_timing.csv"), results, config)
+        write_curves_csv(stage("ablation.csv"), ablation_points(results), config)
     print(f"wrote {out / 'ablation.csv'} and {out / 'ablation_timing.csv'}")
 
 

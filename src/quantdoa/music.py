@@ -30,9 +30,11 @@ from .signal_model import ArrayGeometry, noise_variance, steering_matrix, synthe
 
 SPECTRUM_REGULARIZER = 1e-12
 
-# Working-memory budget of run_trials: a chunk's (T, M-K, G) projection,
-# a block's (T, M, N) snapshots and (T, M, M) covariances and eigenvectors,
-# and the float32 rows of each layer of a denoiser call stay near it.
+# Working-memory budget of run_trials: a block's (T, M, N) snapshots and
+# (T, M, M) covariances and eigenvectors, and the float32 rows of each layer
+# of a denoiser call stay near it.  It sets only how many rows a chunk of the
+# polynomial pass scans, as many as it holds (M-K, G) projections; a rescan
+# forms one projection at a time.
 CHUNK_BYTES = 4_000_000
 
 # Transforms map clean complex snapshots, M x N or a stack (..., M, N)
@@ -92,20 +94,24 @@ def music_spectrum(subspace: np.ndarray, steering: np.ndarray) -> np.ndarray:
     """Pseudo-spectrum over a grid given by its steering matrix (one column per angle).
 
     ``subspace`` is a noise basis (M, M-K) from ``noise_subspace``, or a stack (..., M, M-K) giving a stack of
-    spectra (..., G).  Larger means more source-like.  Each matrix's spectrum comes from its own product (numpy
-    runs one BLAS call per matrix of a stack), so it has the bits of that matrix scanned alone.
+    spectra (..., G).  Larger means more source-like.  One basis at a time forms its (M-K, G) projection and sums
+    it into its output row, so each spectrum has the bits of that basis scanned alone and no more than one
+    projection is alive.
     """
-    projection = subspace.conj().swapaxes(-1, -2) @ steering
-    # |P_r|^2 summed one row at a time, in the order np.sum(..., axis=-2) adds.
-    spectrum = np.abs(projection[..., 0, :])
-    spectrum **= 2
-    scratch = np.empty_like(spectrum)
-    for row in range(1, projection.shape[-2]):
-        np.abs(projection[..., row, :], out=scratch)
-        scratch **= 2
-        spectrum += scratch
-    spectrum += SPECTRUM_REGULARIZER
-    return np.divide(1.0, spectrum, out=spectrum)
+    spectra = np.empty(subspace.shape[:-2] + steering.shape[-1:], np.result_type(subspace.real, steering.real))
+    scratch = np.empty_like(spectra, shape=steering.shape[-1:])
+    for index in np.ndindex(subspace.shape[:-2]):
+        projection = subspace[index].conj().T @ steering
+        # |P_r|^2 summed one row at a time, in the order np.sum(..., axis=-2) adds.
+        spectrum = np.abs(projection[0], out=spectra[index])
+        spectrum **= 2
+        for row in range(1, len(projection)):
+            np.abs(projection[row], out=scratch)
+            scratch **= 2
+            spectrum += scratch
+        del projection  # before the next basis's product is formed
+    spectra += SPECTRUM_REGULARIZER
+    return np.divide(1.0, spectra, out=spectra)
 
 
 def ranked_peaks(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -274,10 +274,12 @@ def per_sample_loss(output: np.ndarray, target: np.ndarray) -> np.ndarray:
 def backward(model: DenoiserModel, cache: list[LayerCache], target: np.ndarray, out: np.ndarray) -> list[np.ndarray]:
     """Exact gradients of the loss, in :meth:`DenoiserModel.trainable_arrays` order.
 
-    Needs the cache of a train-mode forward on the same batch; gradients
-    flow through the batch-norm statistics and through the skip fan-out.
-    They are written into ``out``, a vector laid out like ``model.params``,
-    and returned as views of it.
+    Needs the cache of a train-mode forward on the same batch, and consumes
+    it: each layer's record is popped as its gradients are formed, so its
+    activations die then and ``cache`` is empty on return.  Gradients flow
+    through the batch-norm statistics and through the skip fan-out.  They
+    are written into ``out``, a vector laid out like ``model.params``, and
+    returned as views of it.
     """
     if not cache:
         raise ValueError("backward requires the cache of a train-mode forward")
@@ -294,7 +296,7 @@ def backward(model: DenoiserModel, cache: list[LayerCache], target: np.ndarray, 
     grad = (2.0 / (batch * width)) * (output - target)
     d_skip: np.ndarray | None = None  # set by the outer layer of each pair
     for i in reversed(range(model.depth)):
-        c, layer = cache[i], model.dense[i]
+        c, layer = cache.pop(), model.dense[i]
         dz = grad if i == last else derivative(grad, c.out)
         if model.closes_pair(i):
             d_skip = dz

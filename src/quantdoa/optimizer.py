@@ -17,11 +17,11 @@ class NonFiniteGradientError(ValueError):
 
 @dataclass
 class TrainState:
-    """First/second moment estimates, two work vectors and the step counter."""
+    """First/second moment estimates, a work vector and the step counter."""
 
     m: np.ndarray
     v: np.ndarray
-    scratch: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    scratch: np.ndarray = field(repr=False)
     step_count: int = 0
     learning_rate: float = 1e-3
 
@@ -30,17 +30,17 @@ def init_state(params: np.ndarray, learning_rate: float = 1e-3) -> TrainState:
     return TrainState(
         m=np.zeros_like(params),
         v=np.zeros_like(params),
-        scratch=(np.empty_like(params), np.empty_like(params)),
+        scratch=np.empty_like(params),
         learning_rate=learning_rate,
     )
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: TrainState) -> None:
-    """One in-place Adam update of ``params``.
+    """One in-place Adam update of ``params``; ``grad`` is work space and holds no gradient on return.
 
     Rejects non-finite gradients before touching anything, so an aborted
-    step leaves parameters, moments, and the counter unchanged.  The
-    ``out=`` calls round each element exactly as
+    step leaves ``grad``, parameters, moments, and the counter unchanged.
+    The ``out=`` calls round each element exactly as
     ``p - lr * (m / bias1) / (sqrt(v / bias2) + EPS)`` does.
     """
     if params.shape != grad.shape:
@@ -51,19 +51,20 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: TrainState) -> None:
     t = state.step_count
     bias1 = 1.0 - BETA1 ** t
     bias2 = 1.0 - BETA2 ** t
-    m, v, (s, u) = state.m, state.v, state.scratch
-    np.multiply(m, BETA1, out=m)
-    np.multiply(grad, 1.0 - BETA1, out=s)
-    np.add(m, s, out=m)
+    m, v, s = state.m, state.v, state.scratch
     np.multiply(grad, grad, out=s)
     np.multiply(s, 1.0 - BETA2, out=s)
     np.multiply(v, BETA2, out=v)
     np.add(v, s, out=v)
+    # the v update read grad first, so the m update's read may overwrite it
+    np.multiply(m, BETA1, out=m)
+    np.multiply(grad, 1.0 - BETA1, out=grad)
+    np.add(m, grad, out=m)
     # m / 1 is exact, and skipping it saves the most where m has decayed to subnormals
-    m_hat = m if params.dtype.type(bias1) == 1.0 else np.divide(m, bias1, out=u)
-    np.multiply(m_hat, state.learning_rate, out=u)
+    m_hat = m if params.dtype.type(bias1) == 1.0 else np.divide(m, bias1, out=grad)
+    np.multiply(m_hat, state.learning_rate, out=grad)
     np.divide(v, bias2, out=s)
     np.sqrt(s, out=s)
     np.add(s, EPS, out=s)
-    np.divide(u, s, out=u)
-    np.subtract(params, u, out=params)
+    np.divide(grad, s, out=grad)
+    np.subtract(params, grad, out=params)

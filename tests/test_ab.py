@@ -5,6 +5,8 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
 ab = importlib.util.module_from_spec(_spec)
@@ -106,8 +108,9 @@ class TestTrace0Block:
         assert block["pairs"]["peak_rss_mib"]["change_wins"] == 2
         assert block["pairs"]["items_per_s"]["change_wins"] == 1 and block["pairs"]["items_per_s"]["ties"] == 1
 
-    def test_layout_is_the_committed_bench_files(self):
-        committed = json.loads((ROOT / "BENCH_doa-eval.json").read_text())["trace0"]  # the last block ab.py wrote
+    @pytest.mark.parametrize("name", ["BENCH_doa-eval.json", "BENCH_train-desk.json"])
+    def test_layout_is_the_committed_bench_files(self, name):
+        committed = json.loads((ROOT / name).read_text())["trace0"]  # each trace0 is a block this tool wrote
         block = self.block()
 
         def keys(tree):

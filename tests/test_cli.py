@@ -83,6 +83,40 @@ class TestGenerate:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+class TestStagedOutputs:
+    # command -> its outputs, and the writer of the last of them with that call's number
+    LAST_WRITER = {
+        "train": (["model.qdnn", "train_curves.csv"], "write_curves_csv", 1),
+        "compress": (["compression.csv", "model_fp16.qdnn"], "save_checkpoint", 1),
+        "ablate": (["ablation_timing.csv", "ablation.csv"], "write_curves_csv", 2),
+    }
+
+    @pytest.mark.parametrize("command", sorted(LAST_WRITER))
+    def test_failing_last_writer_leaves_out_as_it_was(self, pipeline_dir, tmp_path, monkeypatch, command):
+        outputs, writer, last = self.LAST_WRITER[command]
+        for name in ("train.qdst", "test.qdst", "model.qdnn"):
+            (tmp_path / name).write_bytes((pipeline_dir / name).read_bytes())
+        for name in outputs:  # older outputs, which this run must not replace
+            (tmp_path / name).write_bytes(f"old {name}".encode())
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        written, write = [], getattr(cli, writer)
+
+        def fail_last(*args, **kwargs):
+            path = next(a for a in args if isinstance(a, Path))  # each writer takes one path among its arguments
+            written.append(path.name)
+            if len(written) == last:
+                path.write_bytes(b"half a file")
+                raise MemoryError("injected")
+            write(*args, **kwargs)
+
+        monkeypatch.setattr(cli, writer, fail_last)
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            assert run([command, "--out", tmp_path] + TINY) == 2
+        assert len(written) == last and all(name.endswith(".partial") for name in written)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert not list(tmp_path.glob("*.partial"))
+
+
 class TestPipeline:
     def test_train_emits_checkpoint_and_curves(self, pipeline_dir):
         model = load_checkpoint(pipeline_dir / "model.qdnn")

@@ -160,6 +160,30 @@ class TestTrain:
         train(cfg, train_set, test_set)
         assert alive == [0, 0, 0] * 2  # per epoch: two Adam steps, then the test evaluation
 
+    def test_desk_working_set_stays_within_its_array_budget(self):
+        # A step holds six params-sized vectors (the model, Adam's m, v and work vector, the gradient and the
+        # retained copy), the shuffle, a batch of targets, one train-mode forward's cache and what backward adds
+        # to the part of it not yet consumed: at most four (batch, width) buffers.  The epoch's test evaluation,
+        # three (test_count, width) buffers, fits in the same room.
+        cfg = desk_default()
+        train_set, test_set = build_dataset(cfg, "train"), build_dataset(cfg, "test")
+        cfg.train.epochs = 1
+        train(cfg, train_set, test_set)  # first-call imports and caches stay out of the peak
+        cfg.train.epochs = 2
+        tracemalloc.start()
+        try:
+            train(cfg, train_set, test_set)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        model, batch, width = initial_model(cfg), cfg.train.batch_size, max(cfg.network.widths)
+        _, cache = net.forward(model, train_set.inputs[:batch], "train")
+        held = {id(a): a.nbytes for c in cache for a in (c.x, c.out, *(c.bn or ())[:2])}
+        budget = (6 * model.params.nbytes + 2 * model.stats.nbytes + train_set.count * 8
+                  + train_set.targets[:batch].nbytes + sum(held.values()) + 4 * batch * width * 4)
+        assert 3 * test_set.count * width * 4 < sum(held.values()) + 4 * batch * width * 4
+        assert peak < budget, f"peak {peak / 2**20:.3f} MiB over a {budget / 2**20:.3f} MiB budget"
+
 
 # SHA-256 of the trained arrays (running statistics included) written by
 # the stage-by-stage forward/backward that the per-layer loop replaced.

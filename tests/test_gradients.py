@@ -117,6 +117,18 @@ def test_disabled_input_bias_gradient_is_zero():
     np.testing.assert_array_equal(grads[1], np.zeros(6))  # input bias
 
 
+def test_backward_consumes_its_cache():
+    model = tiny_model()
+    x, target = tiny_batch(3)
+    _, cache = net.forward(model, x, "train")
+    first = net.backward(model, cache, target, np.empty_like(model.params))
+    assert cache == []  # each layer's record is popped as its gradients are formed
+    _, cache = net.forward(model, x, "train")
+    again = net.backward(model, cache, target, np.empty_like(model.params))
+    for a, b in zip(first, again):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_backward_requires_train_cache():
     model = tiny_model()
     x, target = tiny_batch()

@@ -208,6 +208,23 @@ class TestMusicSpectrum:
             assert sub.shape == (rows.size, GRID.size)
             assert sub.tobytes() == whole[rows].tobytes()
 
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_a_stack_peaks_at_one_projection_and_its_output(self, k):
+        rng = np.random.default_rng(k)
+        data = rng.standard_normal((k, 8, 5)) + 1j * rng.standard_normal((k, 8, 5))
+        subspaces = noise_subspace(sample_covariance(data), 3)
+        steering = steering_matrix(GRID, GEOM8)
+        music_spectrum(subspaces, steering)  # first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            music_spectrum(subspaces, steering)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one basis's (M-K, G) complex projection, the (k, G) output, the (G,) row being squared, and 16 KiB
+        budget = 5 * GRID.size * 16 + (k + 1) * GRID.size * 8 + 2**14
+        assert peak <= budget, f"peak {peak / 2**20:.3f} MiB over a {budget / 2**20:.3f} MiB budget"
+
 
 class TestStackedScan:
     def test_stack_matches_each_matrix_bit_for_bit(self):
@@ -945,18 +962,22 @@ class TestSnrBlocks:
         assert rows == [6, 6, 3] * 4 + [5]
         assert capped.mses.tobytes() == whole.mses.tobytes()
 
-    def test_working_set_stays_within_its_array_budget(self, monkeypatch):
+    # The default bound doubts a few trials of a chunk; an infinite one doubts all eight of each.
+    @pytest.mark.parametrize("bound", [None, lambda *args: np.inf], ids=["default-doubt", "unbounded-doubt"])
+    def test_working_set_stays_within_its_array_budget(self, bound, monkeypatch):
         # Beside the steering matrix, the peak of a desk run is the larger of
         # its two passes: the polynomial pass holds its (2M-1, G) table and two
         # (T, G) rows of a chunk (the spectrum and its differences); a rescan
-        # holds the (n, M-K, G) projection of the n trials it rescans and two
-        # (n, G) rows (the spectrum and the row being squared).  The 0.5 MiB
-        # margin covers the grid, the block's snapshots, subspaces and picks,
-        # and the peak picker's temporaries.
+        # of n trials holds one (M-K, G) projection at a time and two (n, G)
+        # rows (the spectrum and its differences).  The 0.5 MiB margin covers
+        # the grid, the block's snapshots, subspaces and picks, and the peak
+        # picker's temporaries.
         kw = self._desk(40)
         m, k, g = kw["geom"].num_sensors, kw["num_sources"], kw["grid_deg"].size
         chunk = music.CHUNK_BYTES // ((m - k) * g * 16)
         assert chunk == 8  # five chunks, so one chunk's leftovers could meet the next
+        if bound is not None:
+            monkeypatch.setattr(music, "denominator_bound", bound)
         run_trials(snr_db=10.0, **kw)  # first-call imports and caches stay out of the peak
         rescans = []
         monkeypatch.setattr(music, "music_spectrum", lambda s, a, scan=music_spectrum: rescans.append(len(s)) or scan(s, a))
@@ -968,5 +989,6 @@ class TestSnrBlocks:
             tracemalloc.stop()
         assert rescans, "no trial was rescanned, so the rescan's share of the budget went untested"
         n = max(rescans)
-        budget = m * g * 16 + max((2 * m - 1) * g * 8 + 2 * chunk * g * 8, n * (m - k) * g * 16 + 2 * n * g * 8) + 2**19
+        assert bound is None or n == chunk
+        budget = m * g * 16 + max((2 * m - 1) * g * 8 + 2 * chunk * g * 8, (m - k) * g * 16 + 2 * n * g * 8) + 2**19
         assert peak < budget, f"peak {peak / 2**20:.2f} MiB over a {budget / 2**20:.2f} MiB budget"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,33 @@ class TestAdamStep:
         np.testing.assert_array_equal(state.m, snapshot[1])
         np.testing.assert_array_equal(state.v, snapshot[2])
         assert state.step_count == snapshot[3]
+
+    def test_nonfinite_gradient_leaves_the_gradient_untouched(self):
+        # the step works in grad only once every element has passed the check
+        p = np.array([1.0, -2.0, 3.0])
+        state = init_state(p)
+        adam_step(p, np.array([0.5, 0.25, -1.0]), state)
+        grad = np.array([0.5, -0.75, np.inf])
+        snapshot = [a.tobytes() for a in (grad, p, state.m, state.v)]
+        with pytest.raises(NonFiniteGradientError):
+            adam_step(p, grad, state)
+        assert [a.tobytes() for a in (grad, p, state.m, state.v)] == snapshot
+        assert state.step_count == 1
+
+    def test_step_allocates_nothing_parameter_sized(self):
+        # m, v and one work vector are the state; the gradient is the second work vector
+        p = np.random.default_rng(1).standard_normal(100_000).astype(np.float32)
+        state = init_state(p)
+        assert state.scratch.shape == p.shape and state.scratch.dtype == p.dtype
+        grad = np.ones_like(p)
+        adam_step(p, grad, state)
+        tracemalloc.start()
+        try:
+            adam_step(p, grad, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= p.size + 2**12  # the finiteness check's mask, a byte a parameter
 
     def test_shape_mismatch_rejected(self):
         p = np.zeros(3)
